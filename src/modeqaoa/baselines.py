@@ -7,7 +7,10 @@ shot rather than per distinct key.
 Gradients use the exact two-point rule per gate.  A layer angle multiplies a
 sum of commuting generators, so its derivative is the sum over the layer's
 gates of a_g * [f(phi_g + pi/2) - f(phi_g - pi/2)] in each gate's half-turn
-angle phi, with a_g = w_e/2 for an edge gate and 1 for a mixer gate.
+angle phi, with a_g = w_e/2 for an edge gate and 1 for a mixer gate.  The
+shifted circuits share their unshifted prefixes (simulator.shifted_states),
+so a gradient costs far fewer float operations than 2 * 2p * (n + m) full
+evolutions while producing bit-identical states.
 """
 from __future__ import annotations
 
@@ -19,8 +22,9 @@ from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, run_search)
 from .estimators import Counts, compute_stats, expectation_estimate, mode_of
 from .graph import MaxCutInstance, cut_value
 from .resources import ResourceLedger
-from .simulator import (GateShift, NoiseSpec, QaoaParams, exact_expectation,
-                        outcome_distribution, sample)
+from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
+                        distribution, exact_expectation, outcome_distribution,
+                        sample, shift_rule_gradient)
 
 DEFAULT_N_FIX = 1000
 
@@ -42,17 +46,6 @@ class GdConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.shots_per_eval < 1:
             raise ValueError("shots_per_eval must be >= 1")
-
-
-def _coordinate_gates(instance: MaxCutInstance, depth: int, k: int):
-    """Gates under search coordinate k as (GateShift template, coefficient) pairs."""
-    if not 0 <= k < 2 * depth:
-        raise ValueError(f"coordinate {k} out of range for depth {depth}")
-    if k < depth:
-        return [(("beta", k, q), 1.0) for q in range(instance.n)]
-    layer = k - depth
-    return [(("gamma", layer, e), w / 2.0)
-            for e, (_, _, w) in enumerate(instance.edges)]
 
 
 def _split_shots(total: int, parts: int) -> list[int]:
@@ -90,32 +83,26 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     otherwise each coordinate spends 2 * shots, split evenly across its
     generators, for a total ledger charge of 2 * 2p * shots per call.
     """
-    depth = params.depth
-    d = 2 * depth
-    grad = np.zeros(d)
+    if shots is not None:
+        parts = {"beta": _split_shots(shots, instance.n),
+                 "gamma": _split_shots(shots, instance.num_edges)}
     ss = np.random.SeedSequence(seed)
-    for k in range(d):
-        gates = _coordinate_gates(instance, depth, k)
-        parts = _split_shots(shots, len(gates)) if shots is not None else [None] * len(gates)
-        for ((kind, layer, index), coeff), part in zip(gates, parts):
-            values = []
-            for sign in (1.0, -1.0):
-                gs = GateShift(kind=kind, layer=layer, index=index,
-                               angle=sign * np.pi / 2.0)
-                dist = outcome_distribution(instance, params, noise, shift=gs)
-                ledger.circuit_evaluations += 1
-                if part is None:
-                    values.append(exact_expectation(instance, dist))
-                else:
-                    child = int(ss.spawn(1)[0].generate_state(1)[0])
-                    counts = sample(dist, part, child)
-                    ledger.optimization_shots += part
-                    ledger.classical_count_ops += part
-                    ledger.classical_cut_ops += part
-                    ledger.record_point(part, counts.distinct)
-                    values.append(expectation_estimate(instance, counts))
-            grad[k] += coeff * (values[0] - values[1])
-    return grad
+
+    def value(shift: GateShift, state: np.ndarray) -> float:
+        dist = apply_depolarizing(distribution(state), noise)
+        ledger.circuit_evaluations += 1
+        if shots is None:
+            return exact_expectation(instance, dist)
+        part = parts[shift.kind][shift.index]
+        child = int(ss.spawn(1)[0].generate_state(1)[0])
+        counts = sample(dist, part, child)
+        ledger.optimization_shots += part
+        ledger.classical_count_ops += part
+        ledger.classical_cut_ops += part
+        ledger.record_point(part, counts.distinct)
+        return expectation_estimate(instance, counts)
+
+    return shift_rule_gradient(instance, params, value)
 
 
 def optimize_exp_bo(instance: MaxCutInstance, depth: int,

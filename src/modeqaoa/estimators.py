@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MaxCutInstance, cut_value
+from .graph import MaxCutInstance, cut_value, cut_values_table
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
 
@@ -73,9 +73,14 @@ def map_objective(instance: MaxCutInstance, counts: Counts) -> float:
 
 def expectation_estimate(instance: MaxCutInstance, counts: Counts) -> float:
     total = counts.total
+    for k in counts.histogram:
+        if len(k) != instance.n:
+            raise ValueError(f"bitstring length {len(k)} != n={instance.n}")
+    # the table adds the same weights in the same edge order as cut_value
+    cuts = cut_values_table(instance)[[int(k, 2) for k in counts.histogram]]
     acc = 0.0
-    for k, v in counts.histogram.items():
-        acc += v * cut_value(instance, k)
+    for v, c in zip(counts.histogram.values(), cuts.tolist()):
+        acc += v * c
     return acc / total
 
 

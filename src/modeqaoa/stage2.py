@@ -14,7 +14,9 @@ import numpy as np
 
 from .graph import MaxCutInstance, bits_to_index
 from .resources import ResourceLedger
-from .simulator import GateShift, NoiseSpec, QaoaParams, outcome_distribution, sample
+from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
+                        distribution, gate_coefficient as _gate_coefficient,
+                        outcome_distribution, sample, shift_rule_gradient)
 
 
 @dataclass(frozen=True)
@@ -37,13 +39,6 @@ class AmplifyConfig:
             raise ValueError("reeval_period must be >= 1")
 
 
-def _gate_coefficient(instance: MaxCutInstance, kind: str, index: int) -> float:
-    # d(theta_k)/d(phi_gate) times the 1/2 of the two-point rule
-    if kind == "beta":
-        return 1.0
-    return instance.edges[index][2] / 2.0
-
-
 def target_probability(instance: MaxCutInstance, params: QaoaParams, target: str,
                        noise: NoiseSpec | None = None, shots: int | None = None,
                        seed: int | None = None,
@@ -61,21 +56,14 @@ def target_probability(instance: MaxCutInstance, params: QaoaParams, target: str
 def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: str,
                    noise: NoiseSpec | None = None) -> np.ndarray:
     """Full gradient of p_theta(z_tar), every gate enumerated, exact distributions."""
-    depth = params.depth
-    grad = np.zeros(2 * depth)
-    for k in range(2 * depth):
-        if k < depth:
-            gates = [("beta", k, q) for q in range(instance.n)]
-        else:
-            gates = [("gamma", k - depth, e) for e in range(instance.num_edges)]
-        for kind, layer, index in gates:
-            coeff = _gate_coefficient(instance, kind, index)
-            plus = target_probability(instance, params, target, noise,
-                                      shift=GateShift(kind, layer, index, np.pi / 2))
-            minus = target_probability(instance, params, target, noise,
-                                       shift=GateShift(kind, layer, index, -np.pi / 2))
-            grad[k] += coeff * (plus - minus)
-    return grad
+    if len(target) != instance.n:
+        raise ValueError("target length must equal n")
+    index = bits_to_index(target)
+
+    def value(shift: GateShift, state: np.ndarray) -> float:
+        return float(apply_depolarizing(distribution(state), noise)[index])
+
+    return shift_rule_gradient(instance, params, value)
 
 
 def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,

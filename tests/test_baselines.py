@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from modeqaoa.baselines import (
-    GdConfig, _coordinate_gates, _split_shots, fixed_shot_expectation_eval,
+    GdConfig, _split_shots, fixed_shot_expectation_eval,
     optimize_exp_bo, optimize_exp_gd, parameter_shift_gradient,
 )
 from modeqaoa.graph import assign_weights, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
-from modeqaoa.simulator import QaoaParams, exact_expectation, outcome_distribution
+from modeqaoa.simulator import (
+    GateShift, QaoaParams, evolve, exact_expectation, outcome_distribution,
+    shifted_states,
+)
 
 
 def fd_gradient(inst, params, h=1e-6):
@@ -36,16 +39,24 @@ def test_gd_config_validation():
 
 
 def test_coordinate_gates_layout(six_reg):
-    beta_gates = _coordinate_gates(six_reg, 2, 0)
+    params = QaoaParams((0.3, 0.5), (0.7, 1.1))
+    depth = params.depth
+    by_coord = {}
+    for shift, coeff, _ in shifted_states(six_reg, params):
+        k = shift.layer + (depth if shift.kind == "gamma" else 0)
+        by_coord.setdefault(k, []).append((shift, coeff))
+    beta_gates = [(s, c) for s, c in by_coord[0] if s.angle > 0]
     assert len(beta_gates) == 6
-    assert all(kind == "beta" and layer == 0 and coeff == 1.0
-               for (kind, layer, _), coeff in beta_gates)
-    gamma_gates = _coordinate_gates(six_reg, 2, 3)
+    assert all(s.kind == "beta" and s.layer == 0 and coeff == 1.0
+               for s, coeff in beta_gates)
+    gamma_gates = [(s, c) for s, c in by_coord[3] if s.angle > 0]
     assert len(gamma_gates) == six_reg.num_edges
-    assert all(kind == "gamma" and layer == 1 for (kind, layer, _), _ in gamma_gates)
+    assert all(s.kind == "gamma" and s.layer == 1 for s, _ in gamma_gates)
     assert all(coeff == 0.5 for _, coeff in gamma_gates)  # unit weights
+    # coordinate 4 does not exist at depth 2, and its layer is rejected
+    assert sorted(by_coord) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
-        _coordinate_gates(six_reg, 2, 4)
+        evolve(six_reg, params, GateShift("beta", 2, 0, np.pi / 2))
 
 
 def test_split_shots():
