@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, run_search)
-from .estimators import Counts, compute_stats, expectation_estimate, mode_of
+from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, finish_run,
+                 run_search, search_bounds)
+# compute_stats is called through bo.finish_run; perfbench's trace-site test
+# still lists this module among those that import it
+from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # noqa: F401
 from .graph import MaxCutInstance, cut_value
 from .resources import ResourceLedger
 from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
@@ -57,13 +60,8 @@ def _split_shots(total: int, parts: int) -> list[int]:
 
 def fixed_shot_expectation_eval(instance: MaxCutInstance, params: QaoaParams,
                                 shots: int, noise: NoiseSpec | None, seed: int,
-                                ledger: ResourceLedger) -> float:
-    """Sampled mean cut value from a fixed shot budget."""
-    value, _ = _expectation_eval_counts(instance, params, shots, noise, seed, ledger)
-    return value
-
-
-def _expectation_eval_counts(instance, params, shots, noise, seed, ledger):
+                                ledger: ResourceLedger) -> tuple[float, Counts]:
+    """(sampled mean cut value, histogram) from a fixed shot budget."""
     dist = outcome_distribution(instance, params, noise)
     ledger.circuit_evaluations += 1
     counts = sample(dist, shots, seed)
@@ -118,8 +116,8 @@ def optimize_exp_bo(instance: MaxCutInstance, depth: int,
     ledger = ledger if ledger is not None else ResourceLedger()
 
     def evaluate(t: int, params: QaoaParams, eval_seed: int) -> Trial:
-        value, counts = _expectation_eval_counts(instance, params, n_fix, noise,
-                                                 eval_seed, ledger)
+        value, counts = fixed_shot_expectation_eval(instance, params, n_fix, noise,
+                                                    eval_seed, ledger)
         mode = mode_of(counts)
         return Trial(index=t, params=params, objective=value, shots_used=n_fix,
                      accepted=True, mode=mode, mode_cut=cut_value(instance, mode))
@@ -139,8 +137,6 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     incumbent), one gradient call, one Adam update.  Cost per iteration is
     (2 * 2p + 1) * N_fix shots.
     """
-    from .bo import search_bounds  # local import keeps module deps one-way
-
     cfg = gd_cfg or GdConfig()
     ledger = ledger if ledger is not None else ResourceLedger()
     bounds = search_bounds(depth)
@@ -150,37 +146,23 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     trials: list[Trial] = []
-    best: Trial | None = None
     for t in range(1, cfg.iterations + 1):
         eval_seed, grad_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
         params = QaoaParams.from_vector(theta)
-        value, counts = _expectation_eval_counts(instance, params,
-                                                 cfg.shots_per_eval, noise,
-                                                 eval_seed, ledger)
+        value, counts = fixed_shot_expectation_eval(instance, params,
+                                                    cfg.shots_per_eval, noise,
+                                                    eval_seed, ledger)
         grad = parameter_shift_gradient(
             instance, params, None if cfg.exact_gradient else cfg.shots_per_eval,
             noise, grad_seed, ledger)
         mode = mode_of(counts)
         grad_shots = 0 if cfg.exact_gradient else 2 * 2 * depth * cfg.shots_per_eval
-        trial = Trial(index=t, params=params, objective=value,
-                      shots_used=cfg.shots_per_eval + grad_shots, accepted=True,
-                      mode=mode, mode_cut=cut_value(instance, mode))
-        trials.append(trial)
-        if best is None or trial.objective > best.objective:
-            best = trial
+        trials.append(Trial(index=t, params=params, objective=value,
+                            shots_used=cfg.shots_per_eval + grad_shots, accepted=True,
+                            mode=mode, mode_cut=cut_value(instance, mode)))
         m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
         v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad**2
         m_hat = m / (1 - cfg.adam_beta1**t)
         v_hat = v / (1 - cfg.adam_beta2**t)
         theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-
-    final_seed, boot_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
-    dist = outcome_distribution(instance, best.params, noise)
-    ledger.circuit_evaluations += 1
-    final_counts = sample(dist, n_final, final_seed)
-    ledger.final_eval_shots += n_final
-    final_eval = compute_stats(instance, final_counts, seed=boot_seed)
-    return RunResult(trials=tuple(trials), best_params=best.params,
-                     best_bitstring=best.mode, best_objective=best.objective,
-                     final_eval=final_eval, final_counts=final_counts,
-                     ledger=ledger, stop_reason="budget")
+    return finish_run(instance, trials, ss, noise, n_final, ledger, "budget")

@@ -32,7 +32,17 @@ from .shots import AdaptiveConfig
 from .simulator import NoiseSpec
 from .stage2 import AmplifyConfig, amplify
 
-EXPERIMENTS = ("qubit_sweep", "depth_sweep", "noise_sweep", "single")
+# preset (n, p, lambda) grid of each named sweep
+GRIDS = {
+    "qubit_sweep": dict(n_values=(3, 4, 6, 8, 10, 12), p_values=(2,),
+                        noise_lambdas=(0.0,)),
+    "depth_sweep": dict(n_values=(10,), p_values=(1, 2, 3, 4, 5, 6),
+                        noise_lambdas=(0.0,)),
+    "noise_sweep": dict(n_values=(10,), p_values=(2,),
+                        noise_lambdas=(0.0, 0.002, 0.004, 0.006, 0.008, 0.01)),
+    "single": dict(n_values=(6,), p_values=(2,), noise_lambdas=(0.0,)),
+}
+EXPERIMENTS = tuple(GRIDS)
 METHODS = ("map_bo", "exp_bo", "exp_gd")
 
 RECORD_KEYS = [
@@ -88,19 +98,9 @@ class ExperimentConfig:
     @classmethod
     def for_experiment(cls, name: str, **overrides) -> "ExperimentConfig":
         """Preset grid for each named sweep; explicit overrides win."""
-        grids = {
-            "qubit_sweep": dict(n_values=(3, 4, 6, 8, 10, 12), p_values=(2,),
-                                noise_lambdas=(0.0,)),
-            "depth_sweep": dict(n_values=(10,), p_values=(1, 2, 3, 4, 5, 6),
-                                noise_lambdas=(0.0,)),
-            "noise_sweep": dict(n_values=(10,), p_values=(2,),
-                                noise_lambdas=(0.0, 0.002, 0.004, 0.006, 0.008, 0.01)),
-            "single": dict(n_values=(6,), p_values=(2,), noise_lambdas=(0.0,)),
-        }
-        if name not in grids:
+        if name not in GRIDS:
             raise ValueError(f"unknown experiment {name!r}")
-        merged = {**grids[name], **overrides}
-        return cls(experiment=name, **merged)
+        return cls(experiment=name, **{**GRIDS[name], **overrides})
 
     def sweep_points(self) -> list[tuple[int, int, float]]:
         if self.experiment == "qubit_sweep":
@@ -121,42 +121,49 @@ class ExperimentConfig:
         return "single"
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
+    canonical = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+# INI section -> (ExperimentConfig field holding it, its config class)
 _SECTIONS = {
-    "adaptive": AdaptiveConfig,
-    "tpe": TpeConfig,
-    "stagnation": StagnationConfig,
-    "gd": GdConfig,
-    "stage2": AmplifyConfig,
+    "adaptive": ("adaptive", AdaptiveConfig),
+    "tpe": ("tpe", TpeConfig),
+    "stagnation": ("stagnation", StagnationConfig),
+    "gd": ("gd", GdConfig),
+    "stage2": ("amplify_cfg", AmplifyConfig),
 }
-_SECTION_FIELD = {"adaptive": "adaptive", "tpe": "tpe", "stagnation": "stagnation",
-                  "gd": "gd", "stage2": "amplify_cfg"}
 
 
-def _parse_value(raw: str, annotation):
-    if annotation is bool:
+def _parse_value(raw: str, annotation: str):
+    """One INI value, typed by its dataclass field's annotation string."""
+    if annotation == "bool":
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    if annotation is int:
+    if annotation == "int":
         return int(raw)
-    if annotation is float:
+    if annotation == "float":
         return float(raw)
-    if annotation is str:
+    if annotation == "str":
         return raw.strip()
     # tuple fields: whitespace-separated scalars
     parts = raw.split()
-    if "int" in str(annotation):
+    if "int" in annotation:
         return tuple(int(x) for x in parts)
-    if "float" in str(annotation):
+    if "float" in annotation:
         return tuple(float(x) for x in parts)
     return tuple(parts)
+
+
+def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dict:
+    """Typed keyword arguments of cls from one INI section; unknown keys raise."""
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, raw in parser.items(section):
+        if key not in types:
+            raise ValueError(f"unknown key {key!r} in section [{section}]")
+        kwargs[key] = _parse_value(raw, types[key])
+    return kwargs
 
 
 def config_from_ini(text: str) -> ExperimentConfig:
@@ -164,25 +171,10 @@ def config_from_ini(text: str) -> ExperimentConfig:
     parser.read_string(text)
     top: dict = {}
     if parser.has_section("experiment"):
-        by_name = {f.name: f for f in fields(ExperimentConfig)}
-        for key, raw in parser.items("experiment"):
-            if key not in by_name:
-                raise ValueError(f"unknown experiment key {key!r}")
-            ann = by_name[key].type
-            typ = {"str": str, "int": int, "float": float, "bool": bool}.get(ann, ann)
-            top[key] = _parse_value(raw, typ)
-    for section, cls in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        by_name = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, raw in parser.items(section):
-            if key not in by_name:
-                raise ValueError(f"unknown key {key!r} in section [{section}]")
-            ann = by_name[key].type
-            typ = {"str": str, "int": int, "float": float, "bool": bool}.get(ann, ann)
-            kwargs[key] = _parse_value(raw, typ)
-        top[_SECTION_FIELD[section]] = cls(**kwargs)
+        top = _section_kwargs(parser, "experiment", ExperimentConfig)
+    for section, (name, cls) in _SECTIONS.items():
+        if parser.has_section(section):
+            top[name] = cls(**_section_kwargs(parser, section, cls))
     name = top.pop("experiment", "qubit_sweep")
     return ExperimentConfig.for_experiment(name, **top)
 
@@ -190,20 +182,18 @@ def config_from_ini(text: str) -> ExperimentConfig:
 def config_to_ini(cfg: ExperimentConfig) -> str:
     """Full resolved configuration, every default spelled out."""
     parser = configparser.ConfigParser()
-    parser.add_section("experiment")
-    for f in fields(ExperimentConfig):
-        if f.name in _SECTION_FIELD.values():
-            continue
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            parser.set("experiment", f.name, " ".join(str(x) for x in value))
-        else:
-            parser.set("experiment", f.name, str(value))
-    for section, cls in _SECTIONS.items():
+    nested = {name for name, _ in _SECTIONS.values()}
+    sections = {"experiment": cfg,
+                **{section: getattr(cfg, name) for section, (name, _) in _SECTIONS.items()}}
+    for section, obj in sections.items():
         parser.add_section(section)
-        sub = getattr(cfg, _SECTION_FIELD[section])
-        for f in fields(cls):
-            parser.set(section, f.name, str(getattr(sub, f.name)))
+        for f in fields(obj):
+            if f.name in nested:
+                continue
+            value = getattr(obj, f.name)
+            if isinstance(value, tuple):
+                value = " ".join(str(x) for x in value)
+            parser.set(section, f.name, str(value))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -226,6 +216,30 @@ def make_instance(cfg: ExperimentConfig, master_seed: int, n: int, p: int,
     return with_optimum(inst)
 
 
+def run_method(cfg: ExperimentConfig, instance: MaxCutInstance, p: int, lam: float,
+               method: str, seed: int,
+               stage2_seed: int) -> tuple[RunResult, list[float] | None]:
+    """One method on one instance, then stage 2 when enabled (map_bo only);
+    returns (result, stage-2 probability trace or None)."""
+    noise = NoiseSpec.for_circuit(lam, instance, p) if lam > 0 else None
+    if method == "map_bo":
+        result = optimize_map_bo(instance, p, cfg.adaptive, cfg.tpe, cfg.stagnation,
+                                 noise, cfg.t_max, seed, cfg.n_final)
+    elif method == "exp_bo":
+        result = optimize_exp_bo(instance, p, cfg.n_fix, cfg.tpe, cfg.stagnation,
+                                 noise, cfg.t_max, seed, cfg.n_final)
+    elif method == "exp_gd":
+        gd = replace(cfg.gd, shots_per_eval=cfg.n_fix)
+        result = optimize_exp_gd(instance, p, gd, noise, seed, cfg.n_final)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    trace = None
+    if cfg.stage2_enabled and method == "map_bo":
+        _, trace = amplify(instance, result.best_params, result.final_eval.mode,
+                           cfg.amplify_cfg, noise, stage2_seed, result.ledger)
+    return result, trace
+
+
 def run_cell(cfg: ExperimentConfig, master_seed: int, n: int, p: int, lam: float,
              index: int, method: str,
              instance: MaxCutInstance | None = None) -> tuple[dict, RunResult, list | None]:
@@ -235,24 +249,8 @@ def run_cell(cfg: ExperimentConfig, master_seed: int, n: int, p: int, lam: float
     if instance is None:
         instance = make_instance(cfg, master_seed, n, p, lam, index)
     run_seed = derive_seed(master_seed, point, index, method)
-    noise = NoiseSpec.for_circuit(lam, instance, p) if lam > 0 else None
-    if method == "map_bo":
-        result = optimize_map_bo(instance, p, cfg.adaptive, cfg.tpe, cfg.stagnation,
-                                 noise, cfg.t_max, run_seed, cfg.n_final)
-    elif method == "exp_bo":
-        result = optimize_exp_bo(instance, p, cfg.n_fix, cfg.tpe, cfg.stagnation,
-                                 noise, cfg.t_max, run_seed, cfg.n_final)
-    elif method == "exp_gd":
-        gd = replace(cfg.gd, shots_per_eval=cfg.n_fix)
-        result = optimize_exp_gd(instance, p, gd, noise, run_seed, cfg.n_final)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    trace = None
-    if cfg.stage2_enabled and method == "map_bo":
-        _, trace = amplify(instance, result.best_params, result.final_eval.mode,
-                           cfg.amplify_cfg, noise,
-                           derive_seed(master_seed, point, index, "stage2"),
-                           result.ledger)
+    result, trace = run_method(cfg, instance, p, lam, method, run_seed,
+                               derive_seed(master_seed, point, index, "stage2"))
     report = build_report(instance, result, cfg.threshold)
     ledger = result.ledger
     record = {
@@ -469,18 +467,24 @@ def summarize(records, cfg: ExperimentConfig) -> dict:
     return summary
 
 
+def write_report(records, cfg: ExperimentConfig, out_dir: str) -> None:
+    """Everything derived from the records: aggregates, plot CSVs, summary."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(os.path.join(out_dir, "aggregates.csv"),
+               ["sweep_key", "method", "metric", "mean", "std", "count"],
+               aggregate_rows(records, cfg))
+    write_plot_data(records, cfg, os.path.join(out_dir, "plots"))
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        json.dump(summarize(records, cfg), fh, indent=2)
+        fh.write("\n")
+
+
 def write_outputs(records, traces, cfg: ExperimentConfig, out_dir: str,
                   master_seed: int, elapsed: float | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "records.jsonl"), "w") as fh:
         fh.write(records_to_jsonl(records))
-    rows = aggregate_rows(records, cfg)
-    _write_csv(os.path.join(out_dir, "aggregates.csv"),
-               ["sweep_key", "method", "metric", "mean", "std", "count"], rows)
-    write_plot_data(records, cfg, os.path.join(out_dir, "plots"))
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summarize(records, cfg), fh, indent=2)
-        fh.write("\n")
+    write_report(records, cfg, out_dir)
     with open(os.path.join(out_dir, "config_resolved.ini"), "w") as fh:
         fh.write(config_to_ini(cfg))
     if traces:
@@ -509,19 +513,21 @@ def load_records(path: str) -> list[dict]:
 
 
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
+    """Config flags; each dest is the ExperimentConfig field it overrides."""
     parser.add_argument("--experiment", choices=EXPERIMENTS, default=None)
     parser.add_argument("--config", default=None, help="INI config file")
-    parser.add_argument("--n-values", type=int, nargs="+", default=None)
-    parser.add_argument("--p-values", type=int, nargs="+", default=None)
-    parser.add_argument("--lambdas", type=float, nargs="+", default=None)
-    parser.add_argument("--instances", type=int, default=None)
-    parser.add_argument("--methods", nargs="+", choices=METHODS, default=None)
-    parser.add_argument("--t-max", type=int, default=None)
-    parser.add_argument("--n-fix", type=int, default=None)
-    parser.add_argument("--n-final", type=int, default=None)
-    parser.add_argument("--threshold", type=float, default=None)
-    parser.add_argument("--weights", choices=("unit", "uniform"), default=None)
-    parser.add_argument("--stage2", action="store_true", default=None)
+    parser.add_argument("--n-values", dest="n_values", type=int, nargs="+")
+    parser.add_argument("--p-values", dest="p_values", type=int, nargs="+")
+    parser.add_argument("--lambdas", dest="noise_lambdas", type=float, nargs="+")
+    parser.add_argument("--instances", dest="instances_per_point", type=int)
+    parser.add_argument("--methods", nargs="+", choices=METHODS)
+    parser.add_argument("--t-max", type=int)
+    parser.add_argument("--n-fix", type=int)
+    parser.add_argument("--n-final", type=int)
+    parser.add_argument("--threshold", type=float)
+    parser.add_argument("--weights", dest="weight_scheme", choices=("unit", "uniform"))
+    parser.add_argument("--stage2", dest="stage2_enabled", action="store_true",
+                        default=None)
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -529,41 +535,13 @@ def _build_config(args) -> ExperimentConfig:
         with open(args.config) as fh:
             cfg = config_from_ini(fh.read())
         if args.experiment and args.experiment != cfg.experiment:
-            cfg = ExperimentConfig.for_experiment(
-                args.experiment,
-                **{k: v for k, v in asdict(cfg).items()
-                   if k not in ("experiment", "n_values", "p_values", "noise_lambdas",
-                                "adaptive", "tpe", "stagnation", "gd", "amplify_cfg")},
-                adaptive=cfg.adaptive, tpe=cfg.tpe, stagnation=cfg.stagnation,
-                gd=cfg.gd, amplify_cfg=cfg.amplify_cfg)
+            cfg = replace(cfg, experiment=args.experiment, **GRIDS[args.experiment])
     else:
         cfg = ExperimentConfig.for_experiment(args.experiment or "qubit_sweep")
-    overrides = {}
-    if args.n_values is not None:
-        overrides["n_values"] = tuple(args.n_values)
-    if args.p_values is not None:
-        overrides["p_values"] = tuple(args.p_values)
-    if args.lambdas is not None:
-        overrides["noise_lambdas"] = tuple(args.lambdas)
-    if args.instances is not None:
-        overrides["instances_per_point"] = args.instances
-    if args.methods is not None:
-        overrides["methods"] = tuple(args.methods)
-    if args.t_max is not None:
-        overrides["t_max"] = args.t_max
-    if args.n_fix is not None:
-        overrides["n_fix"] = args.n_fix
-    if args.n_final is not None:
-        overrides["n_final"] = args.n_final
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.weights is not None:
-        overrides["weight_scheme"] = args.weights
-    if args.stage2:
-        overrides["stage2_enabled"] = True
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if f.name != "experiment" and getattr(args, f.name, None) is not None}
+    return replace(cfg, **{k: tuple(v) if isinstance(v, list) else v
+                           for k, v in overrides.items()})
 
 
 def _cmd_gen(args) -> int:
@@ -584,29 +562,12 @@ def _cmd_run(args) -> int:
     with open(args.instance) as fh:
         instance = with_optimum(from_json(fh.read()))
     cfg = _build_config(args)
-    noise = (NoiseSpec.for_circuit(args.noise, instance, args.depth)
-             if args.noise > 0 else None)
-    if args.method == "map_bo":
-        result = optimize_map_bo(instance, args.depth, cfg.adaptive, cfg.tpe,
-                                 cfg.stagnation, noise, cfg.t_max, args.seed,
-                                 cfg.n_final)
-    elif args.method == "exp_bo":
-        result = optimize_exp_bo(instance, args.depth, cfg.n_fix, cfg.tpe,
-                                 cfg.stagnation, noise, cfg.t_max, args.seed,
-                                 cfg.n_final)
-    else:
-        gd = replace(cfg.gd, shots_per_eval=cfg.n_fix)
-        result = optimize_exp_gd(instance, args.depth, gd, noise, args.seed,
-                                 cfg.n_final)
+    result, trace = run_method(cfg, instance, args.depth, args.noise, args.method,
+                               args.seed, derive_seed(args.seed, "stage2"))
     payload = run_result_to_dict(result)
-    report = build_report(instance, result, cfg.threshold)
-    payload["metrics"] = json.loads(report.to_json())
-    if args.stage2 and args.method == "map_bo":
-        _, trace = amplify(instance, result.best_params, result.final_eval.mode,
-                           cfg.amplify_cfg, noise, derive_seed(args.seed, "stage2"),
-                           result.ledger)
+    payload["metrics"] = json.loads(build_report(instance, result, cfg.threshold).to_json())
+    if trace is not None:
         payload["stage2_trace"] = trace
-        payload["ledger"] = result.ledger.to_dict()
     print(json.dumps(payload, indent=2))
     if args.trials_out:
         with open(args.trials_out, "w") as fh:
@@ -625,20 +586,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records_path = os.path.join(args.indir, "records.jsonl")
-    config_path = os.path.join(args.indir, "config_resolved.ini")
-    with open(config_path) as fh:
+    with open(os.path.join(args.indir, "config_resolved.ini")) as fh:
         cfg = config_from_ini(fh.read())
-    records = load_records(records_path)
+    records = load_records(os.path.join(args.indir, "records.jsonl"))
     out = args.out or args.indir
-    os.makedirs(out, exist_ok=True)
-    rows = aggregate_rows(records, cfg)
-    _write_csv(os.path.join(out, "aggregates.csv"),
-               ["sweep_key", "method", "metric", "mean", "std", "count"], rows)
-    write_plot_data(records, cfg, os.path.join(out, "plots"))
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summarize(records, cfg), fh, indent=2)
-        fh.write("\n")
+    write_report(records, cfg, out)
     print(f"report written to {out}")
     return 0
 

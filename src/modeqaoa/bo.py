@@ -155,7 +155,7 @@ def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfi
                stagnation_cfg: StagnationConfig, noise: NoiseSpec | None,
                t_max: int, seed: int, n_final: int,
                ledger: ResourceLedger) -> RunResult:
-    """Shared trial loop: suggest, evaluate, track incumbent, stop, final eval.
+    """Shared trial loop: suggest, evaluate, stop, then finish_run.
 
     evaluate(t, params, seed) -> Trial is the only thing that differs between
     the mode-objective search and the fixed-shot expectation baseline.
@@ -165,18 +165,23 @@ def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfi
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)
     trials: list[Trial] = []
-    best: Trial | None = None
     stop_reason = "budget"
     for t in range(1, t_max + 1):
         suggest_seed, eval_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
         params = QaoaParams.from_vector(suggest(trials, bounds, tpe_cfg, suggest_seed))
-        trial = evaluate(t, params, eval_seed)
-        trials.append(trial)
-        if best is None or trial.objective > best.objective:
-            best = trial
+        trials.append(evaluate(t, params, eval_seed))
         if should_stop(trials, stagnation_cfg):
             stop_reason = "stagnation"
             break
+    return finish_run(instance, trials, ss, noise, n_final, ledger, stop_reason)
+
+
+def finish_run(instance: MaxCutInstance, trials: list[Trial], ss: np.random.SeedSequence,
+               noise: NoiseSpec | None, n_final: int, ledger: ResourceLedger,
+               stop_reason: str) -> RunResult:
+    """Final evaluation shared by every method: n_final fresh shots at the best
+    trial (the earliest with the top objective), with full gate statistics."""
+    best = max(trials, key=lambda t: t.objective)
     final_seed, boot_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     dist = outcome_distribution(instance, best.params, noise)
     ledger.circuit_evaluations += 1

@@ -1,5 +1,11 @@
 """Measurement histograms and the statistics the adaptive controller gates on.
 
+A histogram is a count vector indexed by basis index (bit 0 of the index is
+the most significant and belongs to vertex 0, as in the graph module), so the
+smallest index among tied counts is the lexicographically smallest bitstring.
+Bitstrings appear only at the boundary: `Counts.from_histogram`, the
+`histogram` property and the mode fields.
+
 The objective is the cut value of the most frequent bitstring (the sample
 mode), not the sampled mean.  Acceptance of an evaluation rests on two
 statistics of the histogram: a bootstrap estimate of how stable the mode is
@@ -11,40 +17,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MaxCutInstance, cut_value, cut_values_table
+from .graph import (MAX_BRUTE_FORCE_N, MaxCutInstance, bits_to_index, cut_value,
+                    cut_values_table, index_to_bits)
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Counts:
-    """Histogram of measured bitstrings.  Values are positive shot counts."""
+    """Shot counts per basis index: a read-only int64 vector of length 2^n."""
 
-    histogram: dict[str, int]
+    by_index: np.ndarray
 
     def __post_init__(self):
-        lengths = {len(k) for k in self.histogram}
-        if len(lengths) > 1:
-            raise ValueError("mixed bitstring lengths in histogram")
-        for k, v in self.histogram.items():
+        arr = np.asarray(self.by_index)
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {arr.dtype}")
+        if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
+            raise ValueError(f"counts must be a vector of length 2^n, got shape {arr.shape}")
+        if (arr < 0).any():
+            raise ValueError("counts must be non-negative")
+        arr = arr.astype(np.int64)
+        arr.flags.writeable = False
+        object.__setattr__(self, "by_index", arr)
+
+    @classmethod
+    def from_histogram(cls, histogram: dict[str, int]) -> "Counts":
+        """Counts from a bitstring -> positive int histogram, validated."""
+        lengths = {len(k) for k in histogram}
+        if len(lengths) != 1:
+            raise ValueError("histogram needs keys of one common bitstring length")
+        (n,) = lengths
+        if not 1 <= n <= MAX_BRUTE_FORCE_N:
+            raise ValueError(f"bitstring length must lie in [1, {MAX_BRUTE_FORCE_N}], got {n}")
+        arr = np.zeros(2**n, dtype=np.int64)
+        for k, v in histogram.items():
             if set(k) - {"0", "1"}:
                 raise ValueError(f"bad bitstring key {k!r}")
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"count for {k!r} must be a positive int, got {v!r}")
+            arr[bits_to_index(k)] = v
+        return cls(arr)
+
+    @property
+    def n(self) -> int:
+        return self.by_index.size.bit_length() - 1
+
+    @property
+    def histogram(self) -> dict[str, int]:
+        """Bitstring -> count for every observed outcome, in index order."""
+        idx, vals = _support(self)
+        return {index_to_bits(k, self.n): v for k, v in zip(idx.tolist(), vals.tolist())}
 
     @property
     def total(self) -> int:
-        return sum(self.histogram.values())
+        return int(self.by_index.sum())
 
     @property
     def distinct(self) -> int:
-        return len(self.histogram)
+        return int(np.count_nonzero(self.by_index))
 
     def merged(self, other: "Counts") -> "Counts":
-        out = dict(self.histogram)
-        for k, v in other.histogram.items():
-            out[k] = out.get(k, 0) + v
-        return Counts(out)
+        """Sum of two histograms; numpy raises ValueError on different lengths."""
+        return Counts(self.by_index + other.by_index)
 
 
 @dataclass(frozen=True)
@@ -59,12 +94,54 @@ class EvalStats:
     distinct: int
 
 
+def _support(counts: Counts) -> tuple[np.ndarray, np.ndarray]:
+    """Observed indices in increasing order and their counts."""
+    idx = np.flatnonzero(counts.by_index)
+    return idx, counts.by_index[idx]
+
+
+def _observed_cuts(instance: MaxCutInstance,
+                   counts: Counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, counts, cut values) of the observed outcomes."""
+    if counts.n != instance.n:
+        raise ValueError(f"bitstring length {counts.n} != n={instance.n}")
+    idx, vals = _support(counts)
+    if not idx.size:
+        raise ValueError("empty histogram")
+    # the table adds the same weights in the same edge order as cut_value
+    return idx, vals, cut_values_table(instance)[idx]
+
+
+def _bootstrap_confidence(vals: np.ndarray, resamples: int, seed: int) -> float:
+    """Share of multinomial resamples over the observed keys whose argmax is the
+    observed mode's; argmax in index order reproduces the mode tie-break."""
+    if resamples < 1:
+        raise ValueError("need at least one resample")
+    if len(vals) == 1:
+        return 1.0
+    total = int(vals.sum())
+    rng = np.random.default_rng(seed)
+    draws = rng.multinomial(total, vals / total, size=resamples)
+    return float(np.mean(draws.argmax(axis=1) == int(vals.argmax())))
+
+
+def _cut_moments(instance: MaxCutInstance, vals: np.ndarray,
+                 cuts: np.ndarray) -> tuple[float, float]:
+    """(mean cut, cut variance / total weight^2) of the histogram."""
+    if instance.total_weight <= 0:
+        raise ValueError("total weight must be positive")
+    total = int(vals.sum())
+    first = float(vals @ cuts) / total
+    second = float(vals @ (cuts * cuts)) / total
+    var = max(second - first * first, 0.0)
+    return first, var / (instance.total_weight ** 2)
+
+
 def mode_of(counts: Counts) -> str:
     """Most frequent bitstring; ties go to the lexicographically smallest."""
-    if not counts.histogram:
+    if not counts.by_index.any():
         raise ValueError("empty histogram has no mode")
-    best = max(counts.histogram.values())
-    return min(k for k, v in counts.histogram.items() if v == best)
+    return index_to_bits(int(counts.by_index.argmax()), counts.n)
 
 
 def map_objective(instance: MaxCutInstance, counts: Counts) -> float:
@@ -72,16 +149,12 @@ def map_objective(instance: MaxCutInstance, counts: Counts) -> float:
 
 
 def expectation_estimate(instance: MaxCutInstance, counts: Counts) -> float:
-    total = counts.total
-    for k in counts.histogram:
-        if len(k) != instance.n:
-            raise ValueError(f"bitstring length {len(k)} != n={instance.n}")
-    # the table adds the same weights in the same edge order as cut_value
-    cuts = cut_values_table(instance)[[int(k, 2) for k in counts.histogram]]
+    _, vals, cuts = _observed_cuts(instance, counts)
+    # sequential sum in index order; a BLAS dot product may round differently
     acc = 0.0
-    for v, c in zip(counts.histogram.values(), cuts.tolist()):
+    for v, c in zip(vals.tolist(), cuts.tolist()):
         acc += v * c
-    return acc / total
+    return acc / counts.total
 
 
 def mode_confidence(counts: Counts, resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
@@ -91,33 +164,13 @@ def mode_confidence(counts: Counts, resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES
     Resampling happens over the K distinct observed keys only, so one call
     costs Theta(resamples * K) independent of the shot count.
     """
-    if resamples < 1:
-        raise ValueError("need at least one resample")
-    keys = sorted(counts.histogram)
-    vals = np.array([counts.histogram[k] for k in keys], dtype=np.int64)
-    if len(keys) == 1:
-        return 1.0
-    total = int(vals.sum())
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(total, vals / total, size=resamples)
-    # argmax over lexicographically sorted keys reproduces the mode tie-break
-    return float(np.mean(draws.argmax(axis=1) == int(vals.argmax())))
+    return _bootstrap_confidence(_support(counts)[1], resamples, seed)
 
 
 def normalized_cut_variance(instance: MaxCutInstance, counts: Counts) -> float:
     """Empirical variance of the cut value, divided by the squared total weight."""
-    if instance.total_weight <= 0:
-        raise ValueError("total weight must be positive")
-    total = counts.total
-    first = 0.0
-    second = 0.0
-    for k, v in counts.histogram.items():
-        c = cut_value(instance, k)
-        first += v * c
-        second += v * c * c
-    mean = first / total
-    var = max(second / total - mean * mean, 0.0)
-    return var / (instance.total_weight ** 2)
+    _, vals, cuts = _observed_cuts(instance, counts)
+    return _cut_moments(instance, vals, cuts)[1]
 
 
 def dual_gate(confidence: float, var_normalized: float,
@@ -127,39 +180,17 @@ def dual_gate(confidence: float, var_normalized: float,
 
 
 def compute_stats(instance: MaxCutInstance, counts: Counts,
-                  resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES, seed: int = 0,
-                  cut_cache: dict[str, float] | None = None) -> EvalStats:
-    """All gate statistics in one pass over the K distinct keys.
-
-    cut_cache maps bitstring -> cut value and is extended in place, so repeated
-    evaluations of a growing histogram pay for each distinct key only once.
-    """
-    if not counts.histogram:
-        raise ValueError("empty histogram")
-    if cut_cache is None:
-        cut_cache = {}
-    keys = sorted(counts.histogram)
-    for k in keys:
-        if k not in cut_cache:
-            cut_cache[k] = cut_value(instance, k)
-    vals = np.array([counts.histogram[k] for k in keys], dtype=np.int64)
-    cuts = np.array([cut_cache[k] for k in keys])
-    total = int(vals.sum())
+                  resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
+                  seed: int = 0) -> EvalStats:
+    """All gate statistics in one pass over the K distinct observed keys."""
+    idx, vals, cuts = _observed_cuts(instance, counts)
+    first, var_normalized = _cut_moments(instance, vals, cuts)
     mode_idx = int(vals.argmax())
-    first = float(vals @ cuts) / total
-    second = float(vals @ (cuts * cuts)) / total
-    var = max(second - first * first, 0.0)
-    if len(keys) == 1:
-        conf = 1.0
-    else:
-        rng = np.random.default_rng(seed)
-        draws = rng.multinomial(total, vals / total, size=resamples)
-        conf = float(np.mean(draws.argmax(axis=1) == mode_idx))
     return EvalStats(
-        mode=keys[mode_idx],
+        mode=index_to_bits(int(idx[mode_idx]), instance.n),
         mode_cut=float(cuts[mode_idx]),
-        confidence=conf,
-        var_normalized=var / (instance.total_weight ** 2),
+        confidence=_bootstrap_confidence(vals, resamples, seed),
+        var_normalized=var_normalized,
         expectation_estimate=first,
-        distinct=len(keys),
+        distinct=len(idx),
     )

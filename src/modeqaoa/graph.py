@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 MAX_BRUTE_FORCE_N = 24
+MAX_SEED_ADVANCES = 20
 
 Edge = tuple[int, int, float]
 
@@ -59,9 +60,10 @@ def random_regular(n: int, degree: int, seed: int) -> MaxCutInstance:
     """Random degree-regular simple graph via the configuration model, unit weights.
 
     Pairing restarts on self-loops or multi-edges; after 1000 failed restarts
-    the seed is advanced deterministically.  When no degree-regular simple graph
-    exists (n*degree odd, or n <= degree) the complete graph K_n is returned
-    instead so every grid point stays runnable.
+    the seed is advanced deterministically, and after MAX_SEED_ADVANCES seeds
+    ValueError is raised (dense degrees almost never pair into a simple graph).
+    When no degree-regular simple graph exists (n*degree odd, or n <= degree)
+    the complete graph K_n is returned instead so every grid point stays runnable.
     """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got n={n}")
@@ -70,8 +72,7 @@ def random_regular(n: int, degree: int, seed: int) -> MaxCutInstance:
     if n * degree % 2 == 1 or n <= degree:
         return complete_graph(n)
 
-    attempt_seed = seed
-    while True:
+    for attempt_seed in range(seed, seed + MAX_SEED_ADVANCES):
         rng = np.random.default_rng(attempt_seed)
         for _ in range(1000):
             stubs = np.repeat(np.arange(n), degree)
@@ -87,7 +88,8 @@ def random_regular(n: int, degree: int, seed: int) -> MaxCutInstance:
                 edges.add((u, v))
             if ok:
                 return MaxCutInstance.from_edges(n, [(u, v, 1.0) for u, v in edges])
-        attempt_seed += 1
+    raise ValueError(f"no simple {degree}-regular graph on n={n} vertices found in "
+                     f"{MAX_SEED_ADVANCES} x 1000 configuration-model pairings")
 
 
 def complete_graph(n: int) -> MaxCutInstance:
@@ -138,20 +140,18 @@ def cut_values_table(instance: MaxCutInstance) -> np.ndarray:
 
 
 def brute_force_optimum(instance: MaxCutInstance) -> tuple[str, float]:
-    """Exact MaxCut by enumerating the 2^(n-1) partitions with vertex 0 on side '0'.
+    """Exact MaxCut over the 2^(n-1) partitions with vertex 0 on side '0'.
 
-    Restricting to z_1 = 0 loses nothing by complement symmetry, and the
-    lexicographically smallest maximizer always lies in that half.
+    Those are the first half of the cut table (left cached).  Restricting to
+    z_1 = 0 loses nothing by complement symmetry, and the lexicographically
+    smallest maximizer always lies in that half.
     """
     if instance.optimum is not None:
         return instance.optimum
     n = instance.n
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"brute force capped at n={MAX_BRUTE_FORCE_N}, got n={n}")
-    idx = np.arange(2 ** (n - 1), dtype=np.int64)
-    cuts = np.zeros(2 ** (n - 1))
-    for u, v, w in instance.edges:
-        cuts += w * (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1)
+    cuts = cut_values_table(instance)[: 2 ** (n - 1)]
     best = int(np.argmax(cuts))  # first maximum = lexicographically smallest
     return index_to_bits(best, n), float(cuts[best])
 
@@ -174,5 +174,16 @@ def to_json(instance: MaxCutInstance, seed: int | None = None) -> str:
 
 
 def from_json(text: str) -> MaxCutInstance:
+    """Instance from to_json's format; a malformed payload raises ValueError."""
     payload = json.loads(text)
+    # exact type checks: JSON true/false load as bool, a subclass of int
+    if not (isinstance(payload, dict) and type(payload.get("n")) is int
+            and isinstance(payload.get("edges"), list)):
+        raise ValueError("instance JSON must be an object with an integer 'n' "
+                         "and an 'edges' list")
+    for edge in payload["edges"]:
+        if not (isinstance(edge, list) and len(edge) == 3
+                and type(edge[0]) is type(edge[1]) is int
+                and type(edge[2]) in (int, float)):
+            raise ValueError(f"edge {edge!r} is not [u, v, weight] with integer u, v")
     return MaxCutInstance.from_edges(payload["n"], payload["edges"])

@@ -8,12 +8,12 @@ draws).  Savings ratios compare a fixed-shot ledger against an adaptive one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .estimators import Counts, EvalStats, expectation_estimate
-from .graph import MaxCutInstance, brute_force_optimum, cut_value
+from .graph import MaxCutInstance, brute_force_optimum, cut_values_table
 
 
 @dataclass
@@ -76,21 +76,24 @@ class ResourceLedger:
         }
 
 
-def final_mode_accuracy(instance: MaxCutInstance, final_eval: EvalStats) -> float:
-    """Cut value of the final mode over the exact optimum."""
+def _optimum_cut(instance: MaxCutInstance) -> float:
     _, best = brute_force_optimum(instance)
     if best <= 0:
         raise ValueError("optimum cut must be positive")
+    return best
+
+
+def final_mode_accuracy(instance: MaxCutInstance, final_eval: EvalStats) -> float:
+    """Cut value of the final mode over the exact optimum."""
+    best = _optimum_cut(instance)
     return final_eval.mode_cut / best
 
 
 def aux_accuracies(instance: MaxCutInstance, final_counts: Counts) -> tuple[float, float]:
     """(expectation accuracy, best-sampled-string accuracy) from the final histogram."""
-    _, best = brute_force_optimum(instance)
-    if best <= 0:
-        raise ValueError("optimum cut must be positive")
+    best = _optimum_cut(instance)
     exp_acc = expectation_estimate(instance, final_counts) / best
-    best_cut = max(cut_value(instance, k) for k in final_counts.histogram)
+    best_cut = float(cut_values_table(instance)[final_counts.by_index > 0].max())
     return exp_acc, best_cut / best
 
 
@@ -102,9 +105,7 @@ def shots_to_threshold(trials, instance: MaxCutInstance, threshold: float) -> in
     the mode accuracy and for the expectation baselines it is the (harder)
     expectation accuracy; each method is thresholded on its own objective.
     """
-    _, best = brute_force_optimum(instance)
-    if best <= 0:
-        raise ValueError("optimum cut must be positive")
+    best = _optimum_cut(instance)
     spent = 0
     incumbent = -np.inf
     for trial in trials:
@@ -151,15 +152,7 @@ class MetricsReport:
     s_cl: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "final_mode_accuracy": self.final_mode_accuracy,
-            "final_expectation_accuracy": self.final_expectation_accuracy,
-            "final_best_sample_accuracy": self.final_best_sample_accuracy,
-            "total_shots": self.total_shots,
-            "shots_to_threshold": self.shots_to_threshold,
-            "s_q": self.s_q,
-            "s_cl": self.s_cl,
-        })
+        return json.dumps(asdict(self))
 
 
 def build_report(instance: MaxCutInstance, result, threshold: float) -> MetricsReport:

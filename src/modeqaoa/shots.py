@@ -70,7 +70,6 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
     ledger.circuit_evaluations += 1
     ss = np.random.SeedSequence(seed)
     counts: Counts | None = None
-    cut_cache: dict[str, float] = {}
     batch = cfg.pilot_shots
     spent = 0
     rounds = 0
@@ -83,10 +82,7 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
         spent += batch
         ledger.optimization_shots += batch
         ledger.classical_count_ops += batch
-        known = len(cut_cache)
-        stats = compute_stats(instance, counts, cfg.bootstrap_resamples,
-                              boot_seed, cut_cache)
-        ledger.classical_cut_ops += len(cut_cache) - known
+        stats = compute_stats(instance, counts, cfg.bootstrap_resamples, boot_seed)
         ledger.bootstrap_ops += cfg.bootstrap_resamples * counts.distinct
         if dual_gate(stats.confidence, stats.var_normalized, cfg.tau_conf, cfg.tau_var):
             accepted = True
@@ -94,6 +90,8 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
         if spent >= cfg.max_shots:
             break
         batch = next_batch(batch, spent, cfg)
+    # merged histograms only grow, so each distinct key's cut is paid for once
+    ledger.classical_cut_ops += counts.distinct
     ledger.record_point(spent, counts.distinct)
     return PointEvaluation(params=params, counts=counts, stats=stats,
                            shots_used=spent, accepted=accepted, rounds=rounds)

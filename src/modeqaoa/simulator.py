@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .estimators import Counts
-from .graph import Edge, MaxCutInstance, cut_values_table, index_to_bits
+from .graph import Edge, MaxCutInstance, cut_values_table
 
 MAX_QUBITS = 24
 
@@ -254,17 +254,11 @@ def outcome_distribution(instance: MaxCutInstance, params: QaoaParams,
 
 
 def sample(dist: np.ndarray, shots: int, seed: int) -> Counts:
-    """Multinomial sample of the outcome distribution as a bitstring histogram."""
+    """Multinomial sample of the outcome distribution as a per-index histogram."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    n = int(np.log2(len(dist)))
-    if 2**n != len(dist):
-        raise ValueError("distribution length must be a power of two")
     rng = np.random.default_rng(seed)
-    raw = rng.multinomial(shots, dist / dist.sum())
-    nz = np.nonzero(raw)[0]
-    return Counts({index_to_bits(k, n): c
-                   for k, c in zip(nz.tolist(), raw[nz].tolist())})
+    return Counts(rng.multinomial(shots, dist / dist.sum()))
 
 
 def exact_expectation(instance: MaxCutInstance, dist: np.ndarray) -> float:

@@ -50,7 +50,7 @@ def target_probability(instance: MaxCutInstance, params: QaoaParams, target: str
     if shots is None:
         return float(dist[bits_to_index(target)])
     counts = sample(dist, shots, seed)
-    return counts.histogram.get(target, 0) / shots
+    return int(counts.by_index[bits_to_index(target)]) / shots
 
 
 def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: str,

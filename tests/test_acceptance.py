@@ -196,14 +196,14 @@ def test_criterion_4_adaptive_loop_arithmetic():
 
 
 def test_criterion_5_dual_gate_statistics():
-    counts = Counts({"00": 90, "11": 10})
+    counts = Counts.from_histogram({"00": 90, "11": 10})
     conf = mode_confidence(counts, resamples=500, seed=0)
     # resample mode stays '00' unless Bin(100, 0.1) exceeds 50
     exact_tail = float(sps.binom.cdf(50, 100, 0.1))
     conf_ok = conf >= 0.99 and abs(conf - exact_tail) < 0.01
 
     edge = MaxCutInstance.from_edges(2, [(0, 1, 1.0)])
-    uniform_counts = Counts({"00": 25, "01": 25, "10": 25, "11": 25})
+    uniform_counts = Counts.from_histogram({"00": 25, "01": 25, "10": 25, "11": 25})
     var = normalized_cut_variance(edge, uniform_counts)
     var_ok = var == 0.25
 

@@ -106,7 +106,7 @@ def test_fixed_shot_eval_unbiased(six_reg):
     dist = outcome_distribution(six_reg, params)
     truth = exact_expectation(six_reg, dist)
     ledger = ResourceLedger()
-    vals = [fixed_shot_expectation_eval(six_reg, params, 2000, None, s, ledger)
+    vals = [fixed_shot_expectation_eval(six_reg, params, 2000, None, s, ledger)[0]
             for s in range(30)]
     assert abs(np.mean(vals) - truth) < 0.1
     assert ledger.optimization_shots == 30 * 2000

@@ -208,6 +208,32 @@ def test_cli_gen_run_roundtrip(tmp_path, capsys):
     assert payload["metrics"]["final_mode_accuracy"] >= 0.0
 
 
+def test_cli_run_stage2_metrics_count_stage2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0],
+                                                  [2, 3, 1.0], [0, 3, 1.0]]}))
+    ini = tmp_path / "stage2.ini"
+    ini.write_text("[experiment]\nstage2_enabled = true\n")
+    base = ["run", "--instance", str(inst), "--method", "map_bo", "--depth", "1",
+            "--seed", "5", "--t-max", "11", "--n-final", "300"]
+    for extra in (["--stage2"], ["--config", str(ini)]):
+        assert main(base + extra) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ledger"]["stage2_shots"] > 0
+        assert payload["metrics"]["total_shots"] == payload["ledger"]["total_shots"]
+        assert len(payload["stage2_trace"]) >= 2
+
+
+@pytest.mark.parametrize("text", ['{"n": 4}', '{"n": "4", "edges": [[0, 1, 1.0]]}',
+                                  "[1, 2]", '{"n": 4, "edges": [5]}'])
+def test_cli_run_malformed_instance_exits_2(tmp_path, capsys, text):
+    inst = tmp_path / "bad.json"
+    inst.write_text(text)
+    rc = main(["run", "--instance", str(inst), "--method", "map_bo", "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cli_bench_and_report(tmp_path, capsys):
     out = tmp_path / "bench"
     rc = main(["bench", "--seed", "2", "--out", str(out), "--experiment",

@@ -8,6 +8,7 @@ from modeqaoa.estimators import (
     mode_confidence, mode_of, normalized_cut_variance,
 )
 from modeqaoa.graph import MaxCutInstance, cut_value, index_to_bits
+from modeqaoa.simulator import sample
 
 
 EDGE = MaxCutInstance.from_edges(2, [(0, 1, 1.0)])
@@ -15,20 +16,63 @@ EDGE = MaxCutInstance.from_edges(2, [(0, 1, 1.0)])
 
 def test_counts_validation():
     with pytest.raises(ValueError):
-        Counts({"01": 3, "001": 1})
+        Counts.from_histogram({"01": 3, "001": 1})
     with pytest.raises(ValueError):
-        Counts({"0x": 1})
+        Counts.from_histogram({"0x": 1})
     with pytest.raises(ValueError):
-        Counts({"01": 0})
+        Counts.from_histogram({"01": 0})
     with pytest.raises(ValueError):
-        Counts({"01": 2.0})
-    c = Counts({"01": 2, "10": 3})
+        Counts.from_histogram({"01": 2.0})
+    c = Counts.from_histogram({"01": 2, "10": 3})
     assert c.total == 5 and c.distinct == 2
 
 
+def test_counts_array_validation():
+    with pytest.raises(ValueError):
+        Counts(np.zeros(6, dtype=np.int64))  # length not 2^n
+    with pytest.raises(ValueError):
+        Counts(np.array([3, -1, 0, 2]))
+    with pytest.raises(ValueError):
+        Counts(np.array([3.0, 1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError):
+        mode_of(Counts(np.zeros(4, dtype=np.int64)))
+    c = Counts(np.array([0, 3, 0, 2]))
+    assert c.histogram == {"01": 3, "11": 2}
+    assert c.by_index.dtype == np.int64 and not c.by_index.flags.writeable
+
+
+HISTOGRAMS = st.integers(1, 5).flatmap(lambda n: st.dictionaries(
+    st.text("01", min_size=n, max_size=n), st.integers(1, 50), min_size=1))
+
+
+@given(HISTOGRAMS, st.data())
+@settings(max_examples=80, deadline=None)
+def test_counts_match_dict_oracle(hist, data):
+    counts = Counts.from_histogram(hist)
+    assert counts.histogram == hist
+    assert list(counts.histogram) == sorted(hist)
+    assert counts.total == sum(hist.values()) and counts.distinct == len(hist)
+    best = max(hist.values())
+    assert mode_of(counts) == min(k for k, v in hist.items() if v == best)
+    n = len(next(iter(hist)))
+    other = data.draw(st.dictionaries(st.text("01", min_size=n, max_size=n),
+                                      st.integers(1, 50), min_size=1))
+    want = {k: hist.get(k, 0) + other.get(k, 0) for k in {*hist, *other}}
+    assert counts.merged(Counts.from_histogram(other)).histogram == want
+
+
+@given(st.integers(1, 6), st.integers(1, 5000), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_sample_total_is_shots(n, shots, seed):
+    dist = np.random.default_rng(seed).random(2**n)
+    counts = sample(dist / dist.sum(), shots, seed)
+    assert counts.total == shots
+    assert counts.n == n
+
+
 def test_counts_merged():
-    a = Counts({"00": 1, "01": 2})
-    b = Counts({"01": 5, "11": 1})
+    a = Counts.from_histogram({"00": 1, "01": 2})
+    b = Counts.from_histogram({"01": 5, "11": 1})
     m = a.merged(b)
     assert m.histogram == {"00": 1, "01": 7, "11": 1}
     # inputs untouched
@@ -36,32 +80,32 @@ def test_counts_merged():
 
 
 def test_mode_tie_break():
-    assert mode_of(Counts({"10": 4, "01": 4, "11": 1})) == "01"
-    assert mode_of(Counts({"11": 9, "00": 3})) == "11"
+    assert mode_of(Counts.from_histogram({"10": 4, "01": 4, "11": 1})) == "01"
+    assert mode_of(Counts.from_histogram({"11": 9, "00": 3})) == "11"
     with pytest.raises(ValueError):
-        mode_of(Counts({}))
+        mode_of(Counts.from_histogram({}))
 
 
 def test_map_objective_is_mode_cut(square):
-    counts = Counts({"0101": 10, "0000": 9})
+    counts = Counts.from_histogram({"0101": 10, "0000": 9})
     assert map_objective(square, counts) == 4.0
-    counts = Counts({"0101": 9, "0000": 10})
+    counts = Counts.from_histogram({"0101": 9, "0000": 10})
     assert map_objective(square, counts) == 0.0
 
 
 def test_expectation_estimate_weighted_mean(square):
-    counts = Counts({"0101": 3, "0001": 1})
+    counts = Counts.from_histogram({"0101": 3, "0001": 1})
     want = (3 * 4.0 + 1 * 2.0) / 4
     assert expectation_estimate(square, counts) == pytest.approx(want)
 
 
 def test_confidence_single_key_is_one():
-    assert mode_confidence(Counts({"0": 7})) == 1.0
+    assert mode_confidence(Counts.from_histogram({"0": 7})) == 1.0
 
 
 def test_confidence_bootstrap_matches_exact_binomial_tail():
     # two-key histogram: resample mode stays '00' iff Bin(100, 0.1) <= 50
-    counts = Counts({"00": 90, "11": 10})
+    counts = Counts.from_histogram({"00": 90, "11": 10})
     exact = float(sps.binom.cdf(50, 100, 0.1))
     est = mode_confidence(counts, resamples=500, seed=0)
     assert est >= 0.99
@@ -70,14 +114,14 @@ def test_confidence_bootstrap_matches_exact_binomial_tail():
 
 def test_confidence_balanced_pair_near_half():
     # exact tie resolves toward the sorted-first key; P(X >= 50), X~Bin(100,.5)
-    counts = Counts({"00": 50, "11": 50})
+    counts = Counts.from_histogram({"00": 50, "11": 50})
     exact = float(1 - sps.binom.cdf(49, 100, 0.5))  # counts['00'] >= counts['11']
     est = mode_confidence(counts, resamples=4000, seed=1)
     assert abs(est - exact) < 0.03
 
 
 def test_confidence_deterministic_in_seed():
-    counts = Counts({"00": 60, "01": 30, "11": 10})
+    counts = Counts.from_histogram({"00": 60, "01": 30, "11": 10})
     a = mode_confidence(counts, resamples=300, seed=9)
     b = mode_confidence(counts, resamples=300, seed=9)
     c = mode_confidence(counts, resamples=300, seed=10)
@@ -88,22 +132,22 @@ def test_confidence_deterministic_in_seed():
 
 def test_confidence_rejects_no_resamples():
     with pytest.raises(ValueError):
-        mode_confidence(Counts({"0": 1, "1": 1}), resamples=0)
+        mode_confidence(Counts.from_histogram({"0": 1, "1": 1}), resamples=0)
 
 
 def test_variance_uniform_single_edge_quarter():
-    counts = Counts({"00": 25, "01": 25, "10": 25, "11": 25})
+    counts = Counts.from_histogram({"00": 25, "01": 25, "10": 25, "11": 25})
     assert normalized_cut_variance(EDGE, counts) == 0.25
 
 
 def test_variance_point_mass_zero():
-    assert normalized_cut_variance(EDGE, Counts({"01": 100})) == 0.0
+    assert normalized_cut_variance(EDGE, Counts.from_histogram({"01": 100})) == 0.0
 
 
 @given(st.dictionaries(st.integers(0, 15), st.integers(1, 50), min_size=1))
 @settings(max_examples=60, deadline=None)
 def test_variance_matches_expanded_sample(square_hist):
-    counts = Counts({index_to_bits(k, 4): v for k, v in square_hist.items()})
+    counts = Counts.from_histogram({index_to_bits(k, 4): v for k, v in square_hist.items()})
     inst = MaxCutInstance.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0),
                                          (2, 3, 1.0), (0, 3, 1.0)])
     cuts = np.concatenate([
@@ -120,7 +164,7 @@ def test_dual_gate_boundaries():
 
 
 def test_compute_stats_consistent_with_parts(six_reg):
-    counts = Counts({"000111": 40, "111000": 35, "010101": 15, "000000": 10})
+    counts = Counts.from_histogram({"000111": 40, "111000": 35, "010101": 15, "000000": 10})
     stats = compute_stats(six_reg, counts, resamples=400, seed=3)
     assert stats.mode == mode_of(counts)
     assert stats.mode_cut == map_objective(six_reg, counts)
@@ -131,16 +175,3 @@ def test_compute_stats_consistent_with_parts(six_reg):
     assert stats.confidence == pytest.approx(
         mode_confidence(counts, resamples=400, seed=3))
     assert stats.distinct == 4
-
-
-def test_compute_stats_extends_cache(six_reg):
-    cache = {}
-    counts = Counts({"000111": 5, "111000": 3})
-    compute_stats(six_reg, counts, resamples=10, seed=0, cut_cache=cache)
-    assert set(cache) == {"000111", "111000"}
-    cache_before = dict(cache)
-    bigger = counts.merged(Counts({"000111": 2, "101010": 1}))
-    compute_stats(six_reg, bigger, resamples=10, seed=0, cut_cache=cache)
-    assert set(cache) == {"000111", "111000", "101010"}
-    for k, v in cache_before.items():
-        assert cache[k] == v

@@ -112,6 +112,12 @@ def test_random_regular_deterministic():
     assert a.edges == b.edges
 
 
+def test_random_regular_gives_up_on_dense_degrees():
+    # a 17-regular pairing on 20 vertices is almost never simple
+    with pytest.raises(ValueError, match=r"17-regular.*n=20"):
+        random_regular(20, 17, seed=0)
+
+
 def test_assign_weights_uniform_positive():
     inst = assign_weights(random_regular(8, 3, seed=1), "uniform", seed=5)
     ws = [w for (_, _, w) in inst.edges]

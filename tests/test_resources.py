@@ -74,11 +74,11 @@ def test_final_mode_accuracy(square):
 
 
 def test_aux_accuracies(square):
-    counts = Counts({"0101": 1, "0001": 1})
+    counts = Counts.from_histogram({"0101": 1, "0001": 1})
     exp_acc, best_acc = aux_accuracies(square, counts)
     assert exp_acc == pytest.approx((4.0 + 2.0) / 2 / 4.0)
     assert best_acc == 1.0
-    counts = Counts({"0000": 3})
+    counts = Counts.from_histogram({"0000": 3})
     exp_acc, best_acc = aux_accuracies(square, counts)
     assert exp_acc == 0.0 and best_acc == 0.0
 
