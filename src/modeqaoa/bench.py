@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -491,9 +492,11 @@ def write_outputs(records, traces, cfg: ExperimentConfig, out_dir: str,
         with open(os.path.join(out_dir, "stage2_traces.jsonl"), "w") as fh:
             for t in traces:
                 fh.write(json.dumps(t) + "\n")
-    # wall-clock data stays out of the deterministic artifacts
+    # wall-clock data and provenance stay out of the deterministic artifacts;
+    # the numpy version matters because records follow its Generator streams
     meta = {"version": __version__, "master_seed": master_seed,
-            "config_hash": config_hash(cfg)}
+            "config_hash": config_hash(cfg), "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform()}
     if elapsed is not None:
         meta["elapsed_seconds"] = elapsed
         meta["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
@@ -512,32 +515,39 @@ def load_records(path: str) -> list[dict]:
     return records
 
 
-def _add_override_args(parser: argparse.ArgumentParser) -> None:
-    """Config flags; each dest is the ExperimentConfig field it overrides."""
-    parser.add_argument("--experiment", choices=EXPERIMENTS, default=None)
+def _add_search_args(parser: argparse.ArgumentParser) -> None:
+    """Flags both `run` and `bench` honour; each dest is the ExperimentConfig
+    field it overrides."""
     parser.add_argument("--config", default=None, help="INI config file")
+    parser.add_argument("--t-max", type=int)
+    parser.add_argument("--n-fix", type=int)
+    parser.add_argument("--n-final", type=int)
+    parser.add_argument("--threshold", type=float)
+    parser.add_argument("--stage2", dest="stage2_enabled", action="store_true",
+                        default=None)
+
+
+def _add_grid_args(parser: argparse.ArgumentParser) -> None:
+    """Sweep-grid flags, read only by `bench`: `run` takes one instance and
+    gets noise and depth from --noise and --depth."""
+    parser.add_argument("--experiment", choices=EXPERIMENTS, default=None)
     parser.add_argument("--n-values", dest="n_values", type=int, nargs="+")
     parser.add_argument("--p-values", dest="p_values", type=int, nargs="+")
     parser.add_argument("--lambdas", dest="noise_lambdas", type=float, nargs="+")
     parser.add_argument("--instances", dest="instances_per_point", type=int)
     parser.add_argument("--methods", nargs="+", choices=METHODS)
-    parser.add_argument("--t-max", type=int)
-    parser.add_argument("--n-fix", type=int)
-    parser.add_argument("--n-final", type=int)
-    parser.add_argument("--threshold", type=float)
     parser.add_argument("--weights", dest="weight_scheme", choices=("unit", "uniform"))
-    parser.add_argument("--stage2", dest="stage2_enabled", action="store_true",
-                        default=None)
 
 
 def _build_config(args) -> ExperimentConfig:
+    experiment = getattr(args, "experiment", None)  # a grid flag, absent on `run`
     if args.config:
         with open(args.config) as fh:
             cfg = config_from_ini(fh.read())
-        if args.experiment and args.experiment != cfg.experiment:
-            cfg = replace(cfg, experiment=args.experiment, **GRIDS[args.experiment])
+        if experiment and experiment != cfg.experiment:
+            cfg = replace(cfg, experiment=experiment, **GRIDS[experiment])
     else:
-        cfg = ExperimentConfig.for_experiment(args.experiment or "qubit_sweep")
+        cfg = ExperimentConfig.for_experiment(experiment or "qubit_sweep")
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                  if f.name != "experiment" and getattr(args, f.name, None) is not None}
     return replace(cfg, **{k: tuple(v) if isinstance(v, list) else v
@@ -589,6 +599,14 @@ def _cmd_report(args) -> int:
     with open(os.path.join(args.indir, "config_resolved.ini")) as fh:
         cfg = config_from_ini(fh.read())
     records = load_records(os.path.join(args.indir, "records.jsonl"))
+    meta_path = os.path.join(args.indir, "meta.json")
+    if os.path.exists(meta_path):
+        with open(meta_path) as fh:
+            made_with = json.load(fh).get("numpy")
+        if made_with is not None and made_with != np.__version__:
+            print(f"warning: records were made with numpy {made_with}, this is "
+                  f"numpy {np.__version__}; reruns may not reproduce them",
+                  file=sys.stderr)
     out = args.out or args.indir
     write_report(records, cfg, out)
     print(f"report written to {out}")
@@ -616,13 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, required=True)
     p_run.add_argument("--noise", type=float, default=0.0)
     p_run.add_argument("--trials-out", default=None)
-    _add_override_args(p_run)
+    _add_search_args(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a sweep and write all artifacts")
     p_bench.add_argument("--seed", type=int, required=True)
     p_bench.add_argument("--out", required=True)
-    _add_override_args(p_bench)
+    _add_search_args(p_bench)
+    _add_grid_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_report = sub.add_parser("report", help="recompute aggregates from records")

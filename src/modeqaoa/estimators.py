@@ -10,6 +10,12 @@ The objective is the cut value of the most frequent bitstring (the sample
 mode), not the sampled mean.  Acceptance of an evaluation rests on two
 statistics of the histogram: a bootstrap estimate of how stable the mode is
 under resampling, and the empirical cut variance normalized by total weight.
+
+A caller that needs only the gate's decision passes `gate=(tau_conf,
+tau_var)` to `compute_stats`: the bootstrap is skipped when the variance gate
+fails, and resampling stops as soon as tau_conf is out of reach; either way
+the confidence is None.  A point that passes has had every resample drawn, so
+its confidence equals the ungated value.
 """
 from __future__ import annotations
 
@@ -88,7 +94,7 @@ class EvalStats:
 
     mode: str
     mode_cut: float
-    confidence: float
+    confidence: float | None  # None: a gated compute_stats rejected the point
     var_normalized: float
     expectation_estimate: float
     distinct: int
@@ -112,17 +118,34 @@ def _observed_cuts(instance: MaxCutInstance,
     return idx, vals, cut_values_table(instance)[idx]
 
 
-def _bootstrap_confidence(vals: np.ndarray, resamples: int, seed: int) -> float:
+def _bootstrap_confidence(vals: np.ndarray, resamples: int, seed: int,
+                          floor: float | None = None) -> float | None:
     """Share of multinomial resamples over the observed keys whose argmax is the
-    observed mode's; argmax in index order reproduces the mode tie-break."""
+    observed mode's; argmax in index order reproduces the mode tie-break.
+
+    With a floor, rows are drawn in chunks from the same stream and None is
+    returned as soon as the share can no longer reach the floor, so None means
+    exactly that the full share is below it.  Each chunk is the number of
+    misses the floor still allows plus one, the fewest rows that could decide.
+    """
     if resamples < 1:
         raise ValueError("need at least one resample")
     if len(vals) == 1:
         return 1.0
     total = int(vals.sum())
+    probs = vals / total
+    mode = int(vals.argmax())
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(total, vals / total, size=resamples)
-    return float(np.mean(draws.argmax(axis=1) == int(vals.argmax())))
+    hits = drawn = 0
+    while drawn < resamples:
+        left = resamples - drawn
+        size = left if floor is None else min(left, int(hits + left - floor * resamples) + 1)
+        draws = rng.multinomial(total, probs, size=size)
+        hits += int(np.count_nonzero(draws.argmax(axis=1) == mode))
+        drawn += size
+        if floor is not None and (hits + resamples - drawn) / resamples < floor:
+            return None
+    return hits / resamples
 
 
 def _cut_moments(instance: MaxCutInstance, vals: np.ndarray,
@@ -173,23 +196,36 @@ def normalized_cut_variance(instance: MaxCutInstance, counts: Counts) -> float:
     return _cut_moments(instance, vals, cuts)[1]
 
 
-def dual_gate(confidence: float, var_normalized: float,
+def dual_gate(confidence: float | None, var_normalized: float,
               tau_conf: float, tau_var: float) -> bool:
-    """Accept only when the mode is stable AND the distribution is concentrated."""
-    return confidence >= tau_conf and var_normalized <= tau_var
+    """Accept only when the mode is stable AND the distribution is concentrated;
+    a None confidence (a gated bootstrap that stopped early) fails."""
+    return confidence is not None and confidence >= tau_conf and var_normalized <= tau_var
 
 
 def compute_stats(instance: MaxCutInstance, counts: Counts,
                   resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
-                  seed: int = 0) -> EvalStats:
-    """All gate statistics in one pass over the K distinct observed keys."""
+                  seed: int = 0, *,
+                  gate: tuple[float, float] | None = None) -> EvalStats:
+    """All gate statistics in one pass over the K distinct observed keys.
+
+    With `gate=(tau_conf, tau_var)` the confidence is None unless the point
+    passes the dual gate: the bootstrap is skipped when the variance gate
+    fails and cut short once tau_conf is out of reach.
+    """
     idx, vals, cuts = _observed_cuts(instance, counts)
     first, var_normalized = _cut_moments(instance, vals, cuts)
     mode_idx = int(vals.argmax())
+    if gate is None:
+        confidence = _bootstrap_confidence(vals, resamples, seed)
+    elif var_normalized > gate[1]:
+        confidence = None
+    else:
+        confidence = _bootstrap_confidence(vals, resamples, seed, floor=gate[0])
     return EvalStats(
         mode=index_to_bits(int(idx[mode_idx]), instance.n),
         mode_cut=float(cuts[mode_idx]),
-        confidence=_bootstrap_confidence(vals, resamples, seed),
+        confidence=confidence,
         var_normalized=var_normalized,
         expectation_estimate=first,
         distinct=len(idx),

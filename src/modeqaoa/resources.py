@@ -4,6 +4,10 @@ The ledger counts what each method actually consumed: quantum shots split by
 phase, circuit evaluations, and the classical post-processing surrogates
 (count updates per raw shot, cut evaluations per distinct key, bootstrap
 draws).  Savings ratios compare a fixed-shot ledger against an adaptive one.
+
+`bootstrap_ops` is the paper's modelled charge, B resamples times K distinct
+keys for every evaluated adaptive round, not the number of resample rows
+drawn: the allocator skips or cuts short the bootstrap on rounds that reject.
 """
 from __future__ import annotations
 

@@ -6,6 +6,13 @@ the per-point budget.  After every batch the gate statistics are recomputed on
 the merged histogram; sampling stops as soon as mode confidence and normalized
 cut variance both clear their thresholds, or the budget is exhausted.
 
+A round's statistics are kept only when that round accepts the point or
+exhausts the budget, and which one it is is known before they are computed.
+So every earlier round asks `compute_stats` for the gate's decision alone
+(`gate=`), which skips or cuts short the bootstrap on a point that fails; an
+accepting round still draws every resample, and the last round computes the
+full statistics, so the returned stats never depend on the shortcut.
+
 With the defaults (pilot 100, growth 2.0, cap 1200) the batch sizes are
 exactly 100, 200, 400, 500.
 """
@@ -82,12 +89,15 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
         spent += batch
         ledger.optimization_shots += batch
         ledger.classical_count_ops += batch
-        stats = compute_stats(instance, counts, cfg.bootstrap_resamples, boot_seed)
+        last = spent >= cfg.max_shots
+        stats = compute_stats(instance, counts, cfg.bootstrap_resamples, boot_seed,
+                              gate=None if last else (cfg.tau_conf, cfg.tau_var))
+        # the paper's modelled B*K charge per round, not the rows actually drawn
         ledger.bootstrap_ops += cfg.bootstrap_resamples * counts.distinct
         if dual_gate(stats.confidence, stats.var_normalized, cfg.tau_conf, cfg.tau_var):
             accepted = True
             break
-        if spent >= cfg.max_shots:
+        if last:
             break
         batch = next_batch(batch, spent, cfg)
     # merged histograms only grow, so each distinct key's cut is paid for once

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -153,6 +154,9 @@ def test_write_outputs_artifacts(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["master_seed"] == 3
     assert "elapsed_seconds" in meta
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    assert meta["platform"] == platform.platform()
     loaded = load_records(str(out / "records.jsonl"))
     assert loaded == [json.loads(json.dumps({k: r[k] for k in RECORD_KEYS}))
                       for r in records]
@@ -247,6 +251,39 @@ def test_cli_bench_and_report(tmp_path, capsys):
     assert (tmp_path / "rep" / "aggregates.csv").exists()
     with open(out / "aggregates.csv") as a, open(tmp_path / "rep" / "aggregates.csv") as b:
         assert a.read() == b.read()
+
+
+def test_cli_report_warns_on_other_numpy(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert main(["bench", "--seed", "2", "--out", str(out), "--experiment",
+                 "single", "--n-values", "4", "--instances", "1",
+                 "--methods", "exp_bo", "--t-max", "11", "--n-fix", "150",
+                 "--n-final", "300"]) == 0
+    capsys.readouterr()
+    assert main(["report", "--indir", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    meta = json.loads((out / "meta.json").read_text())
+    (out / "meta.json").write_text(json.dumps({**meta, "numpy": "1.0.0"}))
+    assert main(["report", "--indir", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and "numpy 1.0.0" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", [["--lambdas", "0.5"], ["--n-values", "10"],
+                                  ["--p-values", "3"], ["--instances", "2"],
+                                  ["--methods", "exp_bo"], ["--weights", "uniform"],
+                                  ["--experiment", "noise_sweep"]])
+def test_cli_run_rejects_grid_flags(tmp_path, capsys, flag):
+    # run reads noise and depth from --noise and --depth; a sweep-grid flag
+    # would be silently ignored, so argparse refuses it
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 2, "edges": [[0, 1, 1.0]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--instance", str(inst), "--method", "exp_bo", "--seed", "1"]
+             + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

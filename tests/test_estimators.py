@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from modeqaoa.estimators import (
-    Counts, compute_stats, dual_gate, expectation_estimate, map_objective,
+    Counts, EvalStats, _bootstrap_confidence, compute_stats, dual_gate, expectation_estimate, map_objective,
     mode_confidence, mode_of, normalized_cut_variance,
 )
 from modeqaoa.graph import MaxCutInstance, cut_value, index_to_bits
@@ -154,6 +154,41 @@ def test_variance_matches_expanded_sample(square_hist):
         np.full(v, cut_value(inst, k)) for k, v in counts.histogram.items()])
     want = float(np.var(cuts)) / inst.total_weight ** 2
     assert normalized_cut_variance(inst, counts) == pytest.approx(want, abs=1e-12)
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=40), st.integers(1, 300),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_floored_bootstrap_matches_full(vals, resamples, seed, data):
+    vals = np.array(vals, dtype=np.int64)
+    full = _bootstrap_confidence(vals, resamples, seed)
+    # floors at and next to the full share hit the boundary exactly
+    floor = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([f for f in (full, np.nextafter(full, 2.0), np.nextafter(full, 0.0))
+                         if 0.0 < f <= 1.0] or [1.0])))
+    floored = _bootstrap_confidence(vals, resamples, seed, floor=floor)
+    if full < floor:
+        assert floored is None
+    else:
+        assert floored == full
+
+
+def test_compute_stats_gate(six_reg):
+    counts = Counts.from_histogram({"000111": 40, "111000": 35, "010101": 15, "000000": 10})
+    full = compute_stats(six_reg, counts, resamples=400, seed=3)
+    assert full.var_normalized > 0.0
+    # a failed variance gate skips the bootstrap whatever tau_conf is
+    failed_var = compute_stats(six_reg, counts, resamples=400, seed=3,
+                               gate=(1e-9, full.var_normalized / 2))
+    assert failed_var.confidence is None
+    assert failed_var == EvalStats(**{**vars(full), "confidence": None})
+    # out-of-reach tau_conf: None; a passing gate keeps the exact confidence
+    assert compute_stats(six_reg, counts, resamples=400, seed=3,
+                         gate=(full.confidence + 1e-6, 1.0)).confidence is None
+    assert compute_stats(six_reg, counts, resamples=400, seed=3,
+                         gate=(full.confidence, full.var_normalized)) == full
+    assert not dual_gate(None, 0.0, 0.5, 0.02)
 
 
 def test_dual_gate_boundaries():

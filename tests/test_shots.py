@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modeqaoa.estimators import compute_stats, dual_gate
 from modeqaoa.graph import MaxCutInstance, complete_graph, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
-from modeqaoa.shots import AdaptiveConfig, evaluate_point, next_batch
-from modeqaoa.simulator import QaoaParams
+from modeqaoa.shots import AdaptiveConfig, PointEvaluation, evaluate_point, next_batch
+from modeqaoa.simulator import NoiseSpec, QaoaParams, outcome_distribution, sample
 
 
 def test_config_validation():
@@ -66,9 +67,6 @@ def test_next_batch_never_exceeds_budget(current, spent):
 
 def test_point_mass_accepts_at_pilot():
     # a distribution with all mass on one string clears both gates on the pilot
-    from modeqaoa.estimators import compute_stats, dual_gate
-    from modeqaoa.simulator import sample
-
     inst = with_optimum(MaxCutInstance.from_edges(2, [(0, 1, 1.0)]))
     dist = np.array([0.0, 1.0, 0.0, 0.0])
     cfg = AdaptiveConfig()
@@ -151,3 +149,64 @@ def test_budget_tops_up_to_cap():
     ev = evaluate_point(inst, params, None, cfg, seed=0, ledger=ledger)
     assert ev.shots_used == 100
     assert not ev.accepted
+
+
+def _evaluate_point_oracle(instance, params, noise, cfg, seed, ledger):
+    """The allocator computing the full statistics on every round."""
+    dist = outcome_distribution(instance, params, noise)
+    ledger.circuit_evaluations += 1
+    ss = np.random.SeedSequence(seed)
+    counts = None
+    batch = cfg.pilot_shots
+    spent = rounds = 0
+    accepted = False
+    while True:
+        rounds += 1
+        sample_seed, boot_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
+        fresh = sample(dist, batch, sample_seed)
+        counts = fresh if counts is None else counts.merged(fresh)
+        spent += batch
+        ledger.optimization_shots += batch
+        ledger.classical_count_ops += batch
+        stats = compute_stats(instance, counts, cfg.bootstrap_resamples, boot_seed)
+        ledger.bootstrap_ops += cfg.bootstrap_resamples * counts.distinct
+        if dual_gate(stats.confidence, stats.var_normalized, cfg.tau_conf, cfg.tau_var):
+            accepted = True
+            break
+        if spent >= cfg.max_shots:
+            break
+        batch = next_batch(batch, spent, cfg)
+    ledger.classical_cut_ops += counts.distinct
+    ledger.record_point(spent, counts.distinct)
+    return PointEvaluation(params=params, counts=counts, stats=stats,
+                           shots_used=spent, accepted=accepted, rounds=rounds)
+
+
+def test_gated_rounds_match_full_statistics_oracle():
+    # loose thresholds so that points are accepted on intermediate rounds too
+    configs = [AdaptiveConfig(tau_conf=0.5, tau_var=0.1),
+               AdaptiveConfig(pilot_shots=20, growth=1.5, max_shots=500,
+                              tau_conf=0.3, tau_var=0.2, bootstrap_resamples=77),
+               AdaptiveConfig(tau_conf=0.7, tau_var=0.06)]
+    rng = np.random.default_rng(0)
+    early_accepts = 0
+    for n in (4, 6, 8):
+        inst = with_optimum(random_regular(n, 3, seed=n))
+        for lam in (0.0, 0.01):
+            noise = NoiseSpec.for_circuit(lam, inst, 2) if lam > 0 else None
+            for cfg in configs:
+                for _ in range(6):
+                    params = QaoaParams(tuple(rng.uniform(0, np.pi, 2)),
+                                        tuple(rng.uniform(0, 2 * np.pi, 2)))
+                    seed = int(rng.integers(2**31))
+                    got_ledger, want_ledger = ResourceLedger(), ResourceLedger()
+                    got = evaluate_point(inst, params, noise, cfg, seed, got_ledger)
+                    want = _evaluate_point_oracle(inst, params, noise, cfg, seed,
+                                                  want_ledger)
+                    assert got.stats == want.stats
+                    assert np.array_equal(got.counts.by_index, want.counts.by_index)
+                    assert (got.shots_used, got.rounds, got.accepted) == \
+                        (want.shots_used, want.rounds, want.accepted)
+                    assert got_ledger.to_dict() == want_ledger.to_dict()
+                    early_accepts += got.accepted and got.shots_used < cfg.max_shots
+    assert early_accepts >= 10
