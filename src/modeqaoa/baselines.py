@@ -10,7 +10,9 @@ gates of a_g * [f(phi_g + pi/2) - f(phi_g - pi/2)] in each gate's half-turn
 angle phi, with a_g = w_e/2 for an edge gate and 1 for a mixer gate.  The
 shifted circuits share their unshifted prefixes (simulator.shifted_states),
 so a gradient costs far fewer float operations than 2 * 2p * (n + m) full
-evolutions while producing bit-identical states.
+evolutions while producing bit-identical states.  Each gate's + and - circuits
+run through the rest of the circuit as one two-row stack, which halves the
+mixer-kernel calls of a gradient.
 """
 from __future__ import annotations
 

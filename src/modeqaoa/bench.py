@@ -539,6 +539,21 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weights", dest="weight_scheme", choices=("unit", "uniform"))
 
 
+# [experiment] keys that shape only a `bench` sweep; `run` takes one instance
+# and gets noise and depth from --noise and --depth
+_GRID_KEYS = ("experiment", "n_values", "p_values", "noise_lambdas",
+              "instances_per_point", "degree", "methods", "weight_scheme")
+
+
+def _ignored_grid_keys(path: str) -> list[str]:
+    """The _GRID_KEYS an INI file sets, in file order."""
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    if not parser.has_section("experiment"):
+        return []
+    return [key for key in parser.options("experiment") if key in _GRID_KEYS]
+
+
 def _build_config(args) -> ExperimentConfig:
     experiment = getattr(args, "experiment", None)  # a grid flag, absent on `run`
     if args.config:
@@ -572,6 +587,11 @@ def _cmd_run(args) -> int:
     with open(args.instance) as fh:
         instance = with_optimum(from_json(fh.read()))
     cfg = _build_config(args)
+    ignored = _ignored_grid_keys(args.config) if args.config else []
+    if ignored:
+        print(f"warning: run ignores the [experiment] keys {', '.join(ignored)} "
+              f"in {args.config}; noise comes from --noise and depth from --depth",
+              file=sys.stderr)
     result, trace = run_method(cfg, instance, args.depth, args.noise, args.method,
                                args.seed, derive_seed(args.seed, "stage2"))
     payload = run_result_to_dict(result)

@@ -4,12 +4,21 @@ The cost layer is diagonal, so one layer costs an elementwise phase over the
 2^n cut values plus n independent single-qubit X rotations.  Basis index bit 0
 is the most significant bit and belongs to vertex 0 (see graph module).
 
+Mixer kernel: `_apply_mixer` always rotates the top index bit, whose two
+halves are contiguous, and writes the result interleaved so that bit becomes
+the lowest.  The index bits therefore rotate by one per mixer, and the n
+mixers of a layer, run on qubits 0..n-1 in order, hand the next layer the
+usual layout.  The kernel works on the last axis, so a stack of states goes
+through in one call.
+
 Gate-level shifts: every gate can be written exp(-i * (phi/2) * P) with P
 involutory; for an edge gate phi = gamma * w, for a mixer gate phi = 2 * beta.
 A GateShift displaces one gate's half-turn angle phi, which is what the
 parameter-shift estimators in baselines and stage2 need.  `shifted_states`
 enumerates every +-pi/2 gate shift while sharing the unshifted prefix of the
-circuit, and `shift_rule_gradient` folds those shifts into a gradient.
+circuit and running each gate's + and - states through the rest of the
+circuit as one (2, 2^n) stack, and `shift_rule_gradient` folds those shifts
+into a gradient.
 """
 from __future__ import annotations
 
@@ -101,7 +110,11 @@ def gate_coefficient(instance: MaxCutInstance, kind: str, index: int) -> float:
 
 
 def _check_size(n: int, states: int) -> None:
-    """Refuse n above the cap before any state is allocated."""
+    """Refuse n above the cap before any state is allocated.
+
+    `states` is the peak number of complex 2^n arrays the call holds; the
+    cached cut table and edge indicators (8 B per entry each) come on top.
+    """
     if n > MAX_QUBITS:
         per_state = 2**n * 16
         raise ValueError(
@@ -114,28 +127,48 @@ def _check_size(n: int, states: int) -> None:
 def _edge_indicator(n: int, edges: tuple[Edge, ...], edge_index: int) -> np.ndarray:
     u, v, _ = edges[edge_index]
     idx = np.arange(2**n, dtype=np.int64)
-    ind = (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1).astype(float)
+    ind = ((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1
     ind.flags.writeable = False
     return ind
 
 
-def _apply_mixer(amps: np.ndarray, n: int, qubit: int, beta: float) -> None:
+def _edge_phases(n: int, edges: tuple[Edge, ...], edge_index: int,
+                 angles: tuple[float, ...]) -> np.ndarray:
+    """exp(-1j * angle * indicator) per angle, one row each.
+
+    The indicator takes only the values 0 and 1, so each row is gathered from
+    the phase of those two values: the same elements as the full exponential.
+    """
+    table = np.array([np.exp(-1j * angle * np.array([0.0, 1.0])) for angle in angles])
+    return np.take(table, _edge_indicator(n, edges, edge_index), axis=1)
+
+
+def _apply_mixer(amps: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-i beta X) on the top index bit of each row, moved to the bottom.
+
+    The two halves of the top bit are contiguous, and the result is written
+    interleaved, so its index bits are the input's rotated left by one.  n
+    calls rotate them back, which is why mixers run on qubits 0..n-1 in order.
+    """
+    half = amps.shape[-1] // 2
+    out = np.empty_like(amps)
+    pairs = out.reshape(*amps.shape[:-1], half, 2)
     if beta == 0.0:
-        return
-    c = np.cos(beta)
-    s = np.sin(beta)
-    view = amps.reshape(2**qubit, 2, -1)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = c * a0 - 1j * s * a1
-    view[:, 1, :] = c * a1 - 1j * s * a0
+        pairs[..., 0] = amps[..., :half]
+        pairs[..., 1] = amps[..., half:]
+        return out
+    ca = amps * np.cos(beta)
+    ja = amps * (1j * np.sin(beta))
+    np.subtract(ca[..., :half], ja[..., half:], out=pairs[..., 0])
+    np.subtract(ca[..., half:], ja[..., :half], out=pairs[..., 1])
+    return out
 
 
 def evolve(instance: MaxCutInstance, params: QaoaParams,
            shift: GateShift | None = None) -> np.ndarray:
     """Statevector after p alternating layers applied to the uniform superposition."""
     n = instance.n
-    _check_size(n, 1)
+    _check_size(n, 4)  # the state, the mixer's output and its two products
     if shift is not None and not 0 <= shift.layer < params.depth:
         raise ValueError(f"shift layer {shift.layer} out of range")
     cuts = cut_values_table(instance)
@@ -146,14 +179,13 @@ def evolve(instance: MaxCutInstance, params: QaoaParams,
             if not 0 <= shift.index < instance.num_edges:
                 raise ValueError(f"edge index {shift.index} out of range")
             # shifting phi_e = gamma * w_e adds a pure indicator phase
-            amps = amps * np.exp(-1j * shift.angle
-                                 * _edge_indicator(n, instance.edges, shift.index))
+            amps = amps * _edge_phases(n, instance.edges, shift.index, (shift.angle,))[0]
         for q in range(n):
             beta = params.betas[layer]
             if shift is not None and shift.kind == "beta" \
                     and shift.layer == layer and shift.index == q:
                 beta = beta + shift.angle / 2.0  # phi = 2*beta
-            _apply_mixer(amps, n, q, beta)
+            amps = _apply_mixer(amps, beta)
     return amps
 
 
@@ -164,53 +196,51 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     Order: search coordinate k = [betas, gammas], then gate within k, then +
     before -.  Each state equals evolve(instance, params, shift) bit for bit:
     the same float operations run in the same order, but the unshifted prefix
-    is computed once.  A mixer shift on qubit q continues from a running copy
-    of the layer's state after mixers 0..q-1; an edge shift continues from the
-    cached state right after the layer's cost phase.  Keeps 2 * depth + 2
-    state-sized arrays: the layer phase vectors, the after-cost states, the
-    running copy and the shifted state.
+    is computed once.  A mixer shift on qubit q continues from the running
+    state after the layer's mixers 0..q-1; an edge shift continues from the
+    stored state right after the layer's cost phase.  The + and - states of a
+    gate then run through the remaining mixers and layers as one (2, 2^n)
+    stack, whose rows are yielded.
+
+    Keeps at most 2 * depth + 11 state-sized arrays: the layer phase vectors
+    and after-cost states (2 * depth), the running state (1), a mixer on the
+    stack (its input, output and two products, 2 each) and the previous
+    stack, which a caller holding the last yielded state keeps alive (2).
     """
     n = instance.n
     depth = params.depth
-    _check_size(n, 2 * depth + 2)
+    _check_size(n, 2 * depth + 11)
     cuts = cut_values_table(instance)
     phases = [np.exp(-1j * gamma * cuts) for gamma in params.gammas]
+    angles = (np.pi / 2.0, -np.pi / 2.0)
 
-    def mixers(amps, layer, first=0):
-        for q in range(first, n):
-            _apply_mixer(amps, n, q, params.betas[layer])
-
-    def rest(amps, layer):
-        for later in range(layer + 1, depth):
-            amps = amps * phases[later]
-            mixers(amps, later)
-        return amps
+    def finish(kind, layer, index, pair, first=0):
+        # pair is the (2, 2^n) stack just before mixer `first` of `layer`; it
+        # is passed as a temporary, so each kernel call frees its input
+        for later in range(layer, depth):
+            if later > layer:
+                pair = pair * phases[later]
+            for _ in range(first if later == layer else 0, n):
+                pair = _apply_mixer(pair, params.betas[later])
+        coeff = gate_coefficient(instance, kind, index)
+        for angle, state in zip(angles, pair):
+            yield GateShift(kind, layer, index, angle), coeff, state
 
     after_cost = []
     amps = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
     for layer in range(depth):
         amps = amps * phases[layer]
         after_cost.append(amps)
-        amps = amps.copy()
         beta = params.betas[layer]
         for q in range(n):
-            coeff = gate_coefficient(instance, "beta", q)
-            for sign in (1.0, -1.0):
-                angle = sign * np.pi / 2.0
-                shifted = amps.copy()
-                _apply_mixer(shifted, n, q, beta + angle / 2.0)  # phi = 2*beta
-                mixers(shifted, layer, q + 1)
-                yield GateShift("beta", layer, q, angle), coeff, rest(shifted, layer)
-            _apply_mixer(amps, n, q, beta)
+            yield from finish("beta", layer, q, np.stack(
+                [_apply_mixer(amps, beta + angle / 2.0) for angle in angles]),  # phi = 2*beta
+                q + 1)
+            amps = _apply_mixer(amps, beta)
     for layer in range(depth):
         for e in range(instance.num_edges):
-            coeff = gate_coefficient(instance, "gamma", e)
-            for sign in (1.0, -1.0):
-                angle = sign * np.pi / 2.0
-                shifted = after_cost[layer] * np.exp(
-                    -1j * angle * _edge_indicator(n, instance.edges, e))
-                mixers(shifted, layer)
-                yield GateShift("gamma", layer, e, angle), coeff, rest(shifted, layer)
+            yield from finish("gamma", layer, e, after_cost[layer]
+                              * _edge_phases(n, instance.edges, e, angles))
 
 
 def shift_rule_gradient(instance: MaxCutInstance, params: QaoaParams,

@@ -5,13 +5,18 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from modeqaoa import baselines, bo, shots, simulator, stage2
 
 from modeqaoa.bench import (
     AGGREGATE_METRICS, EXPERIMENTS, METHODS, RECORD_KEYS, ExperimentConfig,
     aggregate_rows, config_from_ini, config_hash, config_to_ini, derive_seed,
     load_records, main, make_instance, records_to_jsonl, run_cell,
-    run_experiment, summarize, write_outputs, write_plot_data,
+    run_experiment, run_method, summarize, write_outputs, write_plot_data,
 )
+from modeqaoa.graph import assign_weights, random_regular, with_optimum
+from modeqaoa.stage2 import AmplifyConfig
 from modeqaoa.shots import AdaptiveConfig
 
 
@@ -95,6 +100,34 @@ def test_run_cell_record_shape():
     assert 0.0 <= record["final_mode_accuracy"] <= 1.0
     with pytest.raises(ValueError):
         run_cell(SMALL, 5, 4, 2, 0.0, 0, "bogus")
+
+
+@given(st.integers(0, 2 ** 31), st.sampled_from([0.0, 0.01]))
+@settings(max_examples=6, deadline=None)
+def test_ledger_phases_sum_to_drawn_shots(seed, lam):
+    # every shot sampled is charged to exactly one phase: the search, the
+    # final evaluation (bo.finish_run) or stage 2
+    inst = with_optimum(assign_weights(random_regular(4, 3, seed=seed % 7), "uniform",
+                                       seed=seed % 5))
+    cfg = ExperimentConfig.for_experiment(
+        "single", n_values=(4,), t_max=11, n_fix=120, n_final=300,
+        stage2_enabled=True, amplify_cfg=AmplifyConfig(steps=4, shots_per_shift=50))
+    for method in METHODS:
+        drawn = {"optimization": 0, "final_eval": 0, "stage2": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            for module, phase in ((shots, "optimization"), (baselines, "optimization"),
+                                  (bo, "final_eval"), (stage2, "stage2")):
+                def counted(dist, n_shots, sample_seed, phase=phase):
+                    drawn[phase] += n_shots
+                    return simulator.sample(dist, n_shots, sample_seed)
+                mp.setattr(module, "sample", counted)
+            result, _ = run_method(cfg, inst, 2, lam, method, seed, seed + 1)
+        ledger = result.ledger
+        assert ledger.optimization_shots == drawn["optimization"] > 0
+        assert ledger.final_eval_shots == drawn["final_eval"] == cfg.n_final
+        assert ledger.stage2_shots == drawn["stage2"]
+        assert (ledger.stage2_shots > 0) == (method == "map_bo")
+        assert ledger.total_shots == ledger.to_dict()["total_shots"] == sum(drawn.values())
 
 
 def test_run_cell_stage2_trace():
@@ -284,6 +317,38 @@ def test_cli_run_rejects_grid_flags(tmp_path, capsys, flag):
              + flag)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_run_config_warns_on_grid_keys(tmp_path, capsys):
+    # the grid keys of an INI [experiment] section shape only a bench sweep;
+    # run names them on stderr and prints the same JSON as without them
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0],
+                                                  [2, 3, 1.0], [0, 3, 1.0]]}))
+    plain, grid = tmp_path / "plain.ini", tmp_path / "grid.ini"
+    plain.write_text("[experiment]\nt_max = 11\n")
+    grid.write_text("[experiment]\nnoise_lambdas = 0.5\nt_max = 11\nn_values = 10\n")
+    base = ["run", "--instance", str(inst), "--method", "exp_bo", "--seed", "1",
+            "--n-final", "300", "--config"]
+    assert main(base + [str(plain)]) == 0
+    want = capsys.readouterr()
+    assert want.err == ""
+    assert main(base + [str(grid)]) == 0
+    got = capsys.readouterr()
+    assert got.out == want.out
+    assert got.err.startswith("warning:") and len(got.err.splitlines()) == 1
+    assert "noise_lambdas, n_values" in got.err and "--noise" in got.err
+    assert "t_max" not in got.err
+    # a bench config_resolved.ini spells out every key and still runs
+    out = tmp_path / "bench"
+    assert main(["bench", "--seed", "2", "--out", str(out), "--experiment", "single",
+                 "--n-values", "4", "--instances", "1", "--methods", "exp_bo",
+                 "--t-max", "11", "--n-fix", "150", "--n-final", "300"]) == 0
+    capsys.readouterr()
+    assert main(base + [str(out / "config_resolved.ini")]) == 0
+    err = capsys.readouterr().err
+    assert "experiment, n_values, p_values, noise_lambdas, instances_per_point, " \
+           "degree, weight_scheme, methods" in err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

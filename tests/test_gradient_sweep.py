@@ -1,15 +1,18 @@
 """The prefix-sharing shift sweep must reproduce per-gate evolution bit for bit."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modeqaoa.baselines import _split_shots, parameter_shift_gradient
 from modeqaoa.estimators import expectation_estimate
 from modeqaoa.graph import (MaxCutInstance, assign_weights, bits_to_index,
-                            random_regular, with_optimum)
+                            cut_values_table, random_regular, with_optimum)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GateShift, NoiseSpec, QaoaParams, evolve, exact_expectation,
-    outcome_distribution, sample, shifted_states,
+    outcome_distribution, sample, shift_rule_gradient, shifted_states,
 )
 from modeqaoa.stage2 import _gate_coefficient, exact_gradient
 
@@ -24,6 +27,56 @@ PARAMS = {
 @pytest.fixture
 def weighted6():
     return with_optimum(assign_weights(random_regular(6, 3, seed=2), "uniform", seed=4))
+
+
+def oracle_mixer(amps, n, qubit, beta):
+    """Per-qubit in-place exp(-i beta X) on qubit `qubit`, in the usual layout."""
+    if beta == 0.0:
+        return
+    c = np.cos(beta)
+    s = np.sin(beta)
+    view = amps.reshape(2**qubit, 2, -1)
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :]
+    view[:, 0, :] = c * a0 - 1j * s * a1
+    view[:, 1, :] = c * a1 - 1j * s * a0
+
+
+def oracle_evolve(instance, params, shift=None):
+    """Layer-by-layer evolution with the per-qubit mixer and a full edge phase."""
+    n = instance.n
+    cuts = cut_values_table(instance)
+    amps = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+    for layer in range(params.depth):
+        amps = amps * np.exp(-1j * params.gammas[layer] * cuts)
+        if shift is not None and shift.kind == "gamma" and shift.layer == layer:
+            u, v, _ = instance.edges[shift.index]
+            idx = np.arange(2**n, dtype=np.int64)
+            indicator = (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1).astype(float)
+            amps = amps * np.exp(-1j * shift.angle * indicator)
+        for q in range(n):
+            beta = params.betas[layer]
+            if shift is not None and shift.kind == "beta" \
+                    and shift.layer == layer and shift.index == q:
+                beta = beta + shift.angle / 2.0
+            oracle_mixer(amps, n, q, beta)
+    return amps
+
+
+def assert_same_bits(got, want):
+    # compared as integers, so a flipped signed zero counts as a difference
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_kernel_matches_oracle(instance, params):
+    assert_same_bits(evolve(instance, params), oracle_evolve(instance, params))
+    for shift, _, state in shifted_states(instance, params):
+        assert_same_bits(state, oracle_evolve(instance, params, shift))
+
+
+def _regular(n, weights):
+    degree = 1 if n == 2 else 2 if n % 2 else 3
+    return assign_weights(random_regular(n, degree, seed=n), weights, seed=n)
 
 
 def _gates(instance, depth):
@@ -86,6 +139,26 @@ def test_swept_states_equal_evolve(weighted6, depth):
         assert np.array_equal(state, evolve(weighted6, params, shift))
 
 
+@pytest.mark.parametrize("weights", ["unit", "uniform"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_kernel_matches_per_qubit_oracle(n, weights):
+    instance = _regular(n, weights)
+    for params in PARAMS.values():
+        assert_kernel_matches_oracle(instance, params)
+
+
+_ANGLE = st.sampled_from([0.0, -0.0, np.pi / 4, -np.pi / 4]) | st.floats(-4.0, 4.0)
+
+
+@given(st.integers(1, 3).flatmap(lambda p: st.tuples(
+    st.lists(_ANGLE, min_size=p, max_size=p), st.lists(_ANGLE, min_size=p, max_size=p))))
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_per_qubit_oracle_any_angles(angles):
+    # beta = -pi/4 turns the - shift of its mixers into the zero-angle copy
+    betas, gammas = angles
+    assert_kernel_matches_oracle(_regular(5, "uniform"), QaoaParams(tuple(betas), tuple(gammas)))
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("shots", [None, 600])
 @pytest.mark.parametrize("lam", [0.0, 0.01])
@@ -115,7 +188,28 @@ def test_size_check_precedes_allocation():
     # 2^25-entry cut table or any state is built
     inst = MaxCutInstance.from_edges(25, [(0, 1, 1.0)])
     params = QaoaParams((0.1, 0.2), (0.3, 0.4))
-    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 1 of them"):
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
         evolve(inst, params)
-    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 6 of them \(3072 MiB\)"):
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 15 of them \(7680 MiB\)"):
         next(shifted_states(inst, params))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_size_message_counts_peak_states(depth):
+    # the counts in the size message are the measured peak of state-sized
+    # arrays; at n = 14 numpy's ufunc buffer adds half a state at most
+    inst = _regular(14, "uniform")
+    params = PARAMS[depth]
+    state_bytes = 2**14 * 16
+    # fill the cut-table and edge-indicator caches, which the counts leave out
+    shift_rule_gradient(inst, params, lambda shift, state: 0.0)
+    for count, run in ((4, lambda: evolve(inst, params)),
+                       (2 * depth + 11,
+                        lambda: shift_rule_gradient(inst, params, lambda shift, state: 0.0))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1] / state_bytes
+        finally:
+            tracemalloc.stop()
+        assert count <= peak < count + 1

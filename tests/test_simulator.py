@@ -67,6 +67,21 @@ def test_bit_flip_symmetry(seed):
     assert np.max(np.abs(dist - dist[::-1])) < 1e-12
 
 
+@given(st.integers(0, 2 ** 31), st.sampled_from([4, 6, 8]), st.integers(1, 3),
+       st.sampled_from(["unit", "uniform"]), st.sampled_from([0.0, 0.01]))
+@settings(max_examples=40, deadline=None)
+def test_outcome_distribution_complement_symmetry(seed, n, depth, weights, lam):
+    # flipping every bit leaves each cut, and so the whole circuit, unchanged
+    inst = assign_weights(random_regular(n, 3, seed=seed % 11), weights, seed=seed % 5)
+    rng = np.random.default_rng(seed)
+    params = QaoaParams(tuple(rng.uniform(-np.pi, np.pi, depth)),
+                        tuple(rng.uniform(-2 * np.pi, 2 * np.pi, depth)))
+    noise = NoiseSpec.for_circuit(lam, inst, depth)
+    dist = outcome_distribution(inst, params, noise)
+    complement = dist[2**n - 1 - np.arange(2**n)]
+    assert np.max(np.abs(dist - complement)) < 1e-13
+
+
 def test_distribution_normalized(six_reg):
     params = QaoaParams((0.7,), (2.1,))
     dist = distribution(evolve(six_reg, params))
