@@ -60,8 +60,7 @@ class Trial:
     accepted: bool
     mode: str
     mode_cut: float
-    confidence: float | None = None
-    var_normalized: float | None = None
+    stats: EvalStats | None = None  # adaptive evaluations only
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def finish_run(instance: MaxCutInstance, trials: list[Trial], ss: np.random.Seed
                noise: NoiseSpec | None, n_final: int, ledger: ResourceLedger,
                stop_reason: str) -> RunResult:
     """Final evaluation shared by every method: n_final fresh shots at the best
-    trial (the earliest with the top objective), with full gate statistics."""
+    trial (the earliest with the top objective), with ungated statistics."""
     best = max(trials, key=lambda t: t.objective)
     final_seed, boot_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     dist = outcome_distribution(instance, best.params, noise)
@@ -218,9 +217,7 @@ def optimize_map_bo(instance: MaxCutInstance, depth: int,
         pe = evaluate_point(instance, params, noise, adaptive_cfg, eval_seed, ledger)
         return Trial(index=t, params=params, objective=pe.stats.mode_cut,
                      shots_used=pe.shots_used, accepted=pe.accepted,
-                     mode=pe.stats.mode, mode_cut=pe.stats.mode_cut,
-                     confidence=pe.stats.confidence,
-                     var_normalized=pe.stats.var_normalized)
+                     mode=pe.stats.mode, mode_cut=pe.stats.mode_cut, stats=pe.stats)
 
     return run_search(instance, depth, evaluate, tpe_cfg, stagnation_cfg,
                       noise, t_max, seed, n_final, ledger)
@@ -233,8 +230,8 @@ def trial_record(trial: Trial, incumbent: float) -> dict:
         "y": trial.objective,
         "shots": trial.shots_used,
         "accepted": trial.accepted,
-        "conf": trial.confidence,
-        "var_norm": trial.var_normalized,
+        "conf": None if trial.stats is None else trial.stats.confidence,
+        "var_norm": None if trial.stats is None else trial.stats.var_normalized,
         "incumbent": incumbent,
     }
 

@@ -10,16 +10,11 @@ The objective is the cut value of the most frequent bitstring (the sample
 mode), not the sampled mean.  Acceptance of an evaluation rests on two
 statistics of the histogram: a bootstrap estimate of how stable the mode is
 under resampling, and the empirical cut variance normalized by total weight.
-
-A caller that needs only the gate's decision passes `gate=(tau_conf,
-tau_var)` to `compute_stats`: the bootstrap is skipped when the variance gate
-fails, and resampling stops as soon as tau_conf is out of reach; either way
-the confidence is None.  A point that passes has had every resample drawn, so
-its confidence equals the ungated value.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,14 +85,26 @@ class Counts:
 
 @dataclass(frozen=True)
 class EvalStats:
-    """Summary of one point evaluation, all derived from a single histogram."""
+    """Summary of one point evaluation, all derived from a single histogram.
+
+    The bootstrap `confidence` is drawn from the fields below on first read and
+    cached, unless a gated `compute_stats` passed the point and so stored the
+    exact value; `passed` is that gate's decision, None without a gate.
+    """
 
     mode: str
     mode_cut: float
-    confidence: float | None  # None: a gated compute_stats rejected the point
     var_normalized: float
     expectation_estimate: float
     distinct: int
+    support_counts: np.ndarray = field(repr=False, compare=False)
+    resamples: int = field(repr=False, compare=False)
+    bootstrap_seed: int = field(repr=False, compare=False)
+    passed: bool | None = field(default=None, compare=False)
+
+    @cached_property
+    def confidence(self) -> float:
+        return _bootstrap_confidence(self.support_counts, self.resamples, self.bootstrap_seed)
 
 
 def _support(counts: Counts) -> tuple[np.ndarray, np.ndarray]:
@@ -209,24 +216,28 @@ def compute_stats(instance: MaxCutInstance, counts: Counts,
                   gate: tuple[float, float] | None = None) -> EvalStats:
     """All gate statistics in one pass over the K distinct observed keys.
 
-    With `gate=(tau_conf, tau_var)` the confidence is None unless the point
-    passes the dual gate: the bootstrap is skipped when the variance gate
-    fails and cut short once tau_conf is out of reach.
+    With `gate=(tau_conf, tau_var)` only the dual gate's decision is drawn:
+    the bootstrap is skipped when the variance gate fails and cut short once
+    tau_conf is out of reach.
     """
+    if resamples < 1:
+        raise ValueError("need at least one resample")
     idx, vals, cuts = _observed_cuts(instance, counts)
     first, var_normalized = _cut_moments(instance, vals, cuts)
     mode_idx = int(vals.argmax())
-    if gate is None:
-        confidence = _bootstrap_confidence(vals, resamples, seed)
-    elif var_normalized > gate[1]:
-        confidence = None
-    else:
-        confidence = _bootstrap_confidence(vals, resamples, seed, floor=gate[0])
-    return EvalStats(
+    confidence = None if gate is None or var_normalized > gate[1] else \
+        _bootstrap_confidence(vals, resamples, seed, floor=gate[0])
+    stats = EvalStats(
         mode=index_to_bits(int(idx[mode_idx]), instance.n),
         mode_cut=float(cuts[mode_idx]),
-        confidence=confidence,
         var_normalized=var_normalized,
         expectation_estimate=first,
         distinct=len(idx),
+        support_counts=vals,
+        resamples=resamples,
+        bootstrap_seed=seed,
+        passed=None if gate is None else dual_gate(confidence, var_normalized, *gate),
     )
+    if confidence is not None:
+        vars(stats)["confidence"] = confidence  # fills the cached_property's slot
+    return stats

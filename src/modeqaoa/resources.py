@@ -6,8 +6,7 @@ phase, circuit evaluations, and the classical post-processing surrogates
 draws).  Savings ratios compare a fixed-shot ledger against an adaptive one.
 
 `bootstrap_ops` is the paper's modelled charge, B resamples times K distinct
-keys for every evaluated adaptive round, not the number of resample rows
-drawn: the allocator skips or cuts short the bootstrap on rounds that reject.
+keys for every evaluated adaptive round, not the resample rows actually drawn.
 """
 from __future__ import annotations
 

@@ -4,14 +4,8 @@ One point evaluation computes the outcome distribution once, then draws shot
 batches from it: a pilot batch, then geometrically growing batches capped by
 the per-point budget.  After every batch the gate statistics are recomputed on
 the merged histogram; sampling stops as soon as mode confidence and normalized
-cut variance both clear their thresholds, or the budget is exhausted.
-
-A round's statistics are kept only when that round accepts the point or
-exhausts the budget, and which one it is is known before they are computed.
-So every earlier round asks `compute_stats` for the gate's decision alone
-(`gate=`), which skips or cuts short the bootstrap on a point that fails; an
-accepting round still draws every resample, and the last round computes the
-full statistics, so the returned stats never depend on the shortcut.
+cut variance both clear their thresholds, or the budget is exhausted.  Every
+round asks `compute_stats` for the gate's decision alone.
 
 With the defaults (pilot 100, growth 2.0, cap 1200) the batch sizes are
 exactly 100, 200, 400, 500.
@@ -22,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Counts, EvalStats, compute_stats, dual_gate
+from .estimators import Counts, EvalStats, compute_stats
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
 from .simulator import NoiseSpec, QaoaParams, outcome_distribution, sample
@@ -89,15 +83,14 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
         spent += batch
         ledger.optimization_shots += batch
         ledger.classical_count_ops += batch
-        last = spent >= cfg.max_shots
         stats = compute_stats(instance, counts, cfg.bootstrap_resamples, boot_seed,
-                              gate=None if last else (cfg.tau_conf, cfg.tau_var))
+                              gate=(cfg.tau_conf, cfg.tau_var))
         # the paper's modelled B*K charge per round, not the rows actually drawn
         ledger.bootstrap_ops += cfg.bootstrap_resamples * counts.distinct
-        if dual_gate(stats.confidence, stats.var_normalized, cfg.tau_conf, cfg.tau_var):
+        if stats.passed:
             accepted = True
             break
-        if last:
+        if spent >= cfg.max_shots:
             break
         batch = next_batch(batch, spent, cfg)
     # merged histograms only grow, so each distinct key's cut is paid for once

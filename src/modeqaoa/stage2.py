@@ -15,8 +15,8 @@ import numpy as np
 from .graph import MaxCutInstance, bits_to_index
 from .resources import ResourceLedger
 from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
-                        distribution, gate_coefficient as _gate_coefficient,
-                        outcome_distribution, sample, shift_rule_gradient)
+                        distribution, gate_coefficient, outcome_distribution,
+                        sample, shift_rule_gradient)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     else:
         kind, layer, g_k = "gamma", k - depth, instance.num_edges
     index = int(rng.integers(g_k))
-    coeff = _gate_coefficient(instance, kind, index)
+    coeff = gate_coefficient(instance, kind, index)
     values = []
     for sign in (1.0, -1.0):
         gs = GateShift(kind, layer, index, sign * np.pi / 2)

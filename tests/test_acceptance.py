@@ -135,14 +135,13 @@ def test_criterion_3_gradient_oracle():
     sp = QaoaParams((0.57,), (1.19,))
     target = small.optimum[0]
     exact = exact_gradient(small, sp, target)
-    from modeqaoa.simulator import GateShift
-    from modeqaoa.stage2 import _gate_coefficient
+    from modeqaoa.simulator import GateShift, gate_coefficient
     avg = np.zeros(2)
     for k in range(2):
         kind = "beta" if k == 0 else "gamma"
         count = small.n if k == 0 else small.num_edges
         for index in range(count):
-            coeff = _gate_coefficient(small, kind, index)
+            coeff = gate_coefficient(small, kind, index)
             plus = target_probability(small, sp, target,
                                       shift=GateShift(kind, 0, index, np.pi / 2))
             minus = target_probability(small, sp, target,

@@ -9,7 +9,9 @@ from modeqaoa.bo import (
     run_result_to_dict, search_bounds, should_stop, split_good_bad, suggest,
     trials_to_jsonl,
 )
+from modeqaoa import estimators
 from modeqaoa.graph import complete_graph, random_regular, with_optimum
+from modeqaoa.shots import AdaptiveConfig
 from modeqaoa.simulator import QaoaParams
 
 
@@ -165,3 +167,28 @@ def test_run_result_to_dict_shape(square):
     assert d["trials"] == len(res.trials)
     assert len(d["best_theta"]) == 2
     json.dumps(d)  # serializable
+
+
+def test_unread_confidence_is_never_drawn(monkeypatch):
+    floors = []
+    real = estimators._bootstrap_confidence
+
+    def counting(vals, resamples, seed, floor=None):
+        floors.append(floor)
+        return real(vals, resamples, seed, floor)
+
+    monkeypatch.setattr(estimators, "_bootstrap_confidence", counting)
+    inst = with_optimum(random_regular(6, 3, seed=6))
+    # loose thresholds, so that the run has accepted and rejected points
+    res = optimize_map_bo(inst, depth=2, t_max=30, seed=4,
+                          adaptive_cfg=AdaptiveConfig(tau_conf=0.6, tau_var=0.05))
+    accepted = sum(t.accepted for t in res.trials)
+    assert 0 < accepted < len(res.trials)
+    assert floors and None not in floors
+    # a read draws the full bootstrap once per rejected point and once for the
+    # final evaluation; an accepted point's exact value was stored by its gate
+    del floors[:]
+    first = [t.stats.confidence for t in res.trials] + [res.final_eval.confidence]
+    assert floors == [None] * (len(res.trials) - accepted + 1)
+    assert [t.stats.confidence for t in res.trials] + [res.final_eval.confidence] == first
+    assert len(floors) == len(res.trials) - accepted + 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from modeqaoa.estimators import (
-    Counts, EvalStats, _bootstrap_confidence, compute_stats, dual_gate, expectation_estimate, map_objective,
+    Counts, _bootstrap_confidence, compute_stats, dual_gate, expectation_estimate, map_objective,
     mode_confidence, mode_of, normalized_cut_variance,
 )
 from modeqaoa.graph import MaxCutInstance, cut_value, index_to_bits
@@ -178,17 +178,45 @@ def test_compute_stats_gate(six_reg):
     counts = Counts.from_histogram({"000111": 40, "111000": 35, "010101": 15, "000000": 10})
     full = compute_stats(six_reg, counts, resamples=400, seed=3)
     assert full.var_normalized > 0.0
-    # a failed variance gate skips the bootstrap whatever tau_conf is
+    assert full.passed is None
+    # a failed variance gate rejects whatever tau_conf is; a later read of the
+    # confidence still gives exactly the ungated value
     failed_var = compute_stats(six_reg, counts, resamples=400, seed=3,
                                gate=(1e-9, full.var_normalized / 2))
-    assert failed_var.confidence is None
-    assert failed_var == EvalStats(**{**vars(full), "confidence": None})
-    # out-of-reach tau_conf: None; a passing gate keeps the exact confidence
-    assert compute_stats(six_reg, counts, resamples=400, seed=3,
-                         gate=(full.confidence + 1e-6, 1.0)).confidence is None
-    assert compute_stats(six_reg, counts, resamples=400, seed=3,
-                         gate=(full.confidence, full.var_normalized)) == full
+    assert failed_var.passed is False
+    assert failed_var == full
+    assert failed_var.confidence == full.confidence
+    # out-of-reach tau_conf rejects; a passing gate keeps the exact confidence
+    out_of_reach = compute_stats(six_reg, counts, resamples=400, seed=3,
+                                 gate=(full.confidence + 1e-6, 1.0))
+    assert out_of_reach.passed is False
+    assert out_of_reach == full
+    assert out_of_reach.confidence == full.confidence
+    passing = compute_stats(six_reg, counts, resamples=400, seed=3,
+                            gate=(full.confidence, full.var_normalized))
+    assert passing.passed is True
+    assert passing == full
+    assert passing.confidence == full.confidence
     assert not dual_gate(None, 0.0, 0.5, 0.02)
+
+
+@given(st.dictionaries(st.integers(0, 15), st.integers(1, 60), min_size=1),
+       st.integers(1, 300), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lazy_confidence_matches_eager(hist, resamples, seed, data):
+    square = MaxCutInstance.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0),
+                                           (2, 3, 1.0), (0, 3, 1.0)])
+    counts = Counts.from_histogram({index_to_bits(k, 4): v for k, v in hist.items()})
+    eager = mode_confidence(counts, resamples, seed)
+    var = normalized_cut_variance(square, counts)
+    # thresholds at the eager values make accepting and rejecting points alike
+    tau_conf = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                                   st.just(eager)))
+    tau_var = data.draw(st.one_of(st.floats(0.0, 1.0), st.just(var)))
+    stats = compute_stats(square, counts, resamples, seed, gate=(tau_conf, tau_var))
+    assert stats.passed == dual_gate(eager, var, tau_conf, tau_var)
+    assert stats.confidence == eager
+    assert compute_stats(square, counts, resamples, seed).confidence == eager
 
 
 def test_dual_gate_boundaries():

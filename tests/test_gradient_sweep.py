@@ -11,10 +11,10 @@ from modeqaoa.graph import (MaxCutInstance, assign_weights, bits_to_index,
                             cut_values_table, random_regular, with_optimum)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
-    GateShift, NoiseSpec, QaoaParams, evolve, exact_expectation,
+    GateShift, NoiseSpec, QaoaParams, evolve, exact_expectation, gate_coefficient,
     outcome_distribution, sample, shift_rule_gradient, shifted_states,
 )
-from modeqaoa.stage2 import _gate_coefficient, exact_gradient
+from modeqaoa.stage2 import exact_gradient
 
 PARAMS = {
     1: QaoaParams((0.41,), (1.3,)),
@@ -110,7 +110,7 @@ def oracle_parameter_shift(instance, params, shots, noise, seed, ledger):
                 ledger.classical_cut_ops += part
                 ledger.record_point(part, counts.distinct)
                 values.append(expectation_estimate(instance, counts))
-        grad[k] += _gate_coefficient(instance, kind, index) * (values[0] - values[1])
+        grad[k] += gate_coefficient(instance, kind, index) * (values[0] - values[1])
     return grad
 
 
@@ -122,7 +122,7 @@ def oracle_target_gradient(instance, params, target, noise):
                                        shift=GateShift(kind, layer, index, a))
                   [bits_to_index(target)])
             for a in (np.pi / 2, -np.pi / 2))
-        grad[k] += _gate_coefficient(instance, kind, index) * (plus - minus)
+        grad[k] += gate_coefficient(instance, kind, index) * (plus - minus)
     return grad
 
 
@@ -135,7 +135,7 @@ def test_swept_states_equal_evolve(weighted6, depth):
             for sign in (1.0, -1.0)]
     assert [(s.kind, s.layer, s.index, s.angle) for s, _, _ in swept] == want
     for shift, coeff, state in swept:
-        assert coeff == _gate_coefficient(weighted6, shift.kind, shift.index)
+        assert coeff == gate_coefficient(weighted6, shift.kind, shift.index)
         assert np.array_equal(state, evolve(weighted6, params, shift))
 
 

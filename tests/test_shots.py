@@ -204,6 +204,7 @@ def test_gated_rounds_match_full_statistics_oracle():
                     want = _evaluate_point_oracle(inst, params, noise, cfg, seed,
                                                   want_ledger)
                     assert got.stats == want.stats
+                    assert got.stats.confidence == want.stats.confidence
                     assert np.array_equal(got.counts.by_index, want.counts.by_index)
                     assert (got.shots_used, got.rounds, got.accepted) == \
                         (want.shots_used, want.rounds, want.accepted)

@@ -70,8 +70,7 @@ def test_randomized_estimator_enumeration_average(small):
     depth = params.depth
     cfg = AmplifyConfig(use_exact=True)
 
-    from modeqaoa.simulator import GateShift
-    from modeqaoa.stage2 import _gate_coefficient
+    from modeqaoa.simulator import GateShift, gate_coefficient
 
     avg = np.zeros(2 * depth)
     for k in range(2 * depth):
@@ -81,7 +80,7 @@ def test_randomized_estimator_enumeration_average(small):
             kind, layer, g_k = "gamma", k - depth, small.num_edges
         acc = 0.0
         for index in range(g_k):
-            coeff = _gate_coefficient(small, kind, index)
+            coeff = gate_coefficient(small, kind, index)
             plus = target_probability(small, params, bits,
                                       shift=GateShift(kind, layer, index, np.pi / 2))
             minus = target_probability(small, params, bits,
