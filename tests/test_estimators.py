@@ -209,10 +209,11 @@ def test_lazy_confidence_matches_eager(hist, resamples, seed, data):
     counts = Counts.from_histogram({index_to_bits(k, 4): v for k, v in hist.items()})
     eager = mode_confidence(counts, resamples, seed)
     var = normalized_cut_variance(square, counts)
-    # thresholds at the eager values make accepting and rejecting points alike
-    tau_conf = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True),
-                                   st.just(eager)))
-    tau_var = data.draw(st.one_of(st.floats(0.0, 1.0), st.just(var)))
+    # thresholds at and next to the eager values accept and reject points alike
+    tau_conf = data.draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(
+        [f for f in (eager, np.nextafter(eager, 2.0)) if f <= 1.0])))
+    tau_var = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+        [f for f in (var, np.nextafter(var, 2.0), np.nextafter(var, -1.0)) if f >= 0.0])))
     stats = compute_stats(square, counts, resamples, seed, gate=(tau_conf, tau_var))
     assert stats.passed == dual_gate(eager, var, tau_conf, tau_var)
     assert stats.confidence == eager
