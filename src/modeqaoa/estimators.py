@@ -98,8 +98,8 @@ class EvalStats:
     expectation_estimate: float
     distinct: int
     support_counts: np.ndarray = field(repr=False, compare=False)
-    resamples: int = field(repr=False, compare=False)
-    bootstrap_seed: int = field(repr=False, compare=False)
+    resamples: int = field(repr=False)
+    bootstrap_seed: int = field(repr=False)
     passed: bool | None = field(default=None, compare=False)
 
     @cached_property

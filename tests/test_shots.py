@@ -134,6 +134,7 @@ def test_evaluate_point_deterministic():
                        ledger=ResourceLedger())
     assert a.counts.histogram == b.counts.histogram
     assert a.stats == b.stats
+    assert a.stats.confidence == b.stats.confidence
     c = evaluate_point(inst, params, None, AdaptiveConfig(), seed=10,
                        ledger=ResourceLedger())
     assert c.counts.histogram != a.counts.histogram
