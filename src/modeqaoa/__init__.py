@@ -12,8 +12,8 @@ from .baselines import (GdConfig, fixed_shot_expectation_eval, optimize_exp_bo,
 from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, optimize_map_bo,
                  search_bounds, should_stop, split_good_bad, suggest)
 from .estimators import (Counts, EvalStats, compute_stats, dual_gate,
-                         expectation_estimate, map_objective, mode_confidence,
-                         mode_of, normalized_cut_variance)
+                         expectation_estimate, mode_confidence, mode_of,
+                         normalized_cut_variance)
 from .graph import (MaxCutInstance, assign_weights, brute_force_optimum,
                     complete_graph, cut_value, cut_values_table, random_regular,
                     with_optimum)

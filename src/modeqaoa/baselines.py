@@ -2,17 +2,8 @@
 
 Both charge a constant N_fix shots per expectation evaluation and, unlike the
 mode-objective pipeline, their classical post-processing is billed per raw
-shot rather than per distinct key.
-
-Gradients use the exact two-point rule per gate.  A layer angle multiplies a
-sum of commuting generators, so its derivative is the sum over the layer's
-gates of a_g * [f(phi_g + pi/2) - f(phi_g - pi/2)] in each gate's half-turn
-angle phi, with a_g = w_e/2 for an edge gate and 1 for a mixer gate.  The
-shifted circuits share their unshifted prefixes (simulator.shifted_states),
-so a gradient costs far fewer float operations than 2 * 2p * (n + m) full
-evolutions while producing bit-identical states.  Each gate's + and - circuits
-run through the rest of the circuit as one two-row stack, which halves the
-mixer-kernel calls of a gradient.
+shot rather than per distinct key.  Gradients use the exact two-point rule per
+gate (simulator.shift_rule_gradient).
 """
 from __future__ import annotations
 

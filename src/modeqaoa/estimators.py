@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import (MAX_BRUTE_FORCE_N, MaxCutInstance, bits_to_index, cut_value,
-                    cut_values_table, index_to_bits)
+from .graph import (MAX_BRUTE_FORCE_N, MaxCutInstance, bits_to_index, cut_values_table,
+                    index_to_bits)
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
 
@@ -172,10 +172,6 @@ def mode_of(counts: Counts) -> str:
     if not counts.by_index.any():
         raise ValueError("empty histogram has no mode")
     return index_to_bits(int(counts.by_index.argmax()), counts.n)
-
-
-def map_objective(instance: MaxCutInstance, counts: Counts) -> float:
-    return cut_value(instance, mode_of(counts))
 
 
 def expectation_estimate(instance: MaxCutInstance, counts: Counts) -> float:

@@ -3,28 +3,14 @@
 The cost layer is diagonal, so one layer costs an elementwise phase over the
 2^n cut values plus n independent single-qubit X rotations.  Basis index bit 0
 is the most significant bit and belongs to vertex 0 (see graph module).
-
-Mixer kernel: `_apply_mixer` always rotates the top index bit, whose two
-halves are contiguous, and writes the result interleaved so that bit becomes
-the lowest.  The index bits therefore rotate by one per mixer, and the n
-mixers of a layer, run on qubits 0..n-1 in order, hand the next layer the
-usual layout.  The kernel works on the last axis, so a stack of states goes
-through in one call.
-
-Gate-level shifts: every gate can be written exp(-i * (phi/2) * P) with P
-involutory; for an edge gate phi = gamma * w, for a mixer gate phi = 2 * beta.
-A GateShift displaces one gate's half-turn angle phi, which is what the
-parameter-shift estimators in baselines and stage2 need.  `shifted_states`
-enumerates every +-pi/2 gate shift while sharing the unshifted prefix of the
-circuit and running each gate's + and - states through the rest of the
-circuit as one (2, 2^n) stack, and `shift_rule_gradient` folds those shifts
-into a gradient.
 """
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice, product
 
 import numpy as np
 
@@ -32,6 +18,7 @@ from .estimators import Counts
 from .graph import Edge, MaxCutInstance, cut_values_table
 
 MAX_QUBITS = 24
+SHIFT_ANGLES = (np.pi / 2.0, -np.pi / 2.0)  # + before -
 
 
 @dataclass(frozen=True)
@@ -104,16 +91,14 @@ class GateShift:
 
 def gate_coefficient(instance: MaxCutInstance, kind: str, index: int) -> float:
     """d(theta_k)/d(phi_gate) times the 1/2 of the two-point rule."""
-    if kind == "beta":
-        return 1.0
-    return instance.edges[index][2] / 2.0
+    return 1.0 if kind == "beta" else instance.edges[index][2] / 2.0
 
 
 def _check_size(n: int, states: int) -> None:
     """Refuse n above the cap before any state is allocated.
 
     `states` is the peak number of complex 2^n arrays the call holds; the
-    cached cut table and edge indicators (8 B per entry each) come on top.
+    cached cut table (8 B per entry) and edge indicators (1 B) come on top.
     """
     if n > MAX_QUBITS:
         per_state = 2**n * 16
@@ -125,26 +110,27 @@ def _check_size(n: int, states: int) -> None:
 
 @lru_cache(maxsize=256)
 def _edge_indicator(n: int, edges: tuple[Edge, ...], edge_index: int) -> np.ndarray:
+    """Whether the edge is cut, per basis index, as one byte per entry."""
     u, v, _ = edges[edge_index]
     idx = np.arange(2**n, dtype=np.int64)
-    ind = ((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1
+    ind = (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1).astype(bool)
     ind.flags.writeable = False
     return ind
 
 
-def _edge_phases(n: int, edges: tuple[Edge, ...], edge_index: int,
-                 angles: tuple[float, ...]) -> np.ndarray:
-    """exp(-1j * angle * indicator) per angle, one row each.
+def _edge_phases(n: int, edges: tuple[Edge, ...], edge_index: int) -> np.ndarray:
+    """exp(-1j * angle * indicator) per angle of SHIFT_ANGLES, one row each.
 
     The indicator takes only the values 0 and 1, so each row is gathered from
     the phase of those two values: the same elements as the full exponential.
     """
-    table = np.array([np.exp(-1j * angle * np.array([0.0, 1.0])) for angle in angles])
+    table = np.array([np.exp(-1j * angle * np.array([0.0, 1.0])) for angle in SHIFT_ANGLES])
     return np.take(table, _edge_indicator(n, edges, edge_index), axis=1)
 
 
 def _apply_mixer(amps: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i beta X) on the top index bit of each row, moved to the bottom.
+    """exp(-i beta X) on the top index bit of each row (a stack of states goes
+    through in one call), moved to the bottom.
 
     The two halves of the top bit are contiguous, and the result is written
     interleaved, so its index bits are the input's rotated left by one.  n
@@ -164,29 +150,76 @@ def _apply_mixer(amps: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def evolve(instance: MaxCutInstance, params: QaoaParams,
-           shift: GateShift | None = None) -> np.ndarray:
-    """Statevector after p alternating layers applied to the uniform superposition."""
-    n = instance.n
-    _check_size(n, 4)  # the state, the mixer's output and its two products
-    if shift is not None and not 0 <= shift.layer < params.depth:
-        raise ValueError(f"shift layer {shift.layer} out of range")
+def _start(instance: MaxCutInstance, params: QaoaParams) -> tuple[Iterator, np.ndarray]:
+    """Lazy cost phases of layers 1.., and the state after layer 0's cost phase."""
     cuts = cut_values_table(instance)
-    amps = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
-    for layer in range(params.depth):
-        amps = amps * np.exp(-1j * params.gammas[layer] * cuts)
-        if shift is not None and shift.kind == "gamma" and shift.layer == layer:
-            if not 0 <= shift.index < instance.num_edges:
-                raise ValueError(f"edge index {shift.index} out of range")
-            # shifting phi_e = gamma * w_e adds a pure indicator phase
-            amps = amps * _edge_phases(n, instance.edges, shift.index, (shift.angle,))[0]
-        for q in range(n):
-            beta = params.betas[layer]
-            if shift is not None and shift.kind == "beta" \
-                    and shift.layer == layer and shift.index == q:
-                beta = beta + shift.angle / 2.0  # phi = 2*beta
-            amps = _apply_mixer(amps, beta)
-    return amps
+    phases = (np.exp(-1j * gamma * cuts) for gamma in params.gammas)
+    return phases, np.full(cuts.size, 2.0 ** (-instance.n / 2), dtype=complex) * next(phases)
+
+
+def _walk(phases: Iterator[np.ndarray], amps: np.ndarray, params: QaoaParams,
+          layer: int = 0, first: int = 0) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (layer, q, amps) before each mixer q, then (depth, 0, final amps).
+
+    `amps` (one state or a stack) enters just before mixer `first` of `layer`,
+    after that layer's cost phase; `phases` yields each later layer's phase.
+    evolve, shifted_pair and shifted_states all run this one layer loop."""
+    n = amps.shape[-1].bit_length() - 1
+    for later in range(layer, params.depth):
+        if later > layer:
+            amps = amps * next(phases)
+        for q in range(first if later == layer else 0, n):
+            yield later, q, amps
+            amps = _apply_mixer(amps, params.betas[later])
+    yield params.depth, 0, amps
+
+
+def _final(walk: Iterator[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    return deque(walk, maxlen=1).pop()[2]
+
+
+def _shifted_stack(instance: MaxCutInstance, params: QaoaParams,
+                   phases: Iterator[np.ndarray], kind: str, layer: int, index: int,
+                   amps: np.ndarray) -> np.ndarray:
+    """Final states of one gate's +pi/2 and -pi/2 shift, as a (2, 2^n) stack.
+
+    Every gate is exp(-i * (phi/2) * P) with P involutory: phi = 2 * beta for
+    the mixer on qubit `index`, phi = gamma * w for edge `index`.  `amps` is
+    the unshifted state where the gate acts: just before the mixer, which then
+    runs at beta +- pi/4, or just after the edge's cost phase, which then gains
+    a phase on the edge's cut indicator.  The two states run on as one stack,
+    a temporary, so each kernel call frees its input.
+    """
+    if kind == "beta":
+        beta = params.betas[layer]
+        return _final(_walk(phases, np.stack([_apply_mixer(amps, beta + angle / 2.0)
+                                              for angle in SHIFT_ANGLES]),
+                            params, layer, index + 1))
+    return _final(_walk(phases, amps * _edge_phases(instance.n, instance.edges, index),
+                        params, layer))
+
+
+def evolve(instance: MaxCutInstance, params: QaoaParams) -> np.ndarray:
+    """Statevector after p alternating layers applied to the uniform superposition."""
+    _check_size(instance.n, 4)  # the state, the mixer's output and its two products
+    return _final(_walk(*_start(instance, params), params))
+
+
+def shifted_pair(instance: MaxCutInstance, params: QaoaParams, kind: str,
+                 layer: int, index: int) -> np.ndarray:
+    """One gate's `shifted_states` pair as a (2, 2^n) stack, bit for bit;
+    `index` is the qubit of a "beta" gate or the edge of a "gamma" gate.  Keeps
+    at most 9 state-sized arrays: the unshifted state where the gate acts and
+    a mixer on the stack."""
+    count = {"beta": instance.n, "gamma": instance.num_edges}.get(kind, 0)
+    if not (0 <= layer < params.depth and 0 <= index < count):
+        raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {params.depth}")
+    _check_size(instance.n, 9)
+    phases, amps = _start(instance, params)
+    at = (layer, index if kind == "beta" else 0)
+    # the prefix walk takes the phases of layers up to `layer`, the stack the rest
+    amps = next(a for i, q, a in _walk(phases, amps, params) if (i, q) == at)
+    return _shifted_stack(instance, params, phases, kind, layer, index, amps)
 
 
 def shifted_states(instance: MaxCutInstance, params: QaoaParams
@@ -194,53 +227,33 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     """(shift, gate coefficient, state) for every +-pi/2 gate shift.
 
     Order: search coordinate k = [betas, gammas], then gate within k, then +
-    before -.  Each state equals evolve(instance, params, shift) bit for bit:
-    the same float operations run in the same order, but the unshifted prefix
-    is computed once.  A mixer shift on qubit q continues from the running
-    state after the layer's mixers 0..q-1; an edge shift continues from the
-    stored state right after the layer's cost phase.  The + and - states of a
-    gate then run through the remaining mixers and layers as one (2, 2^n)
-    stack, whose rows are yielded.
+    before -.  Each pair equals shifted_pair's, but the unshifted prefix is
+    computed once: a mixer shift branches off the running state, an edge shift
+    off the stored state right after its layer's cost phase.
 
-    Keeps at most 2 * depth + 11 state-sized arrays: the layer phase vectors
-    and after-cost states (2 * depth), the running state (1), a mixer on the
-    stack (its input, output and two products, 2 each) and the previous
+    Keeps at most 2 * depth + 10 state-sized arrays: the phases of layers 1..
+    and the after-cost states (2 * depth - 1), the running state (1), a mixer
+    on the stack (its input, output and two products, 2 each) and the previous
     stack, which a caller holding the last yielded state keeps alive (2).
     """
-    n = instance.n
     depth = params.depth
-    _check_size(n, 2 * depth + 11)
-    cuts = cut_values_table(instance)
-    phases = [np.exp(-1j * gamma * cuts) for gamma in params.gammas]
-    angles = (np.pi / 2.0, -np.pi / 2.0)
+    _check_size(instance.n, 2 * depth + 10)
+    later, amps = _start(instance, params)
+    phases = list(later)  # layers 1.., shared by every continuation
 
-    def finish(kind, layer, index, pair, first=0):
-        # pair is the (2, 2^n) stack just before mixer `first` of `layer`; it
-        # is passed as a temporary, so each kernel call frees its input
-        for later in range(layer, depth):
-            if later > layer:
-                pair = pair * phases[later]
-            for _ in range(first if later == layer else 0, n):
-                pair = _apply_mixer(pair, params.betas[later])
+    def pair(kind, layer, index, at):
         coeff = gate_coefficient(instance, kind, index)
-        for angle, state in zip(angles, pair):
+        states = _shifted_stack(instance, params, iter(phases[layer:]), kind, layer, index, at)
+        for angle, state in zip(SHIFT_ANGLES, states):
             yield GateShift(kind, layer, index, angle), coeff, state
 
     after_cost = []
-    amps = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
-    for layer in range(depth):
-        amps = amps * phases[layer]
-        after_cost.append(amps)
-        beta = params.betas[layer]
-        for q in range(n):
-            yield from finish("beta", layer, q, np.stack(
-                [_apply_mixer(amps, beta + angle / 2.0) for angle in angles]),  # phi = 2*beta
-                q + 1)
-            amps = _apply_mixer(amps, beta)
-    for layer in range(depth):
-        for e in range(instance.num_edges):
-            yield from finish("gamma", layer, e, after_cost[layer]
-                              * _edge_phases(n, instance.edges, e, angles))
+    for layer, q, amps in islice(_walk(iter(phases), amps, params), depth * instance.n):
+        if q == 0:
+            after_cost.append(amps)
+        yield from pair("beta", layer, q, amps)
+    for layer, e in product(range(depth), range(instance.num_edges)):
+        yield from pair("gamma", layer, e, after_cost[layer])
 
 
 def shift_rule_gradient(instance: MaxCutInstance, params: QaoaParams,
@@ -278,9 +291,8 @@ def apply_depolarizing(dist: np.ndarray, noise: NoiseSpec | None) -> np.ndarray:
 
 
 def outcome_distribution(instance: MaxCutInstance, params: QaoaParams,
-                         noise: NoiseSpec | None = None,
-                         shift: GateShift | None = None) -> np.ndarray:
-    return apply_depolarizing(distribution(evolve(instance, params, shift)), noise)
+                         noise: NoiseSpec | None = None) -> np.ndarray:
+    return apply_depolarizing(distribution(evolve(instance, params)), noise)
 
 
 def sample(dist: np.ndarray, shots: int, seed: int) -> Counts:

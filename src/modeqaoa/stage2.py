@@ -2,9 +2,9 @@
 
 After the search has fixed a candidate string, its probability p_theta(z_tar)
 is pushed up by stochastic ascent: each step picks one search coordinate and
-one gate under it uniformly at random, measures the two-point gate shift of
-the target probability, and rescales by the gate count G_k so the estimate is
-an unbiased single-coordinate gradient.  Adam updates only that coordinate.
+one gate under it uniformly at random, measures the target probability on the
+gate's shifted pair (simulator.shifted_pair), and rescales by the gate count
+G_k: an unbiased single-coordinate gradient.  Adam updates that coordinate.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .graph import MaxCutInstance, bits_to_index
 from .resources import ResourceLedger
 from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
                         distribution, gate_coefficient, outcome_distribution,
-                        sample, shift_rule_gradient)
+                        sample, shift_rule_gradient, shifted_pair)
 
 
 @dataclass(frozen=True)
@@ -39,29 +39,28 @@ class AmplifyConfig:
             raise ValueError("reeval_period must be >= 1")
 
 
-def target_probability(instance: MaxCutInstance, params: QaoaParams, target: str,
-                       noise: NoiseSpec | None = None, shots: int | None = None,
-                       seed: int | None = None,
-                       shift: GateShift | None = None) -> float:
-    """p_theta(z_tar), exact from the distribution or as a sampled frequency."""
-    if len(target) != instance.n:
+def _read_target(dist: np.ndarray, target: str, shots: int | None = None,
+                 seed: int | None = None) -> float:
+    """p(target) from `dist`, exactly or as its sampled frequency in `shots` shots."""
+    if 2 ** len(target) != dist.size:
         raise ValueError("target length must equal n")
-    dist = outcome_distribution(instance, params, noise, shift=shift)
     if shots is None:
         return float(dist[bits_to_index(target)])
-    counts = sample(dist, shots, seed)
-    return int(counts.by_index[bits_to_index(target)]) / shots
+    return int(sample(dist, shots, seed).by_index[bits_to_index(target)]) / shots
+
+
+def target_probability(instance: MaxCutInstance, params: QaoaParams, target: str,
+                       noise: NoiseSpec | None = None, shots: int | None = None,
+                       seed: int | None = None) -> float:
+    """p_theta(z_tar), exact from the distribution or as a sampled frequency."""
+    return _read_target(outcome_distribution(instance, params, noise), target, shots, seed)
 
 
 def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: str,
                    noise: NoiseSpec | None = None) -> np.ndarray:
     """Full gradient of p_theta(z_tar), every gate enumerated, exact distributions."""
-    if len(target) != instance.n:
-        raise ValueError("target length must equal n")
-    index = bits_to_index(target)
-
     def value(shift: GateShift, state: np.ndarray) -> float:
-        return float(apply_depolarizing(distribution(state), noise)[index])
+        return _read_target(apply_depolarizing(distribution(state), noise), target)
 
     return shift_rule_gradient(instance, params, value)
 
@@ -75,26 +74,18 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     depth = params.depth
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2 * depth))
-    if k < depth:
-        kind, layer, g_k = "beta", k, instance.n
-    else:
-        kind, layer, g_k = "gamma", k - depth, instance.num_edges
+    kind, layer = ("beta", k) if k < depth else ("gamma", k - depth)
+    g_k = instance.n if kind == "beta" else instance.num_edges
     index = int(rng.integers(g_k))
-    coeff = gate_coefficient(instance, kind, index)
+    shots = None if cfg.use_exact else cfg.shots_per_shift
     values = []
-    for sign in (1.0, -1.0):
-        gs = GateShift(kind, layer, index, sign * np.pi / 2)
-        ledger.circuit_evaluations += 1
-        if cfg.use_exact:
-            values.append(target_probability(instance, params, target, noise,
-                                             shift=gs))
-        else:
-            shot_seed = int(rng.integers(2**63))
-            values.append(target_probability(instance, params, target, noise,
-                                             shots=cfg.shots_per_shift,
-                                             seed=shot_seed, shift=gs))
-            ledger.stage2_shots += cfg.shots_per_shift
-    return k, g_k * coeff * (values[0] - values[1])
+    for state in shifted_pair(instance, params, kind, layer, index):
+        shot_seed = None if shots is None else int(rng.integers(2**63))
+        values.append(_read_target(apply_depolarizing(distribution(state), noise),
+                                   target, shots, shot_seed))
+    ledger.circuit_evaluations += 2
+    ledger.stage2_shots += 0 if shots is None else 2 * shots
+    return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])
 
 
 def amplify(instance: MaxCutInstance, params: QaoaParams, target: str,

@@ -1,8 +1,45 @@
+import numpy as np
 import pytest
 
 from modeqaoa.graph import (
-    MaxCutInstance, assign_weights, complete_graph, random_regular, with_optimum,
+    MaxCutInstance, assign_weights, complete_graph, cut_values_table, random_regular,
+    with_optimum,
 )
+
+
+def oracle_mixer(amps, n, qubit, beta):
+    """Per-qubit in-place exp(-i beta X) on qubit `qubit`, in the usual layout."""
+    if beta == 0.0:
+        return
+    c = np.cos(beta)
+    s = np.sin(beta)
+    view = amps.reshape(2**qubit, 2, -1)
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :]
+    view[:, 0, :] = c * a0 - 1j * s * a1
+    view[:, 1, :] = c * a1 - 1j * s * a0
+
+
+def oracle_evolve(instance, params, shift=None):
+    """Layer-by-layer evolution with the per-qubit mixer and a full edge phase;
+    `shift` (a GateShift) displaces one gate's half-turn angle."""
+    n = instance.n
+    cuts = cut_values_table(instance)
+    amps = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+    for layer in range(params.depth):
+        amps = amps * np.exp(-1j * params.gammas[layer] * cuts)
+        if shift is not None and shift.kind == "gamma" and shift.layer == layer:
+            u, v, _ = instance.edges[shift.index]
+            idx = np.arange(2**n, dtype=np.int64)
+            indicator = (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1).astype(float)
+            amps = amps * np.exp(-1j * shift.angle * indicator)
+        for q in range(n):
+            beta = params.betas[layer]
+            if shift is not None and shift.kind == "beta" \
+                    and shift.layer == layer and shift.index == q:
+                beta = beta + shift.angle / 2.0
+            oracle_mixer(amps, n, q, beta)
+    return amps
 
 
 @pytest.fixture

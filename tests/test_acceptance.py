@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from conftest import oracle_evolve
 from modeqaoa.baselines import optimize_exp_bo, parameter_shift_gradient
 from modeqaoa.bo import optimize_map_bo
 from modeqaoa.estimators import (
     Counts, compute_stats, dual_gate, mode_confidence, normalized_cut_variance,
 )
 from modeqaoa.graph import (
-    MaxCutInstance, assign_weights, cut_values_table, random_regular,
+    MaxCutInstance, assign_weights, bits_to_index, cut_values_table, random_regular,
     with_optimum,
 )
 from modeqaoa.resources import (
@@ -29,7 +30,7 @@ from modeqaoa.simulator import (
     NoiseSpec, QaoaParams, distribution, evolve, exact_expectation,
     outcome_distribution, sample,
 )
-from modeqaoa.stage2 import exact_gradient, target_probability
+from modeqaoa.stage2 import exact_gradient
 
 
 def report(num, ok, detail):
@@ -142,10 +143,10 @@ def test_criterion_3_gradient_oracle():
         count = small.n if k == 0 else small.num_edges
         for index in range(count):
             coeff = gate_coefficient(small, kind, index)
-            plus = target_probability(small, sp, target,
-                                      shift=GateShift(kind, 0, index, np.pi / 2))
-            minus = target_probability(small, sp, target,
-                                       shift=GateShift(kind, 0, index, -np.pi / 2))
+            plus, minus = (
+                float(distribution(oracle_evolve(small, sp, GateShift(kind, 0, index, angle)))
+                      [bits_to_index(target)])
+                for angle in (np.pi / 2, -np.pi / 2))
             # uniform gate pick (1/count) times the G_k=count rescale cancels
             avg[k] += coeff * (plus - minus)
     rand_err = float(np.max(np.abs(avg - exact)))

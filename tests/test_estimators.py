@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from modeqaoa.estimators import (
-    Counts, _bootstrap_confidence, compute_stats, dual_gate, expectation_estimate, map_objective,
+    Counts, _bootstrap_confidence, compute_stats, dual_gate, expectation_estimate,
     mode_confidence, mode_of, normalized_cut_variance,
 )
 from modeqaoa.graph import MaxCutInstance, cut_value, index_to_bits
@@ -86,11 +86,11 @@ def test_mode_tie_break():
         mode_of(Counts.from_histogram({}))
 
 
-def test_map_objective_is_mode_cut(square):
+def test_cut_of_mode(square):
     counts = Counts.from_histogram({"0101": 10, "0000": 9})
-    assert map_objective(square, counts) == 4.0
+    assert cut_value(square, mode_of(counts)) == 4.0
     counts = Counts.from_histogram({"0101": 9, "0000": 10})
-    assert map_objective(square, counts) == 0.0
+    assert cut_value(square, mode_of(counts)) == 0.0
 
 
 def test_expectation_estimate_weighted_mean(square):
@@ -231,7 +231,7 @@ def test_compute_stats_consistent_with_parts(six_reg):
     counts = Counts.from_histogram({"000111": 40, "111000": 35, "010101": 15, "000000": 10})
     stats = compute_stats(six_reg, counts, resamples=400, seed=3)
     assert stats.mode == mode_of(counts)
-    assert stats.mode_cut == map_objective(six_reg, counts)
+    assert stats.mode_cut == cut_value(six_reg, mode_of(counts))
     assert stats.expectation_estimate == pytest.approx(
         expectation_estimate(six_reg, counts))
     assert stats.var_normalized == pytest.approx(

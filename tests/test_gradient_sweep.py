@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_evolve
 from modeqaoa.baselines import _split_shots, parameter_shift_gradient
 from modeqaoa.estimators import expectation_estimate
 from modeqaoa.graph import (MaxCutInstance, assign_weights, bits_to_index,
-                            cut_values_table, random_regular, with_optimum)
+                            random_regular, with_optimum)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
-    GateShift, NoiseSpec, QaoaParams, evolve, exact_expectation, gate_coefficient,
-    outcome_distribution, sample, shift_rule_gradient, shifted_states,
+    GateShift, NoiseSpec, QaoaParams, _edge_indicator, apply_depolarizing, distribution,
+    evolve, exact_expectation, gate_coefficient, sample, shift_rule_gradient, shifted_pair,
+    shifted_states,
 )
 from modeqaoa.stage2 import exact_gradient
 
@@ -27,40 +29,6 @@ PARAMS = {
 @pytest.fixture
 def weighted6():
     return with_optimum(assign_weights(random_regular(6, 3, seed=2), "uniform", seed=4))
-
-
-def oracle_mixer(amps, n, qubit, beta):
-    """Per-qubit in-place exp(-i beta X) on qubit `qubit`, in the usual layout."""
-    if beta == 0.0:
-        return
-    c = np.cos(beta)
-    s = np.sin(beta)
-    view = amps.reshape(2**qubit, 2, -1)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = c * a0 - 1j * s * a1
-    view[:, 1, :] = c * a1 - 1j * s * a0
-
-
-def oracle_evolve(instance, params, shift=None):
-    """Layer-by-layer evolution with the per-qubit mixer and a full edge phase."""
-    n = instance.n
-    cuts = cut_values_table(instance)
-    amps = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
-    for layer in range(params.depth):
-        amps = amps * np.exp(-1j * params.gammas[layer] * cuts)
-        if shift is not None and shift.kind == "gamma" and shift.layer == layer:
-            u, v, _ = instance.edges[shift.index]
-            idx = np.arange(2**n, dtype=np.int64)
-            indicator = (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1).astype(float)
-            amps = amps * np.exp(-1j * shift.angle * indicator)
-        for q in range(n):
-            beta = params.betas[layer]
-            if shift is not None and shift.kind == "beta" \
-                    and shift.layer == layer and shift.index == q:
-                beta = beta + shift.angle / 2.0
-            oracle_mixer(amps, n, q, beta)
-    return amps
 
 
 def assert_same_bits(got, want):
@@ -98,7 +66,7 @@ def oracle_parameter_shift(instance, params, shots, noise, seed, ledger):
         values = []
         for sign in (1.0, -1.0):
             gs = GateShift(kind, layer, index, sign * np.pi / 2.0)
-            dist = outcome_distribution(instance, params, noise, shift=gs)
+            dist = apply_depolarizing(distribution(oracle_evolve(instance, params, gs)), noise)
             ledger.circuit_evaluations += 1
             if part is None:
                 values.append(exact_expectation(instance, dist))
@@ -118,8 +86,8 @@ def oracle_target_gradient(instance, params, target, noise):
     grad = np.zeros(2 * params.depth)
     for k, kind, layer, index in _gates(instance, params.depth):
         plus, minus = (
-            float(outcome_distribution(instance, params, noise,
-                                       shift=GateShift(kind, layer, index, a))
+            float(apply_depolarizing(distribution(
+                oracle_evolve(instance, params, GateShift(kind, layer, index, a))), noise)
                   [bits_to_index(target)])
             for a in (np.pi / 2, -np.pi / 2))
         grad[k] += gate_coefficient(instance, kind, index) * (plus - minus)
@@ -136,7 +104,25 @@ def test_swept_states_equal_evolve(weighted6, depth):
     assert [(s.kind, s.layer, s.index, s.angle) for s, _, _ in swept] == want
     for shift, coeff, state in swept:
         assert coeff == gate_coefficient(weighted6, shift.kind, shift.index)
-        assert np.array_equal(state, evolve(weighted6, params, shift))
+        assert np.array_equal(state, oracle_evolve(weighted6, params, shift))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_shifted_pair_equals_sweep_and_oracle(weighted6, depth):
+    params = PARAMS[depth]
+    swept = list(shifted_states(weighted6, params))
+    for (plus, _, plus_state), (minus, _, minus_state) in zip(swept[::2], swept[1::2]):
+        pair = shifted_pair(weighted6, params, plus.kind, plus.layer, plus.index)
+        assert pair.shape == (2, 2**weighted6.n)
+        assert_same_bits(pair[0], plus_state)
+        assert_same_bits(pair[1], minus_state)
+        assert_same_bits(pair[0], oracle_evolve(weighted6, params, plus))
+        assert_same_bits(pair[1], oracle_evolve(weighted6, params, minus))
+    for kind, layer, index in [("delta", 0, 0), ("beta", depth, 0), ("beta", -1, 0),
+                               ("beta", 0, weighted6.n), ("gamma", 0, weighted6.num_edges),
+                               ("gamma", 0, -1)]:
+        with pytest.raises(ValueError):
+            shifted_pair(weighted6, params, kind, layer, index)
 
 
 @pytest.mark.parametrize("weights", ["unit", "uniform"])
@@ -190,8 +176,10 @@ def test_size_check_precedes_allocation():
     params = QaoaParams((0.1, 0.2), (0.3, 0.4))
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
         evolve(inst, params)
-    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 15 of them \(7680 MiB\)"):
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 14 of them \(7168 MiB\)"):
         next(shifted_states(inst, params))
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 9 of them \(4608 MiB\)"):
+        shifted_pair(inst, params, "beta", 0, 0)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -204,7 +192,9 @@ def test_size_message_counts_peak_states(depth):
     # fill the cut-table and edge-indicator caches, which the counts leave out
     shift_rule_gradient(inst, params, lambda shift, state: 0.0)
     for count, run in ((4, lambda: evolve(inst, params)),
-                       (2 * depth + 11,
+                       (9, lambda: shifted_pair(inst, params, "beta", 0, 1)),
+                       (9, lambda: shifted_pair(inst, params, "gamma", 0, 1)),
+                       (2 * depth + 10,
                         lambda: shift_rule_gradient(inst, params, lambda shift, state: 0.0))):
         tracemalloc.start()
         try:
@@ -213,3 +203,14 @@ def test_size_message_counts_peak_states(depth):
         finally:
             tracemalloc.stop()
         assert count <= peak < count + 1
+
+
+def test_edge_indicators_hold_one_byte_per_entry():
+    inst = _regular(14, "uniform")
+    _edge_indicator.cache_clear()
+    shift_rule_gradient(inst, PARAMS[1], lambda shift, state: 0.0)
+    assert _edge_indicator.cache_info().currsize == inst.num_edges
+    for e in range(inst.num_edges):
+        indicator = _edge_indicator(inst.n, inst.edges, e)
+        assert indicator.nbytes <= 2**inst.n
+    assert _edge_indicator.cache_info().misses == inst.num_edges

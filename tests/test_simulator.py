@@ -6,8 +6,8 @@ from modeqaoa.graph import (
     assign_weights, cut_values_table, random_regular, with_optimum,
 )
 from modeqaoa.simulator import (
-    MAX_QUBITS, GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
-    distribution, evolve, exact_expectation, outcome_distribution, sample,
+    MAX_QUBITS, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
+    exact_expectation, outcome_distribution, sample, shifted_pair,
 )
 
 
@@ -92,8 +92,7 @@ def test_distribution_normalized(six_reg):
 def test_gate_shift_matches_manual_beta(square):
     # a mixer-gate shift of +pi/2 in gate angle is +pi/4 on that qubit's beta
     params = QaoaParams((0.4,), (1.1,))
-    shift = GateShift("beta", layer=0, index=2, angle=np.pi / 2)
-    shifted = evolve(square, params, shift)
+    shifted = shifted_pair(square, params, "beta", layer=0, index=2)[0]
 
     n = square.n
     dim = 2 ** n
@@ -116,8 +115,7 @@ def test_gate_shift_matches_manual_beta(square):
 def test_gate_shift_matches_manual_gamma(square):
     # an edge-gate shift multiplies in a phase on the cut indicator of that edge
     params = QaoaParams((0.4,), (1.1,))
-    shift = GateShift("gamma", layer=0, index=1, angle=np.pi / 2)
-    shifted = evolve(square, params, shift)
+    shifted = shifted_pair(square, params, "gamma", layer=0, index=1)[0]
 
     u, v, _ = square.edges[1]
     dim = 2 ** square.n

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from modeqaoa.graph import brute_force_optimum, random_regular, with_optimum
+from conftest import oracle_evolve
+from modeqaoa.graph import bits_to_index, brute_force_optimum, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
-from modeqaoa.simulator import QaoaParams, outcome_distribution
+from modeqaoa.simulator import (
+    GateShift, QaoaParams, distribution, gate_coefficient, outcome_distribution,
+)
 from modeqaoa.stage2 import (
     AmplifyConfig, amplify, exact_gradient, randomized_shift_gradient,
     target_probability,
@@ -68,9 +71,10 @@ def test_randomized_estimator_enumeration_average(small):
     bits, _ = brute_force_optimum(small)
     exact = exact_gradient(small, params, bits)
     depth = params.depth
-    cfg = AmplifyConfig(use_exact=True)
 
-    from modeqaoa.simulator import GateShift, gate_coefficient
+    def probability(kind, layer, index, angle):
+        state = oracle_evolve(small, params, GateShift(kind, layer, index, angle))
+        return float(distribution(state)[bits_to_index(bits)])
 
     avg = np.zeros(2 * depth)
     for k in range(2 * depth):
@@ -81,13 +85,26 @@ def test_randomized_estimator_enumeration_average(small):
         acc = 0.0
         for index in range(g_k):
             coeff = gate_coefficient(small, kind, index)
-            plus = target_probability(small, params, bits,
-                                      shift=GateShift(kind, layer, index, np.pi / 2))
-            minus = target_probability(small, params, bits,
-                                       shift=GateShift(kind, layer, index, -np.pi / 2))
+            plus = probability(kind, layer, index, np.pi / 2)
+            minus = probability(kind, layer, index, -np.pi / 2)
             acc += (1.0 / g_k) * g_k * coeff * (plus - minus)
         avg[k] = acc
     assert np.max(np.abs(avg - exact)) < 1e-12
+
+
+def test_randomized_gradient_checks_target_and_charges_ledger(small):
+    params = QaoaParams((0.6,), (1.3,))
+    bits, _ = brute_force_optimum(small)
+    ledger = ResourceLedger()
+    with pytest.raises(ValueError, match="target length"):
+        randomized_shift_gradient(small, params, bits + "0", AmplifyConfig(), None, 0, ledger)
+    assert ledger == ResourceLedger()
+    randomized_shift_gradient(small, params, bits, AmplifyConfig(use_exact=True), None, 0,
+                              ledger)
+    assert (ledger.circuit_evaluations, ledger.stage2_shots) == (2, 0)
+    randomized_shift_gradient(small, params, bits, AmplifyConfig(shots_per_shift=30), None, 0,
+                              ledger)
+    assert (ledger.circuit_evaluations, ledger.stage2_shots) == (4, 60)
 
 
 def test_randomized_estimator_sampled_mean(small):
