@@ -2,8 +2,8 @@
 
 Both charge a constant N_fix shots per expectation evaluation and, unlike the
 mode-objective pipeline, their classical post-processing is billed per raw
-shot rather than per distinct key.  Gradients use the exact two-point rule per
-gate (simulator.shift_rule_gradient).
+shot rather than per distinct key.  Gradients score the shifted outcome
+distributions of simulator.shift_rule_gradient, the two-point rule per gate.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # 
 from .graph import MaxCutInstance, cut_value
 from .resources import ResourceLedger
 from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
-                        distribution, exact_expectation, outcome_distribution,
-                        sample, shift_rule_gradient)
+                        exact_expectation, outcome_distribution, sample,
+                        shift_rule_gradient)
 
 DEFAULT_N_FIX = 1000
 
@@ -79,8 +79,8 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
                  "gamma": _split_shots(shots, instance.num_edges)}
     ss = np.random.SeedSequence(seed)
 
-    def value(shift: GateShift, state: np.ndarray) -> float:
-        dist = apply_depolarizing(distribution(state), noise)
+    def value(shift: GateShift, probs: np.ndarray) -> float:
+        dist = apply_depolarizing(probs, noise)
         ledger.circuit_evaluations += 1
         if shots is None:
             return exact_expectation(instance, dist)
@@ -131,6 +131,9 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     (2 * 2p + 1) * N_fix shots.
     """
     cfg = gd_cfg or GdConfig()
+    if not cfg.exact_gradient:
+        # a budget too small for the gradient's split fails before any charge
+        _split_shots(cfg.shots_per_eval, max(instance.n, instance.num_edges))
     ledger = ledger if ledger is not None else ResourceLedger()
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)

@@ -176,11 +176,9 @@ def mode_of(counts: Counts) -> str:
 
 def expectation_estimate(instance: MaxCutInstance, counts: Counts) -> float:
     _, vals, cuts = _observed_cuts(instance, counts)
-    # sequential sum in index order; a BLAS dot product may round differently
-    acc = 0.0
-    for v, c in zip(vals.tolist(), cuts.tolist()):
-        acc += v * c
-    return acc / counts.total
+    # cumsum adds strictly left to right in index order, as the sequential
+    # sum did; a dot product or np.sum may round differently
+    return float(np.cumsum(vals * cuts)[-1]) / counts.total
 
 
 def mode_confidence(counts: Counts, resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,

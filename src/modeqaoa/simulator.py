@@ -3,22 +3,25 @@
 The cost layer is diagonal, so one layer costs an elementwise phase over the
 2^n cut values plus n independent single-qubit X rotations.  Basis index bit 0
 is the most significant bit and belongs to vertex 0 (see graph module).
+Parameter-shift gradients branch one generator row per gate off the
+unshifted evolution (see _generator_row).
 """
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
 from .estimators import Counts
-from .graph import Edge, MaxCutInstance, cut_values_table
+from .graph import MaxCutInstance, cut_values_table
 
 MAX_QUBITS = 24
 SHIFT_ANGLES = (np.pi / 2.0, -np.pi / 2.0)  # + before -
+# bytes of generator rows per kernel call; bigger stacks ran slower (at n = 12,
+# 256 KiB stacks took about 3x as long: allocator trimming and cache misses)
+_STACK_BYTES = 128 * 2**10
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,8 @@ def _check_size(n: int, states: int) -> None:
     """Refuse n above the cap before any state is allocated.
 
     `states` is the peak number of complex 2^n arrays the call holds; the
-    cached cut table (8 B per entry) and edge indicators (1 B) come on top.
+    sweep's float |a|^2 (half a state) and the cached cut table (8 B per
+    entry) come on top.
     """
     if n > MAX_QUBITS:
         per_state = 2**n * 16
@@ -106,26 +110,6 @@ def _check_size(n: int, states: int) -> None:
             f"simulator capped at n={MAX_QUBITS}, got n={n}: one state is "
             f"2^{n} x 16 B = {per_state / 2**20:.0f} MiB and this call keeps "
             f"{states} of them ({states * per_state / 2**20:.0f} MiB)")
-
-
-@lru_cache(maxsize=256)
-def _edge_indicator(n: int, edges: tuple[Edge, ...], edge_index: int) -> np.ndarray:
-    """Whether the edge is cut, per basis index, as one byte per entry."""
-    u, v, _ = edges[edge_index]
-    idx = np.arange(2**n, dtype=np.int64)
-    ind = (((idx >> (n - 1 - u)) ^ (idx >> (n - 1 - v))) & 1).astype(bool)
-    ind.flags.writeable = False
-    return ind
-
-
-def _edge_phases(n: int, edges: tuple[Edge, ...], edge_index: int) -> np.ndarray:
-    """exp(-1j * angle * indicator) per angle of SHIFT_ANGLES, one row each.
-
-    The indicator takes only the values 0 and 1, so each row is gathered from
-    the phase of those two values: the same elements as the full exponential.
-    """
-    table = np.array([np.exp(-1j * angle * np.array([0.0, 1.0])) for angle in SHIFT_ANGLES])
-    return np.take(table, _edge_indicator(n, edges, edge_index), axis=1)
 
 
 def _apply_mixer(amps: np.ndarray, beta: float) -> np.ndarray:
@@ -150,129 +134,163 @@ def _apply_mixer(amps: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def _start(instance: MaxCutInstance, params: QaoaParams) -> tuple[Iterator, np.ndarray]:
-    """Lazy cost phases of layers 1.., and the state after layer 0's cost phase."""
+def _uniform(n: int) -> np.ndarray:
+    return np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+
+
+def _phases(instance: MaxCutInstance, params: QaoaParams) -> Iterator[np.ndarray]:
+    """Each layer's cost phase exp(-i gamma C), computed when it is reached."""
     cuts = cut_values_table(instance)
-    phases = (np.exp(-1j * gamma * cuts) for gamma in params.gammas)
-    return phases, np.full(cuts.size, 2.0 ** (-instance.n / 2), dtype=complex) * next(phases)
+    return (np.exp(-1j * gamma * cuts) for gamma in params.gammas)
 
 
-def _walk(phases: Iterator[np.ndarray], amps: np.ndarray, params: QaoaParams,
-          layer: int = 0, first: int = 0) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (layer, q, amps) before each mixer q, then (depth, 0, final amps).
-
-    `amps` (one state or a stack) enters just before mixer `first` of `layer`,
-    after that layer's cost phase; `phases` yields each later layer's phase.
+def _run(amps: np.ndarray, phases: Iterator[np.ndarray], betas: tuple[float, ...]
+         ) -> np.ndarray:
+    """`amps` (one state or a stack of rows) through one layer per beta, from
+    before its cost phase, the next item of `phases`, to after its mixers.
     evolve, shifted_pair and shifted_states all run this one layer loop."""
     n = amps.shape[-1].bit_length() - 1
-    for later in range(layer, params.depth):
-        if later > layer:
-            amps = amps * next(phases)
-        for q in range(first if later == layer else 0, n):
-            yield later, q, amps
-            amps = _apply_mixer(amps, params.betas[later])
-    yield params.depth, 0, amps
+    for beta in betas:
+        amps = amps * next(phases)
+        for _ in range(n):
+            amps = _apply_mixer(amps, beta)
+    return amps
 
 
-def _final(walk: Iterator[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    return deque(walk, maxlen=1).pop()[2]
+def _generator_row(instance: MaxCutInstance, kind: str, index: int, beta: float,
+                   after: np.ndarray) -> np.ndarray:
+    """The generator row b = P' m of one gate, from m = `after`, the state
+    after the mixers of the gate's layer.
 
+    Every gate is exp(-i (phi/2) P) with P involutory, so a +-pi/2 shift of
+    phi multiplies it by exp(-+i pi/4 P) = (I -+ iP)/sqrt(2) (the two-point
+    rule, Schuld et al. 2019, arXiv:1811.11184).  P commutes with the rest of
+    its cost phase or mixer layer, so the factor can act on m instead, as
+    (I -+ iP')/sqrt(2) with P' = P moved past the layer's mixers.  The later
+    layers take m to the unshifted final state a and b to a final row b', so
+    the shifted final states are (a -+ i b')/sqrt(2), with probabilities
+    p+- = (|a|^2 + |b'|^2)/2 +- Im(conj(a) b').  Each gate thus runs one row
+    through the later layers only, and a row of the last layer through none.
 
-def _shifted_stack(instance: MaxCutInstance, params: QaoaParams,
-                   phases: Iterator[np.ndarray], kind: str, layer: int, index: int,
-                   amps: np.ndarray) -> np.ndarray:
-    """Final states of one gate's +pi/2 and -pi/2 shift, as a (2, 2^n) stack.
-
-    Every gate is exp(-i * (phi/2) * P) with P involutory: phi = 2 * beta for
-    the mixer on qubit `index`, phi = gamma * w for edge `index`.  `amps` is
-    the unshifted state where the gate acts: just before the mixer, which then
-    runs at beta +- pi/4, or just after the edge's cost phase, which then gains
-    a phase on the edge's cut indicator.  The two states run on as one stack,
-    a temporary, so each kernel call frees its input.
+    Mixer gate on qubit q: P = X_q commutes with the mixers, so b is m with
+    bit q flipped.  Edge gate (u, v): the gate is exp(-i gamma w (1 - Z_u Z_v)/2),
+    so P = -Z_u Z_v up to the gate's global phase, and past R = exp(-i beta X)
+    on every qubit it becomes P' = -A_u A_v, where
+    A = R Z R^dagger = [[cos 2beta, i sin 2beta], [-i sin 2beta, -cos 2beta]].
     """
     if kind == "beta":
-        beta = params.betas[layer]
-        return _final(_walk(phases, np.stack([_apply_mixer(amps, beta + angle / 2.0)
-                                              for angle in SHIFT_ANGLES]),
-                            params, layer, index + 1))
-    return _final(_walk(phases, amps * _edge_phases(instance.n, instance.edges, index),
-                        params, layer))
+        return after.reshape(2**index, 2, -1)[:, ::-1].reshape(-1)
+    c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
+    u, v, _ = instance.edges[index]
+    row = after
+    for q, sign in ((v, 1.0), (u, -1.0)):
+        halves = row.reshape(2**q, 2, -1)
+        out = np.empty_like(halves)
+        out[:, 0] = sign * c * halves[:, 0] + (sign * 1j * s) * halves[:, 1]
+        out[:, 1] = (-sign * 1j * s) * halves[:, 0] - sign * c * halves[:, 1]
+        row = out.reshape(-1)
+    return row
+
+
+def _shift_probabilities(final: np.ndarray, final_sq: np.ndarray,
+                         rows: np.ndarray) -> np.ndarray:
+    """p+- of each final generator row (see _generator_row) as a
+    (2, *rows.shape) array, + first, from the unshifted final state and its
+    |.|^2.  Rounding below zero is clipped, since sampling refuses it."""
+    out = np.empty((2, *rows.shape))
+    half = rows.real ** 2
+    half += rows.imag ** 2
+    half += final_sq
+    half *= 0.5
+    cross = final.real * rows.imag
+    cross -= final.imag * rows.real
+    np.add(half, cross, out=out[0])
+    np.subtract(half, cross, out=out[1])
+    return np.maximum(out, 0.0, out=out)
 
 
 def evolve(instance: MaxCutInstance, params: QaoaParams) -> np.ndarray:
     """Statevector after p alternating layers applied to the uniform superposition."""
     _check_size(instance.n, 4)  # the state, the mixer's output and its two products
-    return _final(_walk(*_start(instance, params), params))
+    return _run(_uniform(instance.n), _phases(instance, params), params.betas)
 
 
 def shifted_pair(instance: MaxCutInstance, params: QaoaParams, kind: str,
                  layer: int, index: int) -> np.ndarray:
-    """One gate's `shifted_states` pair as a (2, 2^n) stack, bit for bit;
-    `index` is the qubit of a "beta" gate or the edge of a "gamma" gate.  Keeps
-    at most 9 state-sized arrays: the unshifted state where the gate acts and
-    a mixer on the stack."""
+    """One gate's `shifted_states` probabilities as a (2, 2^n) array, + shift
+    first; `index` is the qubit of a "beta" gate or the edge of a "gamma" gate.
+
+    The unshifted state runs to the end of the gate's layer, and it and the
+    gate's generator row run on through the later layers as one two-row stack.
+    Keeps at most 9 state-sized arrays: that state (1) and a mixer on the stack
+    (its input, output and two products, 2 each)."""
     count = {"beta": instance.n, "gamma": instance.num_edges}.get(kind, 0)
     if not (0 <= layer < params.depth and 0 <= index < count):
         raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {params.depth}")
     _check_size(instance.n, 9)
-    phases, amps = _start(instance, params)
-    at = (layer, index if kind == "beta" else 0)
-    # the prefix walk takes the phases of layers up to `layer`, the stack the rest
-    amps = next(a for i, q, a in _walk(phases, amps, params) if (i, q) == at)
-    return _shifted_stack(instance, params, phases, kind, layer, index, amps)
+    phases = _phases(instance, params)
+    after = _run(_uniform(instance.n), phases, params.betas[:layer + 1])
+    final, row = _run(np.stack([after, _generator_row(instance, kind, index,
+                                                      params.betas[layer], after)]),
+                      phases, params.betas[layer + 1:])
+    return _shift_probabilities(final, np.abs(final) ** 2, row)
 
 
 def shifted_states(instance: MaxCutInstance, params: QaoaParams
                    ) -> Iterator[tuple[GateShift, float, np.ndarray]]:
-    """(shift, gate coefficient, state) for every +-pi/2 gate shift.
+    """(shift, gate coefficient, probabilities) for every +-pi/2 gate shift.
 
     Order: search coordinate k = [betas, gammas], then gate within k, then +
-    before -.  Each pair equals shifted_pair's, but the unshifted prefix is
-    computed once: a mixer shift branches off the running state, an edge shift
-    off the stored state right after its layer's cost phase.
+    before -; each gate's rows equal shifted_pair's bit for bit.  The
+    unshifted evolution runs once and keeps its state after each layer, and
+    a layer's generator rows run on in stacks of at most _STACK_BYTES.
 
-    Keeps at most 2 * depth + 10 state-sized arrays: the phases of layers 1..
-    and the after-cost states (2 * depth - 1), the running state (1), a mixer
-    on the stack (its input, output and two products, 2 each) and the previous
-    stack, which a caller holding the last yielded state keeps alive (2).
+    Keeps at most 2 * depth + 4 state-sized arrays and the float |a|^2: the
+    phases of layers 1.. and the after-layer states (2 * depth - 1), a mixer
+    on a one-row stack (its input, output and two products, 4 at n >= 14) and
+    the previous stack's probabilities, which a caller holding the last
+    yielded row keeps alive (1).
     """
-    depth = params.depth
-    _check_size(instance.n, 2 * depth + 10)
-    later, amps = _start(instance, params)
-    phases = list(later)  # layers 1.., shared by every continuation
-
-    def pair(kind, layer, index, at):
-        coeff = gate_coefficient(instance, kind, index)
-        states = _shifted_stack(instance, params, iter(phases[layer:]), kind, layer, index, at)
-        for angle, state in zip(SHIFT_ANGLES, states):
-            yield GateShift(kind, layer, index, angle), coeff, state
-
-    after_cost = []
-    for layer, q, amps in islice(_walk(iter(phases), amps, params), depth * instance.n):
-        if q == 0:
-            after_cost.append(amps)
-        yield from pair("beta", layer, q, amps)
-    for layer, e in product(range(depth), range(instance.num_edges)):
-        yield from pair("gamma", layer, e, after_cost[layer])
+    n, depth = instance.n, params.depth
+    _check_size(n, 2 * depth + 4)
+    phases = _phases(instance, params)
+    after = [_run(_uniform(n), phases, params.betas[:1])]
+    later = list(phases)  # cost phases of layers 1.., shared by every row
+    for beta, phase in zip(params.betas[1:], later):
+        after.append(_run(after[-1], iter((phase,)), (beta,)))
+    final = after[-1]
+    final_sq = np.abs(final) ** 2
+    per_stack = max(1, _STACK_BYTES // final.nbytes)
+    for kind, layer in product(("beta", "gamma"), range(depth)):
+        gates = range(n if kind == "beta" else instance.num_edges)
+        for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):
+            plus, minus = _shift_probabilities(final, final_sq, _run(
+                np.stack([_generator_row(instance, kind, index, params.betas[layer],
+                                         after[layer]) for index in chunk]),
+                iter(later[layer:]), params.betas[layer + 1:]))
+            for index, p_plus, p_minus in zip(chunk, plus, minus):
+                coeff = gate_coefficient(instance, kind, index)
+                yield GateShift(kind, layer, index, SHIFT_ANGLES[0]), coeff, p_plus
+                yield GateShift(kind, layer, index, SHIFT_ANGLES[1]), coeff, p_minus
 
 
 def shift_rule_gradient(instance: MaxCutInstance, params: QaoaParams,
                         value: Callable[[GateShift, np.ndarray], float]) -> np.ndarray:
     """Gradient w.r.t. theta = [betas, gammas] by the exact two-point rule per gate.
 
-    value(shift, state) scores each shifted state, called in the order of
-    `shifted_states`; coordinate k sums coeff * (value(+) - value(-)) over its
-    gates.
+    value(shift, probabilities) scores each shifted outcome distribution, in
+    the order of `shifted_states`; coordinate k sums
+    coeff * (value(+) - value(-)) over its gates.
     """
     depth = params.depth
     grad = np.zeros(2 * depth)
     plus = 0.0
-    for shift, coeff, state in shifted_states(instance, params):
+    for shift, coeff, probs in shifted_states(instance, params):
         if shift.angle > 0:
-            plus = value(shift, state)
+            plus = value(shift, probs)
         else:
             k = shift.layer + (depth if shift.kind == "gamma" else 0)
-            grad[k] += coeff * (plus - value(shift, state))
+            grad[k] += coeff * (plus - value(shift, probs))
     return grad
 
 

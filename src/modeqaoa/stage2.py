@@ -2,9 +2,9 @@
 
 After the search has fixed a candidate string, its probability p_theta(z_tar)
 is pushed up by stochastic ascent: each step picks one search coordinate and
-one gate under it uniformly at random, measures the target probability on the
-gate's shifted pair (simulator.shifted_pair), and rescales by the gate count
-G_k: an unbiased single-coordinate gradient.  Adam updates that coordinate.
+one gate under it uniformly at random, reads the target probability from the
+gate's shifted distributions (simulator.shifted_pair), and rescales by the
+gate count G_k: an unbiased single-coordinate gradient.  Adam updates it.
 """
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ import numpy as np
 from .graph import MaxCutInstance, bits_to_index
 from .resources import ResourceLedger
 from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
-                        distribution, gate_coefficient, outcome_distribution,
-                        sample, shift_rule_gradient, shifted_pair)
+                        gate_coefficient, outcome_distribution, sample,
+                        shift_rule_gradient, shifted_pair)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ def target_probability(instance: MaxCutInstance, params: QaoaParams, target: str
 def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: str,
                    noise: NoiseSpec | None = None) -> np.ndarray:
     """Full gradient of p_theta(z_tar), every gate enumerated, exact distributions."""
-    def value(shift: GateShift, state: np.ndarray) -> float:
-        return _read_target(apply_depolarizing(distribution(state), noise), target)
+    def value(shift: GateShift, probs: np.ndarray) -> float:
+        return _read_target(apply_depolarizing(probs, noise), target)
 
     return shift_rule_gradient(instance, params, value)
 
@@ -79,10 +79,9 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     index = int(rng.integers(g_k))
     shots = None if cfg.use_exact else cfg.shots_per_shift
     values = []
-    for state in shifted_pair(instance, params, kind, layer, index):
+    for probs in shifted_pair(instance, params, kind, layer, index):
         shot_seed = None if shots is None else int(rng.integers(2**63))
-        values.append(_read_target(apply_depolarizing(distribution(state), noise),
-                                   target, shots, shot_seed))
+        values.append(_read_target(apply_depolarizing(probs, noise), target, shots, shot_seed))
     ledger.circuit_evaluations += 2
     ledger.stage2_shots += 0 if shots is None else 2 * shots
     return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])

@@ -37,6 +37,17 @@ def test_gd_config_validation():
         GdConfig(shots_per_eval=0)
 
 
+def test_exp_gd_refuses_small_budget_before_charging():
+    # 10 shots cannot be split over 12 mixer gates or 18 edge gates
+    inst = random_regular(12, 3, seed=0)
+    ledger = ResourceLedger()
+    with pytest.raises(ValueError, match="cannot cover"):
+        optimize_exp_gd(inst, 2, GdConfig(shots_per_eval=10), ledger=ledger)
+    assert ledger == ResourceLedger()
+    optimize_exp_gd(inst, 1, GdConfig(iterations=1, shots_per_eval=10, exact_gradient=True),
+                    n_final=10, ledger=ledger)
+
+
 def test_coordinate_gates_layout(six_reg):
     params = QaoaParams((0.3, 0.5), (0.7, 1.1))
     depth = params.depth

@@ -7,7 +7,8 @@ from modeqaoa.estimators import (
     Counts, _bootstrap_confidence, compute_stats, dual_gate, expectation_estimate,
     mode_confidence, mode_of, normalized_cut_variance,
 )
-from modeqaoa.graph import MaxCutInstance, cut_value, index_to_bits
+from modeqaoa.graph import (MaxCutInstance, assign_weights, cut_value, index_to_bits,
+                            random_regular)
 from modeqaoa.simulator import sample
 
 
@@ -97,6 +98,23 @@ def test_expectation_estimate_weighted_mean(square):
     counts = Counts.from_histogram({"0101": 3, "0001": 1})
     want = (3 * 4.0 + 1 * 2.0) / 4
     assert expectation_estimate(square, counts) == pytest.approx(want)
+
+
+@given(st.integers(2, 12), st.sampled_from(["unit", "uniform"]), st.integers(0, 2**32),
+       st.integers(1, 400))
+@settings(max_examples=40, deadline=None)
+def test_expectation_estimate_matches_sequential_sum(n, weights, seed, keys):
+    # bit for bit against the plain left-to-right Python sum over observed keys
+    inst = assign_weights(random_regular(n, 1 if n == 2 else 2 if n % 2 else 3, seed=seed % 97),
+                          weights, seed=seed)
+    rng = np.random.default_rng(seed)
+    by_index = np.zeros(2**n, dtype=np.int64)
+    by_index[rng.integers(0, 2**n, size=keys)] = rng.integers(1, 10**6, size=keys)
+    counts = Counts(by_index)
+    acc = 0.0
+    for index in np.flatnonzero(by_index).tolist():
+        acc += by_index[index].item() * cut_value(inst, index_to_bits(index, n))
+    assert expectation_estimate(inst, counts) == acc / counts.total
 
 
 def test_confidence_single_key_is_one():

@@ -1,4 +1,8 @@
-"""The prefix-sharing shift sweep must reproduce per-gate evolution bit for bit."""
+"""The generator-row shift sweep must reproduce per-gate evolution.
+
+Shifted distributions come from the identity p+- = (|a|^2 + |b|^2)/2 +-
+Im(conj(a) b), not from the shifted states, so they match the per-gate
+oracle to rounding (1e-15 absolute) rather than bit for bit."""
 import tracemalloc
 
 import numpy as np
@@ -12,8 +16,8 @@ from modeqaoa.graph import (MaxCutInstance, assign_weights, bits_to_index,
                             random_regular, with_optimum)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
-    GateShift, NoiseSpec, QaoaParams, _edge_indicator, apply_depolarizing, distribution,
-    evolve, exact_expectation, gate_coefficient, sample, shift_rule_gradient, shifted_pair,
+    GateShift, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
+    exact_expectation, gate_coefficient, sample, shift_rule_gradient, shifted_pair,
     shifted_states,
 )
 from modeqaoa.stage2 import exact_gradient
@@ -36,10 +40,15 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def assert_close_to_oracle(got, instance, params, shift):
+    want = distribution(oracle_evolve(instance, params, shift))
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def assert_kernel_matches_oracle(instance, params):
     assert_same_bits(evolve(instance, params), oracle_evolve(instance, params))
-    for shift, _, state in shifted_states(instance, params):
-        assert_same_bits(state, oracle_evolve(instance, params, shift))
+    for shift, _, probs in shifted_states(instance, params):
+        assert_close_to_oracle(probs, instance, params, shift)
 
 
 def _regular(n, weights):
@@ -102,22 +111,23 @@ def test_swept_states_equal_evolve(weighted6, depth):
             for _, kind, layer, index in _gates(weighted6, depth)
             for sign in (1.0, -1.0)]
     assert [(s.kind, s.layer, s.index, s.angle) for s, _, _ in swept] == want
-    for shift, coeff, state in swept:
+    for shift, coeff, probs in swept:
         assert coeff == gate_coefficient(weighted6, shift.kind, shift.index)
-        assert np.array_equal(state, oracle_evolve(weighted6, params, shift))
+        assert_close_to_oracle(probs, weighted6, params, shift)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_shifted_pair_equals_sweep_and_oracle(weighted6, depth):
     params = PARAMS[depth]
     swept = list(shifted_states(weighted6, params))
-    for (plus, _, plus_state), (minus, _, minus_state) in zip(swept[::2], swept[1::2]):
+    for (plus, _, plus_probs), (minus, _, minus_probs) in zip(swept[::2], swept[1::2]):
         pair = shifted_pair(weighted6, params, plus.kind, plus.layer, plus.index)
         assert pair.shape == (2, 2**weighted6.n)
-        assert_same_bits(pair[0], plus_state)
-        assert_same_bits(pair[1], minus_state)
-        assert_same_bits(pair[0], oracle_evolve(weighted6, params, plus))
-        assert_same_bits(pair[1], oracle_evolve(weighted6, params, minus))
+        # the same rows through the same layers, whatever stack they share
+        assert_same_bits(pair[0], plus_probs)
+        assert_same_bits(pair[1], minus_probs)
+        assert_close_to_oracle(pair[0], weighted6, params, plus)
+        assert_close_to_oracle(pair[1], weighted6, params, minus)
     for kind, layer, index in [("delta", 0, 0), ("beta", depth, 0), ("beta", -1, 0),
                                ("beta", 0, weighted6.n), ("gamma", 0, weighted6.num_edges),
                                ("gamma", 0, -1)]:
@@ -154,7 +164,11 @@ def test_parameter_shift_gradient_matches_oracle(weighted6, depth, shots, lam):
     got_ledger, want_ledger = ResourceLedger(), ResourceLedger()
     got = parameter_shift_gradient(weighted6, params, shots, noise, 11, got_ledger)
     want = oracle_parameter_shift(weighted6, params, shots, noise, 11, want_ledger)
-    assert got.tobytes() == want.tobytes()
+    if shots is None:
+        assert np.max(np.abs(got - want)) <= 1e-13
+    else:
+        # the draws do not move under rounding-level changes of the distribution
+        assert got.tobytes() == want.tobytes()
     assert got_ledger == want_ledger
 
 
@@ -166,7 +180,7 @@ def test_exact_target_gradient_matches_oracle(weighted6, depth, lam):
     target = weighted6.optimum[0]
     got = exact_gradient(weighted6, params, target, noise)
     want = oracle_target_gradient(weighted6, params, target, noise)
-    assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_size_check_precedes_allocation():
@@ -176,41 +190,35 @@ def test_size_check_precedes_allocation():
     params = QaoaParams((0.1, 0.2), (0.3, 0.4))
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
         evolve(inst, params)
-    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 14 of them \(7168 MiB\)"):
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 8 of them \(4096 MiB\)"):
         next(shifted_states(inst, params))
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 9 of them \(4608 MiB\)"):
         shifted_pair(inst, params, "beta", 0, 0)
 
 
+def _peak_states(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (2**14 * 16)
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_size_message_counts_peak_states(depth):
     # the counts in the size message are the measured peak of state-sized
-    # arrays; at n = 14 numpy's ufunc buffer adds half a state at most
+    # arrays; at n = 14 numpy's ufunc buffer and the float |a|^2 add under one
     inst = _regular(14, "uniform")
     params = PARAMS[depth]
-    state_bytes = 2**14 * 16
-    # fill the cut-table and edge-indicator caches, which the counts leave out
-    shift_rule_gradient(inst, params, lambda shift, state: 0.0)
-    for count, run in ((4, lambda: evolve(inst, params)),
-                       (9, lambda: shifted_pair(inst, params, "beta", 0, 1)),
-                       (9, lambda: shifted_pair(inst, params, "gamma", 0, 1)),
-                       (2 * depth + 10,
-                        lambda: shift_rule_gradient(inst, params, lambda shift, state: 0.0))):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1] / state_bytes
-        finally:
-            tracemalloc.stop()
-        assert count <= peak < count + 1
-
-
-def test_edge_indicators_hold_one_byte_per_entry():
-    inst = _regular(14, "uniform")
-    _edge_indicator.cache_clear()
-    shift_rule_gradient(inst, PARAMS[1], lambda shift, state: 0.0)
-    assert _edge_indicator.cache_info().currsize == inst.num_edges
-    for e in range(inst.num_edges):
-        indicator = _edge_indicator(inst.n, inst.edges, e)
-        assert indicator.nbytes <= 2**inst.n
-    assert _edge_indicator.cache_info().misses == inst.num_edges
+    # fill the cut-table cache, which the counts leave out
+    shift_rule_gradient(inst, params, lambda shift, probs: 0.0)
+    runs = [(4, lambda: evolve(inst, params)),
+            (2 * depth + 4, lambda: shift_rule_gradient(inst, params, lambda shift, probs: 0.0))]
+    # a pair peaks while its stack runs through a later layer
+    runs += [(9, lambda kind=kind: shifted_pair(inst, params, kind, 0, 1))
+             for kind in ("beta", "gamma") if depth > 1]
+    for count, run in runs:
+        assert count <= _peak_states(run) < count + 1
+    for kind in ("beta", "gamma"):
+        assert _peak_states(lambda: shifted_pair(inst, params, kind, depth - 1, 1)) < 9 + 1
