@@ -45,6 +45,15 @@ GOLDEN = {
         "7b5f7c7230c5443ef427d6edbfa3d853d6bcd8d90b6414ff3fb61a849de51b65",
     "exp_gd/trials.jsonl":
         "147d8228af52aa42d35c3b27127db94291c823ab515314bc631163ae04bec54f",
+    # n = 10 runs more than one generator row per kernel call in the sweep
+    "n10_exp_gd/run.json":
+        "d3375a8bc1378304972916c292550c03f4f7525caff420414ec2dc081abc572f",
+    "n10_exp_gd/trials.jsonl":
+        "855427afe8ff905d2d3cba339e73e951ea9c6ff8c2126690a5bc1aae1b05c488",
+    "n10_map_bo/run.json":
+        "e22321d4df01a8f0a11efa7a6ff9ea2118ced4ef5adbbe973541e5d2551d2940",
+    "n10_map_bo/trials.jsonl":
+        "29b935d80cdf1e6da856ace0d4327d46ff44dacd38745d1e285642f6d9dbea37",
 }
 
 
@@ -68,13 +77,16 @@ def outputs(tmp_path_factory) -> dict[str, str]:
     for name, grid in SWEEPS.items():
         _run(["bench", "--seed", "2024", "--out", str(root / name)] + grid + SEARCH)
         got[f"{name}/records.jsonl"] = (root / name / "records.jsonl").read_text()
-    _run(["gen", "--n", "6", "--count", "1", "--seed", "2024", "--out", str(root)])
-    for method in ("map_bo", "exp_bo", "exp_gd"):
-        trials = root / f"{method}.jsonl"
-        got[f"{method}/run.json"] = _run(
-            ["run", "--instance", str(root / "instance_n6_0.json"), "--method", method,
-             "--seed", "2024", "--noise", "0.01", "--trials-out", str(trials)] + SEARCH)
-        got[f"{method}/trials.jsonl"] = trials.read_text()
+    for n in (6, 10):
+        _run(["gen", "--n", str(n), "--count", "1", "--seed", "2024", "--out", str(root)])
+    runs = [("", 6, method, "0.01") for method in ("map_bo", "exp_bo", "exp_gd")]
+    runs += [("n10_", 10, "exp_gd", "0.01"), ("n10_", 10, "map_bo", "0")]
+    for prefix, n, method, noise in runs:
+        trials = root / f"{prefix}{method}.jsonl"
+        got[f"{prefix}{method}/run.json"] = _run(
+            ["run", "--instance", str(root / f"instance_n{n}_0.json"), "--method", method,
+             "--seed", "2024", "--noise", noise, "--trials-out", str(trials)] + SEARCH)
+        got[f"{prefix}{method}/trials.jsonl"] = trials.read_text()
     return got
 
 
