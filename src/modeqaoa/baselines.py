@@ -77,7 +77,9 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     if shots is not None:
         parts = {"beta": _split_shots(shots, instance.n),
                  "gamma": _split_shots(shots, instance.num_edges)}
-    ss = np.random.SeedSequence(seed)
+        # one child per draw: the same children as one spawn(1) per draw
+        seeds = (int(child.generate_state(1)[0]) for child in np.random.SeedSequence(
+            seed).spawn(2 * params.depth * (instance.n + instance.num_edges)))
 
     def value(shift: GateShift, probs: np.ndarray) -> float:
         dist = apply_depolarizing(probs, noise)
@@ -85,8 +87,7 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
         if shots is None:
             return exact_expectation(instance, dist)
         part = parts[shift.kind][shift.index]
-        child = int(ss.spawn(1)[0].generate_state(1)[0])
-        counts = sample(dist, part, child)
+        counts = sample(dist, part, next(seeds))
         ledger.optimization_shots += part
         ledger.classical_count_ops += part
         ledger.classical_cut_ops += part

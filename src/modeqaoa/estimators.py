@@ -43,6 +43,14 @@ class Counts:
         object.__setattr__(self, "by_index", arr)
 
     @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Counts":
+        """Counts owning `arr`, a valid int64 vector no one else holds, unchecked."""
+        arr.flags.writeable = False
+        counts = object.__new__(cls)
+        object.__setattr__(counts, "by_index", arr)
+        return counts
+
+    @classmethod
     def from_histogram(cls, histogram: dict[str, int]) -> "Counts":
         """Counts from a bitstring -> positive int histogram, validated."""
         lengths = {len(k) for k in histogram}

@@ -5,6 +5,12 @@ The cost layer is diagonal, so one layer costs an elementwise phase over the
 is the most significant bit and belongs to vertex 0 (see graph module).
 Parameter-shift gradients branch one generator row per gate off the
 unshifted evolution (see _generator_row).
+
+Every state and generator row is unchanged when all bits flip, as cut(z) =
+cut(~z) and the mixers commute with X on all qubits (Farhi et al. 2014,
+arXiv:1411.4028).  The flip reverses an index (z -> 2^n - 1 - z), so each is
+evolved as its first half h (bit 0 clear), and the full vector [h, h[::-1]] is
+rebuilt only where a state or distribution is returned.
 """
 from __future__ import annotations
 
@@ -100,9 +106,9 @@ def gate_coefficient(instance: MaxCutInstance, kind: str, index: int) -> float:
 def _check_size(n: int, states: int) -> None:
     """Refuse n above the cap before any state is allocated.
 
-    `states` is the peak number of complex 2^n arrays the call holds; the
-    sweep's float |a|^2 (half a state) and the cached cut table (8 B per
-    entry) come on top.
+    `states` is the call's peak memory in complex 2^n arrays, rounded down: a
+    complex half vector counts 1/2, a float one 1/4.  The cached cut table
+    (8 B per entry) comes on top.
     """
     if n > MAX_QUBITS:
         per_state = 2**n * 16
@@ -112,48 +118,56 @@ def _check_size(n: int, states: int) -> None:
             f"{states} of them ({states * per_state / 2**20:.0f} MiB)")
 
 
-def _apply_mixer(amps: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i beta X) on the top index bit of each row (a stack of states goes
-    through in one call), moved to the bottom.
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """Full vectors from first halves (see the module docstring)."""
+    return np.concatenate([half, half[..., ::-1]], axis=-1)
 
-    The two halves of the top bit are contiguous, and the result is written
-    interleaved, so its index bits are the input's rotated left by one.  n
-    calls rotate them back, which is why mixers run on qubits 0..n-1 in order.
+
+def _apply_mixer(amps: np.ndarray, c: float, js: complex) -> np.ndarray:
+    """exp(-i beta X), c = cos beta and js = i sin beta, on the top index bit
+    of each half row (a stack of states goes through in one call), moved to
+    the bottom.
+
+    The full vector's top-bit halves are contiguous, so its first half's pairs
+    are the first quarter and the third, the reversed second quarter.  The
+    result is written interleaved, so its index bits are the input's rotated
+    left by one; n calls rotate them back, so mixers run on qubits 0..n-1.
     """
-    half = amps.shape[-1] // 2
+    quarter = amps.shape[-1] // 2
     out = np.empty_like(amps)
-    pairs = out.reshape(*amps.shape[:-1], half, 2)
-    if beta == 0.0:
-        pairs[..., 0] = amps[..., :half]
-        pairs[..., 1] = amps[..., half:]
+    pairs = out.reshape(*amps.shape[:-1], quarter, 2)
+    if js == 0:  # beta = 0
+        pairs[..., 0] = amps[..., :quarter]
+        pairs[..., 1] = amps[..., :quarter - 1:-1]
         return out
-    ca = amps * np.cos(beta)
-    ja = amps * (1j * np.sin(beta))
-    np.subtract(ca[..., :half], ja[..., half:], out=pairs[..., 0])
-    np.subtract(ca[..., half:], ja[..., :half], out=pairs[..., 1])
+    ca = amps * c
+    ja = amps * js
+    np.subtract(ca[..., :quarter], ja[..., :quarter - 1:-1], out=pairs[..., 0])
+    np.subtract(ca[..., :quarter - 1:-1], ja[..., :quarter], out=pairs[..., 1])
     return out
 
 
 def _uniform(n: int) -> np.ndarray:
-    return np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+    return np.full(2 ** (n - 1), 2.0 ** (-n / 2), dtype=complex)
 
 
 def _phases(instance: MaxCutInstance, params: QaoaParams) -> Iterator[np.ndarray]:
     """Each layer's cost phase exp(-i gamma C), computed when it is reached."""
-    cuts = cut_values_table(instance)
+    cuts = cut_values_table(instance)[: 2 ** (instance.n - 1)]
     return (np.exp(-1j * gamma * cuts) for gamma in params.gammas)
 
 
 def _run(amps: np.ndarray, phases: Iterator[np.ndarray], betas: tuple[float, ...]
          ) -> np.ndarray:
-    """`amps` (one state or a stack of rows) through one layer per beta, from
-    before its cost phase, the next item of `phases`, to after its mixers.
-    evolve, shifted_pair and shifted_states all run this one layer loop."""
-    n = amps.shape[-1].bit_length() - 1
+    """`amps` (one half state or a stack of half rows) through one layer per
+    beta, from before its cost phase, the next item of `phases`, to after its
+    mixers.  evolve, shifted_pair and shifted_states all run this one loop."""
+    n = amps.shape[-1].bit_length()
     for beta in betas:
         amps = amps * next(phases)
+        c, js = np.cos(beta), 1j * np.sin(beta)
         for _ in range(n):
-            amps = _apply_mixer(amps, beta)
+            amps = _apply_mixer(amps, c, js)
     return amps
 
 
@@ -177,14 +191,20 @@ def _generator_row(instance: MaxCutInstance, kind: str, index: int, beta: float,
     so P = -Z_u Z_v up to the gate's global phase, and past R = exp(-i beta X)
     on every qubit it becomes P' = -A_u A_v, where
     A = R Z R^dagger = [[cos 2beta, i sin 2beta], [-i sin 2beta, -cos 2beta]].
+    On qubit 0 (u at most, as u < v), bit 0 set is the mirrored half times the
+    row's parity: +1 for m, -1 for A_v m, as A anticommutes with X.
     """
     if kind == "beta":
-        return after.reshape(2**index, 2, -1)[:, ::-1].reshape(-1)
+        if index == 0:
+            return after[::-1]
+        return after.reshape(2 ** (index - 1), 2, -1)[:, ::-1].reshape(-1)
     c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
     u, v, _ = instance.edges[index]
     row = after
     for q, sign in ((v, 1.0), (u, -1.0)):
-        halves = row.reshape(2**q, 2, -1)
+        if q == 0:
+            return sign * c * row + (sign * 1j * s) * -row[::-1]
+        halves = row.reshape(2 ** (q - 1), 2, -1)
         out = np.empty_like(halves)
         out[:, 0] = sign * c * halves[:, 0] + (sign * 1j * s) * halves[:, 1]
         out[:, 1] = (-sign * 1j * s) * halves[:, 0] - sign * c * halves[:, 1]
@@ -211,8 +231,8 @@ def _shift_probabilities(final: np.ndarray, final_sq: np.ndarray,
 
 def evolve(instance: MaxCutInstance, params: QaoaParams) -> np.ndarray:
     """Statevector after p alternating layers applied to the uniform superposition."""
-    _check_size(instance.n, 4)  # the state, the mixer's output and its two products
-    return _run(_uniform(instance.n), _phases(instance, params), params.betas)
+    _check_size(instance.n, 2)  # a mixer's input, output and two products
+    return _mirror(_run(_uniform(instance.n), _phases(instance, params), params.betas))
 
 
 def shifted_pair(instance: MaxCutInstance, params: QaoaParams, kind: str,
@@ -222,18 +242,18 @@ def shifted_pair(instance: MaxCutInstance, params: QaoaParams, kind: str,
 
     The unshifted state runs to the end of the gate's layer, and it and the
     gate's generator row run on through the later layers as one two-row stack.
-    Keeps at most 9 state-sized arrays: that state (1) and a mixer on the stack
-    (its input, output and two products, 2 each)."""
+    Peaks at 4.5 states: that state (1/2) and a mixer on the stack (its input,
+    output and two products, 1 each)."""
     count = {"beta": instance.n, "gamma": instance.num_edges}.get(kind, 0)
     if not (0 <= layer < params.depth and 0 <= index < count):
         raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {params.depth}")
-    _check_size(instance.n, 9)
+    _check_size(instance.n, 4)
     phases = _phases(instance, params)
     after = _run(_uniform(instance.n), phases, params.betas[:layer + 1])
     final, row = _run(np.stack([after, _generator_row(instance, kind, index,
                                                       params.betas[layer], after)]),
                       phases, params.betas[layer + 1:])
-    return _shift_probabilities(final, np.abs(final) ** 2, row)
+    return _mirror(_shift_probabilities(final, np.abs(final) ** 2, row))
 
 
 def shifted_states(instance: MaxCutInstance, params: QaoaParams
@@ -245,14 +265,13 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     unshifted evolution runs once and keeps its state after each layer, and
     a layer's generator rows run on in stacks of at most _STACK_BYTES.
 
-    Keeps at most 2 * depth + 4 state-sized arrays and the float |a|^2: the
-    phases of layers 1.. and the after-layer states (2 * depth - 1), a mixer
-    on a one-row stack (its input, output and two products, 4 at n >= 14) and
-    the previous stack's probabilities, which a caller holding the last
-    yielded row keeps alive (1).
+    Peaks at depth + 2.75 states: the phases of layers 1.. and the after-layer
+    states (depth - 1/2), |a|^2 (1/4), a mixer on a one-row stack (its input,
+    output and two products, 2 at n >= 14) and the previous stack's mirrored
+    probabilities, which a caller holding the last yielded row keeps alive (1).
     """
     n, depth = instance.n, params.depth
-    _check_size(n, 2 * depth + 4)
+    _check_size(n, depth + 2)
     phases = _phases(instance, params)
     after = [_run(_uniform(n), phases, params.betas[:1])]
     later = list(phases)  # cost phases of layers 1.., shared by every row
@@ -264,10 +283,10 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     for kind, layer in product(("beta", "gamma"), range(depth)):
         gates = range(n if kind == "beta" else instance.num_edges)
         for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):
-            plus, minus = _shift_probabilities(final, final_sq, _run(
+            plus, minus = _mirror(_shift_probabilities(final, final_sq, _run(
                 np.stack([_generator_row(instance, kind, index, params.betas[layer],
                                          after[layer]) for index in chunk]),
-                iter(later[layer:]), params.betas[layer + 1:]))
+                iter(later[layer:]), params.betas[layer + 1:])))
             for index, p_plus, p_minus in zip(chunk, plus, minus):
                 coeff = gate_coefficient(instance, kind, index)
                 yield GateShift(kind, layer, index, SHIFT_ANGLES[0]), coeff, p_plus
@@ -318,7 +337,7 @@ def sample(dist: np.ndarray, shots: int, seed: int) -> Counts:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    return Counts(rng.multinomial(shots, dist / dist.sum()))
+    return Counts._adopt(rng.multinomial(shots, dist / dist.sum()))
 
 
 def exact_expectation(instance: MaxCutInstance, dist: np.ndarray) -> float:

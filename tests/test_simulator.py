@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modeqaoa.estimators import Counts
 from modeqaoa.graph import (
     assign_weights, cut_values_table, random_regular, with_optimum,
 )
@@ -168,6 +169,20 @@ def test_sample_deterministic_and_counted(six_reg):
     assert a.histogram == b.histogram
     assert a.total == 500
     assert all(len(k) == 6 for k in a.histogram)
+
+
+def test_sample_owns_the_drawn_vector(six_reg):
+    # sample wraps the multinomial's own vector; the checked constructor's copy
+    # of the same draw must read the same
+    dist = outcome_distribution(six_reg, QaoaParams((0.3, 0.9), (0.8, 2.2)))
+    got = sample(dist, 500, seed=11)
+    vector = np.random.default_rng(11).multinomial(500, dist / dist.sum())
+    want = Counts(vector.copy())
+    assert type(got) is Counts
+    assert got.by_index.dtype == np.int64 and not got.by_index.flags.writeable
+    assert np.array_equal(got.by_index, want.by_index)
+    with pytest.raises(ValueError):
+        got.by_index[0] = 1
 
 
 def test_sample_frequencies_converge(six_reg):
