@@ -25,8 +25,9 @@ from .graph import MaxCutInstance, cut_values_table
 
 MAX_QUBITS = 24
 SHIFT_ANGLES = (np.pi / 2.0, -np.pi / 2.0)  # + before -
-# bytes of generator rows per kernel call; bigger stacks ran slower (at n = 12,
-# 256 KiB stacks took about 3x as long: allocator trimming and cache misses)
+# bytes of a stack's largest array, its mirrored + and - probability rows;
+# bigger stacks ran slower (at n = 12, 256 KiB stacks of full-length rows took
+# about 3x as long: allocator trimming and cache misses)
 _STACK_BYTES = 128 * 2**10
 
 
@@ -263,7 +264,8 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     Order: search coordinate k = [betas, gammas], then gate within k, then +
     before -; each gate's rows equal shifted_pair's bit for bit.  The
     unshifted evolution runs once and keeps its state after each layer, and
-    a layer's generator rows run on in stacks of at most _STACK_BYTES.
+    a layer's generator rows run on in stacks whose probabilities take at
+    most _STACK_BYTES.
 
     Peaks at depth + 2.75 states: the phases of layers 1.. and the after-layer
     states (depth - 1/2), |a|^2 (1/4), a mixer on a one-row stack (its input,
@@ -279,7 +281,7 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
         after.append(_run(after[-1], iter((phase,)), (beta,)))
     final = after[-1]
     final_sq = np.abs(final) ** 2
-    per_stack = max(1, _STACK_BYTES // final.nbytes)
+    per_stack = max(1, _STACK_BYTES // (16 * 2**n))
     for kind, layer in product(("beta", "gamma"), range(depth)):
         gates = range(n if kind == "beta" else instance.num_edges)
         for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):
