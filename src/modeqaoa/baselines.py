@@ -78,8 +78,9 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
         parts = {"beta": _split_shots(shots, instance.n),
                  "gamma": _split_shots(shots, instance.num_edges)}
         # one child per draw: the same children as one spawn(1) per draw
-        seeds = (int(child.generate_state(1)[0]) for child in np.random.SeedSequence(
-            seed).spawn(2 * params.depth * (instance.n + instance.num_edges)))
+        children = np.random.SeedSequence(seed).spawn(
+            2 * params.depth * (instance.n + instance.num_edges))
+        seeds = (int(child.generate_state(1)[0]) for child in children)
 
     def value(shift: GateShift, probs: np.ndarray) -> float:
         dist = apply_depolarizing(probs, noise)

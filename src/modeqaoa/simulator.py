@@ -281,7 +281,7 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
         after.append(_run(after[-1], iter((phase,)), (beta,)))
     final = after[-1]
     final_sq = np.abs(final) ** 2
-    per_stack = max(1, _STACK_BYTES // (16 * 2**n))
+    per_stack = max(1, _STACK_BYTES // (16 * 2**n))  # a gate: 2 rows of 2^n floats
     for kind, layer in product(("beta", "gamma"), range(depth)):
         gates = range(n if kind == "beta" else instance.num_edges)
         for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):

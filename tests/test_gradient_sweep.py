@@ -241,7 +241,7 @@ def _peak_states(run):
 @pytest.mark.parametrize("depth", [1, 2])
 def test_size_message_counts_peak_states(depth):
     # the counts in the size message are the measured peak in full states,
-    # rounded down; at n = 14 numpy's ufunc buffer adds well under one
+    # rounded down (numpy's ufunc buffer adds a little at n = 14)
     inst = _regular(14, "uniform")
     params = PARAMS[depth]
     # fill the cut-table cache, which the counts leave out
