@@ -13,12 +13,14 @@ import configparser
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .bo import (RunResult, StagnationConfig, TpeConfig, optimize_map_bo,
                  run_result_to_dict, trials_to_jsonl)
 from .graph import (MaxCutInstance, assign_weights, from_json, random_regular,
                     to_json, with_optimum)
-from .resources import build_report
+from .resources import build_report, pooled_savings
 from .shots import AdaptiveConfig
 from .simulator import NoiseSpec
 from .stage2 import AmplifyConfig, amplify
@@ -45,6 +47,23 @@ GRIDS = {
 }
 EXPERIMENTS = tuple(GRIDS)
 METHODS = ("map_bo", "exp_bo", "exp_gd")
+
+
+class _Sweep(NamedTuple):
+    key: str | None        # record key of the swept axis; None sweeps nothing
+    field: str | None      # ExperimentConfig field holding the swept values
+    curve_csv: str | None  # plot CSV of accuracy and shots along the axis
+
+
+# the one axis each experiment sweeps; every other axis uses its first value
+_SWEEPS = {
+    "qubit_sweep": _Sweep("n", "n_values", "qubit_curves.csv"),
+    "depth_sweep": _Sweep("p", "p_values", "depth_panels.csv"),
+    "noise_sweep": _Sweep("lambda", "noise_lambdas", "noise_panels.csv"),
+    "single": _Sweep(None, None, None),
+}
+# the ExperimentConfig fields of a sweep point's (n, p, lambda)
+_AXIS_FIELDS = ("n_values", "p_values", "noise_lambdas")
 
 RECORD_KEYS = [
     "method", "n", "p", "lambda", "instance_seed", "run_seed",
@@ -88,6 +107,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name in (*_AXIS_FIELDS, "methods"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -103,23 +125,21 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {name!r}")
         return cls(experiment=name, **{**GRIDS[name], **overrides})
 
+    @property
+    def sweep(self) -> _Sweep:
+        return _SWEEPS[self.experiment]
+
     def sweep_points(self) -> list[tuple[int, int, float]]:
-        if self.experiment == "qubit_sweep":
-            return [(n, self.p_values[0], self.noise_lambdas[0]) for n in self.n_values]
-        if self.experiment == "depth_sweep":
-            return [(self.n_values[0], p, self.noise_lambdas[0]) for p in self.p_values]
-        if self.experiment == "noise_sweep":
-            return [(self.n_values[0], self.p_values[0], lam) for lam in self.noise_lambdas]
-        return [(self.n_values[0], self.p_values[0], self.noise_lambdas[0])]
+        return list(itertools.product(*(
+            getattr(self, name) if name == self.sweep.field else getattr(self, name)[:1]
+            for name in _AXIS_FIELDS)))
 
     def sweep_key(self, n: int, p: int, lam: float) -> str:
-        if self.experiment == "qubit_sweep":
-            return f"n={n}"
-        if self.experiment == "depth_sweep":
-            return f"p={p}"
-        if self.experiment == "noise_sweep":
-            return f"lambda={lam}"
-        return "single"
+        key = self.sweep.key
+        if key is None:
+            return "single"
+        value = {"n": n, "p": p, "lambda": lam}[key]
+        return f"{key}={value}"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -336,17 +356,29 @@ def _median_shots(group) -> float:
     return float(np.median(values))
 
 
+def _sweep_firsts(cfg: ExperimentConfig) -> dict[str, tuple[int, int, float]]:
+    """Each sweep key, in sweep order, with the first sweep point it labels."""
+    firsts: dict[str, tuple[int, int, float]] = {}
+    for point in cfg.sweep_points():
+        firsts.setdefault(cfg.sweep_key(*point), point)
+    return firsts
+
+
+def _write_pareto(path: str, records, axis: str) -> None:
+    """One row per run: method, its value on the axis, total shots, accuracy."""
+    header = ["method", axis, "total_shots", "final_mode_accuracy"]
+    _write_csv(path, header, [{k: r[k] for k in header} for r in records])
+
+
 def write_plot_data(records, cfg: ExperimentConfig, plot_dir: str) -> None:
     """One CSV per figure; empty records still produce headers."""
     os.makedirs(plot_dir, exist_ok=True)
     groups = _group(records, cfg)
-    sweep_keys = []
-    for n, p, lam in cfg.sweep_points():
-        key = cfg.sweep_key(n, p, lam)
-        if key not in sweep_keys:
-            sweep_keys.append(key)
+    sweep_keys = list(_sweep_firsts(cfg))
+    axis = cfg.sweep.key
 
     threshold_rows = []
+    curve_rows = []
     for key in sweep_keys:
         for method in cfg.methods:
             group = groups.get((key, method), [])
@@ -361,6 +393,16 @@ def write_plot_data(records, cfg: ExperimentConfig, plot_dir: str) -> None:
                 "mean_shots_to_threshold": mean_reached,
                 "reached": len(reached), "count": len(group),
             })
+            if axis:
+                acc = [r["final_mode_accuracy"] for r in group]
+                shots = [r["total_shots"] for r in group]
+                curve_rows.append({
+                    axis: group[0][axis], "method": method,
+                    "mean_final_mode_accuracy": float(np.mean(acc)),
+                    "std_final_mode_accuracy": float(np.std(acc)),
+                    "mean_total_shots": float(np.mean(shots)),
+                    "std_total_shots": float(np.std(shots)),
+                })
     _write_csv(os.path.join(plot_dir, "threshold_shots.csv"),
                ["sweep_key", "method", "median_shots_to_threshold",
                 "mean_shots_to_threshold", "reached", "count"], threshold_rows)
@@ -379,50 +421,13 @@ def write_plot_data(records, cfg: ExperimentConfig, plot_dir: str) -> None:
     _write_csv(os.path.join(plot_dir, "saving_rate.csv"),
                ["sweep_key", "saving_rate"], saving_rows)
 
-    pareto_rows = [{"method": r["method"], "n": r["n"],
-                    "total_shots": r["total_shots"],
-                    "final_mode_accuracy": r["final_mode_accuracy"]}
-                   for r in records]
-    _write_csv(os.path.join(plot_dir, "pareto.csv"),
-               ["method", "n", "total_shots", "final_mode_accuracy"], pareto_rows)
-
-    def _curve_rows(label_key, label_of):
-        rows = []
-        for key in sweep_keys:
-            for method in cfg.methods:
-                group = groups.get((key, method), [])
-                if not group:
-                    continue
-                acc = [r["final_mode_accuracy"] for r in group]
-                shots = [r["total_shots"] for r in group]
-                rows.append({
-                    label_key: label_of(group[0]), "method": method,
-                    "mean_final_mode_accuracy": float(np.mean(acc)),
-                    "std_final_mode_accuracy": float(np.std(acc)),
-                    "mean_total_shots": float(np.mean(shots)),
-                    "std_total_shots": float(np.std(shots)),
-                })
-        return rows
-
-    curve_header = ["method", "mean_final_mode_accuracy", "std_final_mode_accuracy",
-                    "mean_total_shots", "std_total_shots"]
-    if cfg.experiment == "qubit_sweep":
-        _write_csv(os.path.join(plot_dir, "qubit_curves.csv"),
-                   ["n"] + curve_header, _curve_rows("n", lambda r: r["n"]))
-    elif cfg.experiment == "depth_sweep":
-        _write_csv(os.path.join(plot_dir, "depth_panels.csv"),
-                   ["p"] + curve_header, _curve_rows("p", lambda r: r["p"]))
-    elif cfg.experiment == "noise_sweep":
-        _write_csv(os.path.join(plot_dir, "noise_panels.csv"),
-                   ["lambda"] + curve_header,
-                   _curve_rows("lambda", lambda r: r["lambda"]))
-        noise_pareto = [{"method": r["method"], "lambda": r["lambda"],
-                         "total_shots": r["total_shots"],
-                         "final_mode_accuracy": r["final_mode_accuracy"]}
-                        for r in records]
-        _write_csv(os.path.join(plot_dir, "noise_pareto.csv"),
-                   ["method", "lambda", "total_shots", "final_mode_accuracy"],
-                   noise_pareto)
+    _write_pareto(os.path.join(plot_dir, "pareto.csv"), records, "n")
+    if axis:
+        _write_csv(os.path.join(plot_dir, cfg.sweep.curve_csv),
+                   [axis, "method", "mean_final_mode_accuracy", "std_final_mode_accuracy",
+                    "mean_total_shots", "std_total_shots"], curve_rows)
+    if axis == "lambda":  # the noise figure also plots every run against its λ
+        _write_pareto(os.path.join(plot_dir, "noise_pareto.csv"), records, "lambda")
 
 
 def _expected_edges(n: int, degree: int) -> int:
@@ -439,10 +444,7 @@ def summarize(records, cfg: ExperimentConfig) -> dict:
     """
     groups = _group(records, cfg)
     summary: dict = {"experiment": cfg.experiment, "sweep_points": []}
-    for n, p, lam in cfg.sweep_points():
-        key = cfg.sweep_key(n, p, lam)
-        if any(e["sweep_key"] == key for e in summary["sweep_points"]):
-            continue
+    for key, (n, p, lam) in _sweep_firsts(cfg).items():
         entry: dict = {"sweep_key": key, "n": n, "p": p, "lambda": lam}
         map_group = groups.get((key, "map_bo"), [])
         exp_group = groups.get((key, "exp_bo"), [])
@@ -454,16 +456,12 @@ def summarize(records, cfg: ExperimentConfig) -> dict:
                 TYPICAL_POINT_SHOT_BAND[0] <= avg_shots <= TYPICAL_POINT_SHOT_BAND[1])
         if map_group and exp_group:
             t_map = sum(r["trials"] for r in map_group)
-            t_exp = sum(r["trials"] for r in exp_group)
             shots_map = sum(r["optimization_shots"] for r in map_group)
             shots_exp = sum(r["optimization_shots"] for r in exp_group)
             sum_k = sum(round(r["avg_distinct"] * r["trials"]) for r in map_group)
-            m = _expected_edges(n, cfg.degree)
-            k_avg = sum_k / t_map
-            b = cfg.adaptive.bootstrap_resamples
-            entry["s_q"] = shots_exp / shots_map
-            entry["s_cl"] = (shots_exp * m) / (shots_map + t_map * k_avg * m
-                                               + b * t_map * k_avg)
+            entry["s_q"], entry["s_cl"] = pooled_savings(
+                shots_exp, shots_map, t_map, sum_k / t_map,
+                _expected_edges(n, cfg.degree), cfg.adaptive.bootstrap_resamples)
         summary["sweep_points"].append(entry)
     return summary
 
@@ -607,6 +605,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _build_config(args)
+    ignored = [name for name in _AXIS_FIELDS
+               if name != cfg.sweep.field and len(getattr(cfg, name)) > 1]
+    if ignored:
+        print(f"warning: bench runs only the first value of {', '.join(ignored)}, "
+              f"which {cfg.experiment} does not sweep", file=sys.stderr)
     start = time.monotonic()
     records, traces = run_experiment(cfg, args.seed)
     write_outputs(records, traces, cfg, args.out, args.seed,

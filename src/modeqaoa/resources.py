@@ -51,19 +51,6 @@ class ResourceLedger:
             return None
         return float(np.mean(self.distinct_counts))
 
-    def merged(self, other: "ResourceLedger") -> "ResourceLedger":
-        return ResourceLedger(
-            optimization_shots=self.optimization_shots + other.optimization_shots,
-            final_eval_shots=self.final_eval_shots + other.final_eval_shots,
-            stage2_shots=self.stage2_shots + other.stage2_shots,
-            circuit_evaluations=self.circuit_evaluations + other.circuit_evaluations,
-            classical_count_ops=self.classical_count_ops + other.classical_count_ops,
-            classical_cut_ops=self.classical_cut_ops + other.classical_cut_ops,
-            bootstrap_ops=self.bootstrap_ops + other.bootstrap_ops,
-            per_point_shots=self.per_point_shots + other.per_point_shots,
-            distinct_counts=self.distinct_counts + other.distinct_counts,
-        )
-
     def to_dict(self) -> dict:
         return {
             "optimization_shots": self.optimization_shots,
@@ -119,29 +106,32 @@ def shots_to_threshold(trials, instance: MaxCutInstance, threshold: float) -> in
     return None
 
 
-def saving_ratios(ledger_exp: ResourceLedger, trials_exp: int,
-                  ledger_map: ResourceLedger, trials_map: int,
-                  num_edges: int, bootstrap_resamples: int) -> tuple[float, float]:
-    """Quantum and classical savings of the adaptive run over the fixed-shot run.
+def pooled_savings(shots_exp: int, shots_map: int, trials_map: int, k_avg: float,
+                   num_edges: int, bootstrap_resamples: int) -> tuple[float, float]:
+    """Quantum and classical savings of adaptive runs over fixed-shot runs,
+    from each side's optimization shots summed over its trials.
 
     S_q is the plain ratio of optimization shots.  S_cl compares the fixed-shot
     per-shot cut cost T*N*m against the adaptive count + per-key cut + bootstrap
     pipeline T*N_avg + T*K_avg*m + B*T*K_avg.
     """
+    s_q = shots_exp / shots_map
+    s_cl = (shots_exp * num_edges) / (
+        shots_map + trials_map * k_avg * num_edges + bootstrap_resamples * trials_map * k_avg)
+    return s_q, s_cl
+
+
+def saving_ratios(ledger_exp: ResourceLedger, trials_exp: int,
+                  ledger_map: ResourceLedger, trials_map: int,
+                  num_edges: int, bootstrap_resamples: int) -> tuple[float, float]:
+    """pooled_savings of one fixed-shot run over one adaptive run."""
     if trials_exp < 1 or trials_map < 1:
         raise ValueError("need at least one trial per method")
     if not ledger_map.distinct_counts:
         raise ValueError("adaptive ledger has no per-point distinct counts")
-    n_fix_avg = ledger_exp.optimization_shots / trials_exp
-    n_adp_avg = ledger_map.optimization_shots / trials_map
-    k_avg = float(np.mean(ledger_map.distinct_counts))
-    s_q = (trials_exp * n_fix_avg) / (trials_map * n_adp_avg)
-    s_cl = (trials_exp * n_fix_avg * num_edges) / (
-        trials_map * n_adp_avg
-        + trials_map * k_avg * num_edges
-        + bootstrap_resamples * trials_map * k_avg
-    )
-    return s_q, s_cl
+    return pooled_savings(ledger_exp.optimization_shots, ledger_map.optimization_shots,
+                          trials_map, float(np.mean(ledger_map.distinct_counts)),
+                          num_edges, bootstrap_resamples)
 
 
 @dataclass(frozen=True)

@@ -34,18 +34,50 @@ def test_config_grids():
     assert depth.p_values == (1, 2, 3, 4, 5, 6)
     noise = ExperimentConfig.for_experiment("noise_sweep")
     assert noise.noise_lambdas == (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)
-    assert len(noise.sweep_points()) == 6
     with pytest.raises(ValueError):
         ExperimentConfig.for_experiment("bogus")
     with pytest.raises(ValueError):
         ExperimentConfig(methods=("nope",))
 
 
-def test_sweep_keys():
-    cfg = ExperimentConfig.for_experiment("noise_sweep")
-    assert cfg.sweep_key(10, 2, 0.004) == "lambda=0.004"
-    cfg = ExperimentConfig.for_experiment("qubit_sweep")
-    assert cfg.sweep_key(8, 2, 0.0) == "n=8"
+TWO_EACH = dict(n_values=(4, 6), p_values=(1, 3), noise_lambdas=(0.0, 0.01))
+# per experiment: its preset sweep points, then its points with TWO_EACH, where
+# only the swept axis takes both values
+SWEEP_POINTS = {
+    "qubit_sweep": ([(n, 2, 0.0) for n in (3, 4, 6, 8, 10, 12)],
+                    [(4, 1, 0.0), (6, 1, 0.0)]),
+    "depth_sweep": ([(10, p, 0.0) for p in range(1, 7)],
+                    [(4, 1, 0.0), (4, 3, 0.0)]),
+    "noise_sweep": ([(10, 2, lam) for lam in (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)],
+                    [(4, 1, 0.0), (4, 1, 0.01)]),
+    "single": ([(6, 2, 0.0)], [(4, 1, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sweep_points(experiment):
+    preset, two_each = SWEEP_POINTS[experiment]
+    assert ExperimentConfig.for_experiment(experiment).sweep_points() == preset
+    cfg = ExperimentConfig.for_experiment(experiment, **TWO_EACH)
+    assert cfg.sweep_points() == two_each
+
+
+# per experiment: the keys of its TWO_EACH points, and the key of
+# (n, p, lambda) = (8, 5, 0.004)
+SWEEP_KEYS = {
+    "qubit_sweep": (["n=4", "n=6"], "n=8"),
+    "depth_sweep": (["p=1", "p=3"], "p=5"),
+    "noise_sweep": (["lambda=0.0", "lambda=0.01"], "lambda=0.004"),
+    "single": (["single"], "single"),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_sweep_keys(experiment):
+    keys, key_of_point = SWEEP_KEYS[experiment]
+    cfg = ExperimentConfig.for_experiment(experiment, **TWO_EACH)
+    assert [cfg.sweep_key(*point) for point in cfg.sweep_points()] == keys
+    assert cfg.sweep_key(8, 5, 0.004) == key_of_point
 
 
 def test_config_hash_stable_and_sensitive():
@@ -349,6 +381,38 @@ def test_cli_run_config_warns_on_grid_keys(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "experiment, n_values, p_values, noise_lambdas, instances_per_point, " \
            "degree, weight_scheme, methods" in err
+
+
+@pytest.mark.parametrize("key", ["n_values", "p_values", "noise_lambdas", "methods"])
+def test_cli_bench_rejects_empty_axis(tmp_path, capsys, key):
+    # an empty grid axis used to run nothing and exit 0, or fail with exit 1
+    ini = tmp_path / "empty.ini"
+    ini.write_text(f"[experiment]\nexperiment = noise_sweep\n{key} =\n")
+    assert main(["bench", "--seed", "1", "--out", str(tmp_path / "x"),
+                 "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: ()})
+
+
+def test_cli_bench_warns_on_unswept_values(tmp_path, capsys):
+    # qubit_sweep sweeps n alone, so a second lambda would go unrun unannounced
+    base = ["bench", "--seed", "2", "--experiment", "qubit_sweep", "--n-values", "4",
+            "--instances", "1", "--methods", "exp_bo", "--t-max", "11",
+            "--n-fix", "150", "--n-final", "300"]
+    assert main(base + ["--out", str(tmp_path / "a"), "--lambdas", "0"]) == 0
+    want = capsys.readouterr()
+    assert want.err == ""
+    assert main(base + ["--out", str(tmp_path / "b"), "--lambdas", "0", "0.01",
+                        "--p-values", "1", "2"]) == 0
+    got = capsys.readouterr()
+    assert got.err.startswith("warning:") and len(got.err.splitlines()) == 1
+    assert "p_values, noise_lambdas" in got.err and "qubit_sweep" in got.err
+    assert "n_values" not in got.err
+    records = load_records(str(tmp_path / "b" / "records.jsonl"))
+    assert [(r["p"], r["lambda"]) for r in records] == [(1, 0.0)]
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

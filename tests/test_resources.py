@@ -33,21 +33,6 @@ def test_ledger_totals_and_averages():
     assert ledger.avg_distinct == 5.0
 
 
-def test_ledger_merged():
-    a = ResourceLedger(optimization_shots=10, bootstrap_ops=5)
-    a.record_point(10, 2)
-    b = ResourceLedger(optimization_shots=7, final_eval_shots=3)
-    b.record_point(7, 1)
-    m = a.merged(b)
-    assert m.optimization_shots == 17
-    assert m.final_eval_shots == 3
-    assert m.bootstrap_ops == 5
-    assert m.per_point_shots == [10, 7]
-    assert m.distinct_counts == [2, 1]
-    # originals untouched
-    assert a.per_point_shots == [10]
-
-
 def test_ledger_to_dict_serializable():
     ledger = ResourceLedger(optimization_shots=5)
     ledger.record_point(5, 1)
