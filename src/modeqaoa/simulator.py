@@ -342,6 +342,22 @@ def sample(dist: np.ndarray, shots: int, seed: int) -> Counts:
     return Counts._adopt(rng.multinomial(shots, dist / dist.sum()))
 
 
+def sample_indices(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """`shots` i.i.d. basis indices from the outcome distribution, sorted.
+
+    Inverse CDF: sorted uniforms in [0, 1) scaled by the total stay below it
+    when rounded, and a bin is drawn only where the cumulative sum rises, so
+    a zero-probability bin never is.  Costs one pass over the 2^n bins plus
+    O(shots log 2^n), with no histogram.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    cdf = np.cumsum(dist)
+    u = np.sort(rng.random(shots))
+    u *= cdf[-1]
+    return np.searchsorted(cdf, u, side="right")
+
+
 def exact_expectation(instance: MaxCutInstance, dist: np.ndarray) -> float:
     """Exact mean cut value under the outcome distribution."""
     return float(dist @ cut_values_table(instance))

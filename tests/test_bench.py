@@ -138,7 +138,8 @@ def test_run_cell_record_shape():
 @settings(max_examples=6, deadline=None)
 def test_ledger_phases_sum_to_drawn_shots(seed, lam):
     # every shot sampled is charged to exactly one phase: the search, the
-    # final evaluation (bo.finish_run) or stage 2
+    # final evaluation (bo.finish_run) or stage 2; exp_gd's gradient draws
+    # indices with sample_indices rather than a histogram with sample
     inst = with_optimum(assign_weights(random_regular(4, 3, seed=seed % 7), "uniform",
                                        seed=seed % 5))
     cfg = ExperimentConfig.for_experiment(
@@ -153,6 +154,11 @@ def test_ledger_phases_sum_to_drawn_shots(seed, lam):
                     drawn[phase] += n_shots
                     return simulator.sample(dist, n_shots, sample_seed)
                 mp.setattr(module, "sample", counted)
+
+            def counted_indices(dist, n_shots, rng):
+                drawn["optimization"] += n_shots
+                return simulator.sample_indices(dist, n_shots, rng)
+            mp.setattr(baselines, "sample_indices", counted_indices)
             result, _ = run_method(cfg, inst, 2, lam, method, seed, seed + 1)
         ledger = result.ledger
         assert ledger.optimization_shots == drawn["optimization"] > 0

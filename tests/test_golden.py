@@ -33,7 +33,7 @@ SWEEPS = {
 
 GOLDEN = {
     "noise_sweep/aggregates.csv":
-        "256be359d80731cbaf853e64d2f472d5fbbf1769da554244211f7e5005f2e21a",
+        "f51dce24f6af0942d5554725178eb60369a3b7a5dce23658815130e2399254cd",
     "noise_sweep/config_resolved.ini":
         "a0ea8fa14f7496cb7409694a605913157fef8e19af0f410390e41cb260ab19c2",
     "noise_sweep/plots/noise_panels.csv":
@@ -47,13 +47,13 @@ GOLDEN = {
     "noise_sweep/plots/threshold_shots.csv":
         "775dd0f0534706a56c10dcf3af6fad5cde6772fc2c667eace36be5e196ffeaea",
     "noise_sweep/records.jsonl":
-        "4e736ba888b9f38ac7c67df4236a97849a45390fd7e8cfca1096c7c7b8206a27",
+        "f2211610364ed464e18c9c707e8d9db7d283629bffb31a91c54f1918869f383e",
     "noise_sweep/stage2_traces.jsonl":
         "aaf904a99e3a2301ff0cb071b27159e2c37cf135f928568ab4619108c2d00147",
     "noise_sweep/summary.json":
         "3bd23233a5d7f12e82cb2507fd40807d397b2fcb98d620c6fd2bdab2e9a7631c",
     "depth_sweep/aggregates.csv":
-        "cd43f39a31ae30ae357f00fff01cc41d35fa606d4217a37347b83f13f1771a5a",
+        "9a4a5f4f3ea32fee7d93451a8c3b7fcf19d3181c087d435d81e9f5893740d638",
     "depth_sweep/config_resolved.ini":
         "793622a98116acaa8d415089a67493edfe3726296738bba77e3bc1e5f783e04d",
     "depth_sweep/plots/depth_panels.csv":
@@ -65,13 +65,13 @@ GOLDEN = {
     "depth_sweep/plots/threshold_shots.csv":
         "e62bd4297213053d987a19b0fb3d5ff755d55210b0175a9357d828691d3bd17c",
     "depth_sweep/records.jsonl":
-        "dc3aae6a07391e2448d8cae07a566082d90c5989065b6347339daf53e0ac0fe2",
+        "c3608acb50152ae4ec7876b415ea2f58bce8652253c00249395f17ffafa0ea4d",
     "depth_sweep/stage2_traces.jsonl":
         "5ed8b33092667d046514154c800e1e1e4f789882bded44d1d8e615e8cd704e8f",
     "depth_sweep/summary.json":
         "e8e60ec0b6b7325943ed052e3a32152f02222146f45c2557af9f67db47d3cd77",
     "qubit_sweep/aggregates.csv":
-        "09aa9ac6acac2026a957cc310a512529829e5e691caf51decac6df83e293cb05",
+        "5c8ab84ba43fd28264e2ec1a628fc108767d0125f48e363b68f4e00a4fba46f9",
     "qubit_sweep/config_resolved.ini":
         "842a89c383127a71ff1267f3ba599f538809e5fced49f40a89250e8a4052ef01",
     "qubit_sweep/plots/pareto.csv":
@@ -83,13 +83,13 @@ GOLDEN = {
     "qubit_sweep/plots/threshold_shots.csv":
         "6b51d6e7f92f2564e7af11cb07953b6c4046f70f8ce158ed7a28b6cfd96ef802",
     "qubit_sweep/records.jsonl":
-        "98db5bd83f838c1541531935694667db801ad33f58def3dc4036cf86cef99fb9",
+        "0291c2d680d17d0ea9ffe13fe3ee9d7aeb811dc1fdf66cc052f7c60a6d8a9301",
     "qubit_sweep/stage2_traces.jsonl":
         "e1bd4e2f0240fe3f94a059a84a3ec5355c62aed6c7b43f83804798072959b27b",
     "qubit_sweep/summary.json":
         "e5d9ad35e99155f2fddd7de528d455146afc2fbe3d1bb1c6c3ef66245d79f44a",
     "single/aggregates.csv":
-        "a27ac3c65563586d0cebc73c5a9cdd69f9cd9c0843513e350e90ae4aed767410",
+        "86a986afa9e133a7131e6297caab8ad38028511691d3192b7b26f179b9083569",
     "single/config_resolved.ini":
         "3a43b822d7f88b441c75f80e00c66f8033599197ff96fa8ee6e46460a7595696",
     "single/plots/pareto.csv":
@@ -99,7 +99,7 @@ GOLDEN = {
     "single/plots/threshold_shots.csv":
         "9309fd2284f87c4eef622f7b1c6df4f721f9f62220e6ec677d726641de10ba8d",
     "single/records.jsonl":
-        "3808d099decc0ba0b7a399c36932c0a90f2b207256b27e8d67c0bb4924d08d81",
+        "95deff8ed410698d47dd24242e68cf93dab6ac64c38f816b3461a9b28d22e70d",
     "single/stage2_traces.jsonl":
         "49b6636b29e1b24d97b4edd27a3a2040698cd07caebc4168586f984604577a45",
     "single/summary.json":
@@ -113,14 +113,14 @@ GOLDEN = {
     "exp_bo/trials.jsonl":
         "933bb307362d240dc97e1a8b2dfa258739e7f9dd6b93bb4db499e345884b964a",
     "exp_gd/run.json":
-        "7b5f7c7230c5443ef427d6edbfa3d853d6bcd8d90b6414ff3fb61a849de51b65",
+        "b80919a1a9e0a91eb97269e4b420a5d9430bbb2bd4e6e1ff1587f5bb2f21c2ce",
     "exp_gd/trials.jsonl":
-        "147d8228af52aa42d35c3b27127db94291c823ab515314bc631163ae04bec54f",
+        "6c9b6a788ebcda03f4c612e40e8d737500f2e887bf114656c461863dcc5629cf",
     # n = 10 runs more than one generator row per kernel call in the sweep
     "n10_exp_gd/run.json":
-        "d3375a8bc1378304972916c292550c03f4f7525caff420414ec2dc081abc572f",
+        "228d74864c02e4f6ab770223251d7507dd6efe6f8e6420bc8862f1f51dd56965",
     "n10_exp_gd/trials.jsonl":
-        "855427afe8ff905d2d3cba339e73e951ea9c6ff8c2126690a5bc1aae1b05c488",
+        "3a8f45723de24bd02732c866a1c53dac6da81cdc81c2f3309b76742e32a7d777",
     "n10_map_bo/run.json":
         "e22321d4df01a8f0a11efa7a6ff9ea2118ced4ef5adbbe973541e5d2551d2940",
     "n10_map_bo/trials.jsonl":

@@ -10,15 +10,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_evolve
+from modeqaoa import baselines
 from modeqaoa.baselines import _split_shots, parameter_shift_gradient
-from modeqaoa.estimators import expectation_estimate
+from modeqaoa.estimators import Counts, expectation_estimate
 from modeqaoa.graph import (MaxCutInstance, assign_weights, bits_to_index,
-                            random_regular, with_optimum)
+                            cut_values_table, random_regular, with_optimum)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GateShift, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
-    exact_expectation, gate_coefficient, sample, shift_rule_gradient, shifted_pair,
-    shifted_states,
+    exact_expectation, gate_coefficient, sample_indices, shift_rule_gradient,
+    shifted_pair, shifted_states,
 )
 from modeqaoa.stage2 import exact_gradient
 
@@ -68,7 +69,7 @@ def _gates(instance, depth):
 def oracle_parameter_shift(instance, params, shots, noise, seed, ledger):
     """Parameter-shift gradient from one full evolution per gate and sign."""
     grad = np.zeros(2 * params.depth)
-    ss = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seed)
     for k, kind, layer, index in _gates(instance, params.depth):
         count = instance.n if kind == "beta" else instance.num_edges
         part = None if shots is None else _split_shots(shots, count)[index]
@@ -80,13 +81,12 @@ def oracle_parameter_shift(instance, params, shots, noise, seed, ledger):
             if part is None:
                 values.append(exact_expectation(instance, dist))
             else:
-                child = int(ss.spawn(1)[0].generate_state(1)[0])
-                counts = sample(dist, part, child)
+                idx = sample_indices(dist, part, rng)
                 ledger.optimization_shots += part
                 ledger.classical_count_ops += part
                 ledger.classical_cut_ops += part
-                ledger.record_point(part, counts.distinct)
-                values.append(expectation_estimate(instance, counts))
+                ledger.record_point(part, np.unique(idx).size)
+                values.append(float(cut_values_table(instance)[idx].mean()))
         grad[k] += gate_coefficient(instance, kind, index) * (values[0] - values[1])
     return grad
 
@@ -203,6 +203,40 @@ def test_parameter_shift_gradient_matches_oracle(weighted6, depth, shots, lam):
         # the draws do not move under rounding-level changes of the distribution
         assert got.tobytes() == want.tobytes()
     assert got_ledger == want_ledger
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_sampled_gate_value_equals_histogram_estimate(weighted6, monkeypatch, lam):
+    # each gate's mean over its drawn indices is expectation_estimate of their
+    # histogram, and the ledger's distinct count is that histogram's
+    drawn = []
+
+    def recorded(dist, shots, rng):
+        drawn.append(sample_indices(dist, shots, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(baselines, "sample_indices", recorded)
+    params = PARAMS[2]
+    ledger = ResourceLedger()
+    got = parameter_shift_gradient(weighted6, params, 600,
+                                   NoiseSpec.for_circuit(lam, weighted6, 2), 5, ledger)
+    counts = [Counts(np.bincount(idx, minlength=2 ** weighted6.n)) for idx in drawn]
+    assert ledger.distinct_counts == [c.distinct for c in counts]
+    values = iter([expectation_estimate(weighted6, c) for c in counts])
+    want = shift_rule_gradient(weighted6, params, lambda shift, probs: next(values))
+    assert next(values, None) is None
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_sampled_gradient_is_unbiased():
+    inst = with_optimum(assign_weights(random_regular(4, 3, seed=1), "uniform", seed=2))
+    params = PARAMS[2]
+    exact = parameter_shift_gradient(inst, params, None, None, 0, ResourceLedger())
+    grads = np.array([parameter_shift_gradient(inst, params, 120, None, seed,
+                                               ResourceLedger())
+                      for seed in range(200)])
+    stderr = grads.std(axis=0, ddof=1) / np.sqrt(len(grads))
+    assert np.all(np.abs(grads.mean(axis=0) - exact) <= 4 * stderr)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sps
 
 from modeqaoa.estimators import Counts
 from modeqaoa.graph import (
@@ -8,7 +9,7 @@ from modeqaoa.graph import (
 )
 from modeqaoa.simulator import (
     MAX_QUBITS, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
-    exact_expectation, outcome_distribution, sample, shifted_pair,
+    exact_expectation, outcome_distribution, sample, sample_indices, shifted_pair,
 )
 
 
@@ -195,6 +196,68 @@ def test_sample_frequencies_converge(six_reg):
     k = int(np.argmax(dist))
     sigma = np.sqrt(dist[k] * (1 - dist[k]) / 200_000)
     assert abs(freqs[k] - dist[k]) < 5 * sigma + 1e-9
+
+
+# 16 bins with zeros inside and at the last bin, where a uniform rounded up to
+# the total would land
+ZERO_BINS = (0, 5, 6, 15)
+SIXTEEN = np.array([0.0 if i in ZERO_BINS else 1.0 + (i % 3) for i in range(16)])
+SIXTEEN /= SIXTEEN.sum()
+
+
+def test_sample_indices_chi_square_fit():
+    idx = sample_indices(SIXTEEN, 20_000, np.random.default_rng(7))
+    observed = np.bincount(idx, minlength=16)
+    assert not observed[list(ZERO_BINS)].any()
+    live = SIXTEEN > 0
+    expected = SIXTEEN[live] * idx.size
+    assert sps.chisquare(observed[live], expected).pvalue > 1e-3
+
+
+def test_sample_indices_sorted_in_range_and_repeatable():
+    idx = sample_indices(SIXTEEN, 500, np.random.default_rng(3))
+    again = sample_indices(SIXTEEN, 500, np.random.default_rng(3))
+    assert idx.size == 500 and np.array_equal(idx, again)
+    assert np.all(np.diff(idx) >= 0)
+    assert 0 <= idx[0] and idx[-1] < 16
+    for shots in (0, -1):
+        with pytest.raises(ValueError):
+            sample_indices(SIXTEEN, shots, np.random.default_rng(3))
+
+
+@given(st.integers(0, 2 ** 31), st.integers(1, 8), st.integers(1, 300))
+@settings(max_examples=60, deadline=None)
+def test_sample_indices_never_draw_a_zero_bin(seed, n, shots):
+    rng = np.random.default_rng(seed)
+    # unnormalised weights, most bins zero; at least one bin stays positive
+    dist = rng.random(2 ** n) * (rng.random(2 ** n) < 0.3)
+    dist[rng.integers(2 ** n)] += rng.random() + 1e-300
+    idx = sample_indices(dist, shots, rng)
+    assert idx.size == shots
+    assert 0 <= idx.min() and idx.max() < 2 ** n
+    assert np.all(dist[idx] > 0)
+
+
+class _EdgeUniforms:
+    """A generator stub whose uniforms are the two ends of [0, 1)."""
+
+    def random(self, size):
+        return np.resize([1.0 - 2.0 ** -53, 0.0], size)
+
+
+def test_sample_indices_edge_uniforms_land_on_live_bins():
+    # 0 must not pick a leading zero bin, nor the largest uniform run past the
+    # last live bin, whatever the total
+    for total in (1.0, 3.0, 1.0 + 2.0 ** -52, 0.7):
+        idx = sample_indices(SIXTEEN * total, 4, _EdgeUniforms())
+        assert list(idx) == [1, 1, 14, 14]
+
+
+def test_sample_indices_single_live_bin():
+    for live in (0, 7, 15):
+        dist = np.zeros(16)
+        dist[live] = 0.3
+        assert set(sample_indices(dist, 200, np.random.default_rng(1))) == {live}
 
 
 def test_exact_expectation_half_weight_at_zero(six_reg):
