@@ -543,7 +543,7 @@ _GRID_KEYS = ("experiment", "n_values", "p_values", "noise_lambdas",
               "instances_per_point", "degree", "methods", "weight_scheme")
 
 
-def _ignored_grid_keys(path: str) -> list[str]:
+def _ini_grid_keys(path: str) -> list[str]:
     """The _GRID_KEYS an INI file sets, in file order."""
     parser = configparser.ConfigParser()
     parser.read(path)
@@ -558,6 +558,12 @@ def _build_config(args) -> ExperimentConfig:
         with open(args.config) as fh:
             cfg = config_from_ini(fh.read())
         if experiment and experiment != cfg.experiment:
+            dropped = [key for key in _ini_grid_keys(args.config)
+                       if key in GRIDS[experiment]]
+            if dropped:
+                print(f"warning: --experiment {experiment} replaces the [experiment] "
+                      f"keys {', '.join(dropped)} in {args.config} with its preset grid",
+                      file=sys.stderr)
             cfg = replace(cfg, experiment=experiment, **GRIDS[experiment])
     else:
         cfg = ExperimentConfig.for_experiment(experiment or "qubit_sweep")
@@ -585,7 +591,7 @@ def _cmd_run(args) -> int:
     with open(args.instance) as fh:
         instance = with_optimum(from_json(fh.read()))
     cfg = _build_config(args)
-    ignored = _ignored_grid_keys(args.config) if args.config else []
+    ignored = _ini_grid_keys(args.config) if args.config else []
     if ignored:
         print(f"warning: run ignores the [experiment] keys {', '.join(ignored)} "
               f"in {args.config}; noise comes from --noise and depth from --depth",

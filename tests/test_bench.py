@@ -11,7 +11,7 @@ from modeqaoa import baselines, bo, shots, simulator, stage2
 
 from modeqaoa.bench import (
     AGGREGATE_METRICS, EXPERIMENTS, METHODS, RECORD_KEYS, ExperimentConfig,
-    aggregate_rows, config_from_ini, config_hash, config_to_ini, derive_seed,
+    _build_config, aggregate_rows, build_parser, config_from_ini, config_hash, config_to_ini, derive_seed,
     load_records, main, make_instance, records_to_jsonl, run_cell,
     run_experiment, run_method, summarize, write_outputs, write_plot_data,
 )
@@ -387,6 +387,30 @@ def test_cli_run_config_warns_on_grid_keys(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "experiment, n_values, p_values, noise_lambdas, instances_per_point, " \
            "degree, weight_scheme, methods" in err
+
+
+def test_bench_config_warns_when_experiment_replaces_ini_grid(tmp_path, capsys):
+    # --experiment naming another sweep than the INI takes that sweep's preset
+    # grid; the INI grid keys it drops are named on stderr, the others kept
+    ini = tmp_path / "qubit.ini"
+    ini.write_text("[experiment]\nexperiment = qubit_sweep\nn_values = 4 6\n"
+                   "instances_per_point = 2\nt_max = 11\n")
+    base = ["bench", "--seed", "1", "--out", str(tmp_path / "x"), "--config", str(ini)]
+    cfg = _build_config(build_parser().parse_args(base + ["--experiment", "noise_sweep"]))
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and len(err.splitlines()) == 1
+    assert "noise_sweep" in err and "n_values" in err and str(ini) in err
+    assert "instances_per_point" not in err and "t_max" not in err
+    assert cfg.experiment == "noise_sweep" and cfg.n_values == (10,)
+    assert cfg.instances_per_point == 2 and cfg.t_max == 11
+    for extra in ([], ["--experiment", "qubit_sweep"]):
+        cfg = _build_config(build_parser().parse_args(base + extra))
+        assert capsys.readouterr().err == ""
+        assert cfg.n_values == (4, 6)
+    # an INI that sets no grid axis loses nothing to the preset
+    ini.write_text("[experiment]\nexperiment = qubit_sweep\nt_max = 11\n")
+    _build_config(build_parser().parse_args(base + ["--experiment", "noise_sweep"]))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("key", ["n_values", "p_values", "noise_lambdas", "methods"])
