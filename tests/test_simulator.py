@@ -253,13 +253,6 @@ def test_sample_indices_edge_uniforms_land_on_live_bins():
         assert list(idx) == [1, 1, 14, 14]
 
 
-def test_sample_indices_single_live_bin():
-    for live in (0, 7, 15):
-        dist = np.zeros(16)
-        dist[live] = 0.3
-        assert set(sample_indices(dist, 200, np.random.default_rng(1))) == {live}
-
-
 def test_exact_expectation_half_weight_at_zero(six_reg):
     dist = outcome_distribution(six_reg, QaoaParams((0.0,), (0.0,)))
     assert exact_expectation(six_reg, dist) == pytest.approx(
