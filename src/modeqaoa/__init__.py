@@ -15,8 +15,8 @@ from .estimators import (Counts, EvalStats, compute_stats, dual_gate,
                          expectation_estimate, mode_confidence, mode_of,
                          normalized_cut_variance)
 from .graph import (MaxCutInstance, assign_weights, brute_force_optimum,
-                    complete_graph, cut_value, cut_values_table, random_regular,
-                    with_optimum)
+                    complete_graph, cut_values_table, index_to_bits,
+                    random_regular, with_optimum)
 from .resources import (MetricsReport, ResourceLedger, aux_accuracies,
                         build_report, final_mode_accuracy, saving_ratios,
                         shots_to_threshold)

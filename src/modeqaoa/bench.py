@@ -113,6 +113,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if not all(0.0 <= lam <= 1.0 for lam in self.noise_lambdas):
+            raise ValueError(f"noise_lambdas must lie in [0, 1], got {self.noise_lambdas}")
         if self.instances_per_point < 1:
             raise ValueError("instances_per_point must be >= 1")
         if not (0.0 < self.threshold <= 1.0):
@@ -158,9 +160,7 @@ _SECTIONS = {
 
 
 def _parse_value(raw: str, annotation: str):
-    """One INI value, typed by its dataclass field's annotation string."""
-    if annotation == "bool":
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+    """One non-boolean INI value, typed by its dataclass field's annotation string."""
     if annotation == "int":
         return int(raw)
     if annotation == "float":
@@ -183,7 +183,9 @@ def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dic
     for key, raw in parser.items(section):
         if key not in types:
             raise ValueError(f"unknown key {key!r} in section [{section}]")
-        kwargs[key] = _parse_value(raw, types[key])
+        # booleans by the stdlib's BOOLEAN_STATES, so a misspelt word raises
+        kwargs[key] = (parser.getboolean(section, key) if types[key] == "bool"
+                       else _parse_value(raw, types[key]))
     return kwargs
 
 
@@ -242,7 +244,8 @@ def run_method(cfg: ExperimentConfig, instance: MaxCutInstance, p: int, lam: flo
                stage2_seed: int) -> tuple[RunResult, list[float] | None]:
     """One method on one instance, then stage 2 when enabled (map_bo only);
     returns (result, stage-2 probability trace or None)."""
-    noise = NoiseSpec.for_circuit(lam, instance, p) if lam > 0 else None
+    # any nonzero lambda goes through NoiseSpec, which refuses one outside [0, 1]
+    noise = NoiseSpec.for_circuit(lam, instance, p) if lam != 0 else None
     if method == "map_bo":
         result = optimize_map_bo(instance, p, cfg.adaptive, cfg.tpe, cfg.stagnation,
                                  noise, cfg.t_max, seed, cfg.n_final)

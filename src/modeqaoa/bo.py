@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import DEFAULT_BOOTSTRAP_RESAMPLES, Counts, EvalStats, compute_stats
-from .graph import MaxCutInstance
+from .graph import MaxCutInstance, index_to_bits
 from .resources import ResourceLedger
 from .shots import AdaptiveConfig, evaluate_point
 from .simulator import NoiseSpec, QaoaParams, outcome_distribution, sample
@@ -58,7 +58,7 @@ class Trial:
     objective: float
     shots_used: int
     accepted: bool
-    mode: str
+    mode: int  # basis index
     mode_cut: float
     stats: EvalStats | None = None  # adaptive evaluations only
 
@@ -67,7 +67,7 @@ class Trial:
 class RunResult:
     trials: tuple[Trial, ...]
     best_params: QaoaParams
-    best_bitstring: str
+    best_index: int  # the best trial's mode
     best_objective: float
     final_eval: EvalStats
     final_counts: Counts
@@ -191,7 +191,7 @@ def finish_run(instance: MaxCutInstance, trials: list[Trial], ss: np.random.Seed
     return RunResult(
         trials=tuple(trials),
         best_params=best.params,
-        best_bitstring=best.mode,
+        best_index=best.mode,
         best_objective=best.objective,
         final_eval=final_eval,
         final_counts=final_counts,
@@ -247,14 +247,16 @@ def trials_to_jsonl(trials) -> str:
 
 
 def run_result_to_dict(result: RunResult) -> dict:
+    """JSON form of a run, with the indices written as bitstrings."""
+    n = result.final_counts.n
     return {
         "best_theta": [float(x) for x in result.best_params.to_vector()],
-        "best_bitstring": result.best_bitstring,
+        "best_bitstring": index_to_bits(result.best_index, n),
         "best_objective": result.best_objective,
         "stop_reason": result.stop_reason,
         "trials": len(result.trials),
         "final_eval": {
-            "mode": result.final_eval.mode,
+            "mode": index_to_bits(result.final_eval.mode, n),
             "mode_cut": result.final_eval.mode_cut,
             "confidence": result.final_eval.confidence,
             "var_norm": result.final_eval.var_normalized,

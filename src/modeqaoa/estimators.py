@@ -1,10 +1,9 @@
 """Measurement histograms and the statistics the adaptive controller gates on.
 
-A histogram is a count vector indexed by basis index (bit 0 of the index is
-the most significant and belongs to vertex 0, as in the graph module), so the
-smallest index among tied counts is the lexicographically smallest bitstring.
-Bitstrings appear only at the boundary: `Counts.from_histogram`, the
-`histogram` property and the mode fields.
+A histogram is a count vector indexed by basis index, and the mode is an
+index too, with ties to the smallest (bit order and tie-break: see the graph
+module).  Bitstrings appear only at the boundary: `Counts.from_histogram`
+and the `histogram` property.
 
 The objective is the cut value of the most frequent bitstring (the sample
 mode), not the sampled mean.  Acceptance of an evaluation rests on two
@@ -18,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import (MAX_BRUTE_FORCE_N, MaxCutInstance, bits_to_index, cut_values_table,
-                    index_to_bits)
+from .graph import MAX_BRUTE_FORCE_N, MaxCutInstance, cut_values_table, index_to_bits
 
 DEFAULT_BOOTSTRAP_RESAMPLES = 200
 
@@ -65,7 +63,7 @@ class Counts:
                 raise ValueError(f"bad bitstring key {k!r}")
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"count for {k!r} must be a positive int, got {v!r}")
-            arr[bits_to_index(k)] = v
+            arr[int(k, 2)] = v
         return cls(arr)
 
     @property
@@ -100,7 +98,7 @@ class EvalStats:
     exact value; `passed` is that gate's decision, None without a gate.
     """
 
-    mode: str
+    mode: int  # basis index
     mode_cut: float
     var_normalized: float
     expectation_estimate: float
@@ -129,7 +127,6 @@ def _observed_cuts(instance: MaxCutInstance,
     idx, vals = _support(counts)
     if not idx.size:
         raise ValueError("empty histogram")
-    # the table adds the same weights in the same edge order as cut_value
     return idx, vals, cut_values_table(instance)[idx]
 
 
@@ -175,11 +172,11 @@ def _cut_moments(instance: MaxCutInstance, vals: np.ndarray,
     return first, var / (instance.total_weight ** 2)
 
 
-def mode_of(counts: Counts) -> str:
-    """Most frequent bitstring; ties go to the lexicographically smallest."""
+def mode_of(counts: Counts) -> int:
+    """Most frequent basis index; ties go to the smallest."""
     if not counts.by_index.any():
         raise ValueError("empty histogram has no mode")
-    return index_to_bits(int(counts.by_index.argmax()), counts.n)
+    return int(counts.by_index.argmax())
 
 
 def expectation_estimate(instance: MaxCutInstance, counts: Counts) -> float:
@@ -230,7 +227,7 @@ def compute_stats(instance: MaxCutInstance, counts: Counts,
     confidence = None if gate is None or var_normalized > gate[1] else \
         _bootstrap_confidence(vals, resamples, seed, floor=gate[0])
     stats = EvalStats(
-        mode=index_to_bits(int(idx[mode_idx]), instance.n),
+        mode=int(idx[mode_idx]),
         mode_cut=float(cuts[mode_idx]),
         var_normalized=var_normalized,
         expectation_estimate=first,

@@ -1,9 +1,10 @@
 """Weighted MaxCut instances: random regular generation, cut evaluation, exact optima.
 
-Bitstring convention: a partition is a string z_1...z_n of '0'/'1' characters,
-character i (0-based) being the side of vertex i.  The integer index of a
-bitstring is int(z, 2), so index bit 0 is the most significant bit and maps to
-vertex 0.  All tie-breaks pick the lexicographically smallest bitstring.
+Bitstring convention, for the whole package: a partition is an integer basis
+index in [0, 2^n) whose bit 0, counted from the most significant end, is the
+side of vertex 0, so vertex i's side is index_to_bits(index, n)[i].  Its cut
+is cut_values_table(instance)[index].  Ties go to the smallest index, the
+lexicographically smallest bitstring.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ class MaxCutInstance:
     n: int
     edges: tuple[Edge, ...]
     total_weight: float
-    optimum: tuple[str, float] | None = None
+    optimum: tuple[int, float] | None = None  # (index, cut)
 
     def __post_init__(self):
         if self.n < 2:
@@ -79,14 +80,12 @@ def random_regular(n: int, degree: int, seed: int) -> MaxCutInstance:
             rng.shuffle(stubs)
             pairs = stubs.reshape(-1, 2)
             edges = set()
-            ok = True
             for a, b in pairs:
                 u, v = (int(a), int(b)) if a < b else (int(b), int(a))
                 if u == v or (u, v) in edges:
-                    ok = False
                     break
                 edges.add((u, v))
-            if ok:
+            else:  # every pair was simple
                 return MaxCutInstance.from_edges(n, [(u, v, 1.0) for u, v in edges])
     raise ValueError(f"no simple {degree}-regular graph on n={n} vertices found in "
                      f"{MAX_SEED_ADVANCES} x 1000 configuration-model pairings")
@@ -114,16 +113,6 @@ def index_to_bits(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-def bits_to_index(bits: str) -> int:
-    return int(bits, 2)
-
-
-def cut_value(instance: MaxCutInstance, bits: str) -> float:
-    if len(bits) != instance.n:
-        raise ValueError(f"bitstring length {len(bits)} != n={instance.n}")
-    return float(sum(w for u, v, w in instance.edges if bits[u] != bits[v]))
-
-
 @lru_cache(maxsize=64)
 def _cut_table(n: int, edges: tuple[Edge, ...]) -> np.ndarray:
     idx = np.arange(2**n, dtype=np.int64)
@@ -139,12 +128,13 @@ def cut_values_table(instance: MaxCutInstance) -> np.ndarray:
     return _cut_table(instance.n, instance.edges)
 
 
-def brute_force_optimum(instance: MaxCutInstance) -> tuple[str, float]:
-    """Exact MaxCut over the 2^(n-1) partitions with vertex 0 on side '0'.
+def brute_force_optimum(instance: MaxCutInstance) -> tuple[int, float]:
+    """(index, cut) of the exact MaxCut over the 2^(n-1) partitions with
+    vertex 0 on side 0.
 
     Those are the first half of the cut table (left cached).  Restricting to
-    z_1 = 0 loses nothing by complement symmetry, and the lexicographically
-    smallest maximizer always lies in that half.
+    vertex 0 on side 0 loses nothing by complement symmetry, and the smallest
+    maximizing index always lies in that half.
     """
     if instance.optimum is not None:
         return instance.optimum
@@ -152,8 +142,8 @@ def brute_force_optimum(instance: MaxCutInstance) -> tuple[str, float]:
     if n > MAX_BRUTE_FORCE_N:
         raise ValueError(f"brute force capped at n={MAX_BRUTE_FORCE_N}, got n={n}")
     cuts = cut_values_table(instance)[: 2 ** (n - 1)]
-    best = int(np.argmax(cuts))  # first maximum = lexicographically smallest
-    return index_to_bits(best, n), float(cuts[best])
+    best = int(np.argmax(cuts))  # first maximum = smallest index
+    return best, float(cuts[best])
 
 
 def with_optimum(instance: MaxCutInstance) -> MaxCutInstance:

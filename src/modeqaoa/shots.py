@@ -74,7 +74,6 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
     batch = cfg.pilot_shots
     spent = 0
     rounds = 0
-    accepted = False
     while True:
         rounds += 1
         sample_seed, boot_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
@@ -87,14 +86,11 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
                               gate=(cfg.tau_conf, cfg.tau_var))
         # the paper's modelled B*K charge per round, not the rows actually drawn
         ledger.bootstrap_ops += cfg.bootstrap_resamples * counts.distinct
-        if stats.passed:
-            accepted = True
-            break
-        if spent >= cfg.max_shots:
+        if stats.passed or spent >= cfg.max_shots:
             break
         batch = next_batch(batch, spent, cfg)
     # merged histograms only grow, so each distinct key's cut is paid for once
     ledger.classical_cut_ops += counts.distinct
     ledger.record_point(spent, counts.distinct)
     return PointEvaluation(params=params, counts=counts, stats=stats,
-                           shots_used=spent, accepted=accepted, rounds=rounds)
+                           shots_used=spent, accepted=stats.passed, rounds=rounds)

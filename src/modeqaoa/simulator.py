@@ -1,8 +1,8 @@
 """Exact statevector simulation of the alternating-layer MaxCut ansatz.
 
 The cost layer is diagonal, so one layer costs an elementwise phase over the
-2^n cut values plus n independent single-qubit X rotations.  Basis index bit 0
-is the most significant bit and belongs to vertex 0 (see graph module).
+2^n cut values plus n independent single-qubit X rotations.  States are
+indexed by basis index in the graph module's bit order.
 Parameter-shift gradients branch one generator row per gate off the
 unshifted evolution (see _generator_row).
 
@@ -25,6 +25,7 @@ from .graph import MaxCutInstance, cut_values_table
 
 MAX_QUBITS = 24
 SHIFT_ANGLES = (np.pi / 2.0, -np.pi / 2.0)  # + before -
+GATE_KINDS = ("beta", "gamma")  # search vector order: [betas, gammas]
 # bytes of a stack's largest array, its mirrored + and - probability rows;
 # bigger stacks ran slower (at n = 12, 256 KiB stacks of full-length rows took
 # about 3x as long: allocator trimming and cache misses)
@@ -95,8 +96,15 @@ class GateShift:
     angle: float
 
     def __post_init__(self):
-        if self.kind not in ("beta", "gamma"):
+        if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
+
+
+def gate_count(instance: MaxCutInstance, kind: str) -> int:
+    """Gates under one coordinate: a mixer per qubit or a phase per edge."""
+    if kind not in GATE_KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return instance.n if kind == "beta" else instance.num_edges
 
 
 def gate_coefficient(instance: MaxCutInstance, kind: str, index: int) -> float:
@@ -245,8 +253,7 @@ def shifted_pair(instance: MaxCutInstance, params: QaoaParams, kind: str,
     gate's generator row run on through the later layers as one two-row stack.
     Peaks at 4.5 states: that state (1/2) and a mixer on the stack (its input,
     output and two products, 1 each)."""
-    count = {"beta": instance.n, "gamma": instance.num_edges}.get(kind, 0)
-    if not (0 <= layer < params.depth and 0 <= index < count):
+    if not (0 <= layer < params.depth and 0 <= index < gate_count(instance, kind)):
         raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {params.depth}")
     _check_size(instance.n, 4)
     phases = _phases(instance, params)
@@ -282,8 +289,8 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     final = after[-1]
     final_sq = np.abs(final) ** 2
     per_stack = max(1, _STACK_BYTES // (16 * 2**n))  # a gate: 2 rows of 2^n floats
-    for kind, layer in product(("beta", "gamma"), range(depth)):
-        gates = range(n if kind == "beta" else instance.num_edges)
+    for kind, layer in product(GATE_KINDS, range(depth)):
+        gates = range(gate_count(instance, kind))
         for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):
             plus, minus = _mirror(_shift_probabilities(final, final_sq, _run(
                 np.stack([_generator_row(instance, kind, index, params.betas[layer],

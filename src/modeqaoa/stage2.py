@@ -1,6 +1,6 @@
 """Stage-2 amplification of the target bitstring's sampling probability.
 
-After the search has fixed a candidate string, its probability p_theta(z_tar)
+After the search has fixed a candidate index, its probability p_theta(z_tar)
 is pushed up by stochastic ascent: each step picks one search coordinate and
 one gate under it uniformly at random, reads the target probability from the
 gate's shifted distributions (simulator.shifted_pair), and rescales by the
@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import MaxCutInstance, bits_to_index
+from .graph import MaxCutInstance
 from .resources import ResourceLedger
-from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
-                        gate_coefficient, outcome_distribution, sample,
-                        shift_rule_gradient, shifted_pair)
+from .simulator import (GATE_KINDS, GateShift, NoiseSpec, QaoaParams,
+                        apply_depolarizing, gate_coefficient, gate_count,
+                        outcome_distribution, sample, shift_rule_gradient,
+                        shifted_pair)
 
 
 @dataclass(frozen=True)
@@ -39,24 +40,24 @@ class AmplifyConfig:
             raise ValueError("reeval_period must be >= 1")
 
 
-def _read_target(dist: np.ndarray, target: str, shots: int | None = None,
+def _read_target(dist: np.ndarray, target: int, shots: int | None = None,
                  seed: int | None = None) -> float:
     """p(target) from `dist`, exactly or as its sampled frequency in `shots` shots."""
-    if 2 ** len(target) != dist.size:
-        raise ValueError("target length must equal n")
+    if not 0 <= target < dist.size:  # a negative index would wrap around
+        raise ValueError(f"target index {target} outside [0, {dist.size})")
     if shots is None:
-        return float(dist[bits_to_index(target)])
-    return int(sample(dist, shots, seed).by_index[bits_to_index(target)]) / shots
+        return float(dist[target])
+    return int(sample(dist, shots, seed).by_index[target]) / shots
 
 
-def target_probability(instance: MaxCutInstance, params: QaoaParams, target: str,
+def target_probability(instance: MaxCutInstance, params: QaoaParams, target: int,
                        noise: NoiseSpec | None = None, shots: int | None = None,
                        seed: int | None = None) -> float:
     """p_theta(z_tar), exact from the distribution or as a sampled frequency."""
     return _read_target(outcome_distribution(instance, params, noise), target, shots, seed)
 
 
-def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: str,
+def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: int,
                    noise: NoiseSpec | None = None) -> np.ndarray:
     """Full gradient of p_theta(z_tar), every gate enumerated, exact distributions."""
     def value(shift: GateShift, probs: np.ndarray) -> float:
@@ -66,7 +67,7 @@ def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: str,
 
 
 def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
-                              target: str, cfg: AmplifyConfig,
+                              target: int, cfg: AmplifyConfig,
                               noise: NoiseSpec | None, seed: int,
                               ledger: ResourceLedger) -> tuple[int, float]:
     """(coordinate, unbiased single-coordinate gradient estimate) from one
@@ -74,8 +75,8 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     depth = params.depth
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2 * depth))
-    kind, layer = ("beta", k) if k < depth else ("gamma", k - depth)
-    g_k = instance.n if kind == "beta" else instance.num_edges
+    kind, layer = GATE_KINDS[k // depth], k % depth
+    g_k = gate_count(instance, kind)
     index = int(rng.integers(g_k))
     shots = None if cfg.use_exact else cfg.shots_per_shift
     values = []
@@ -87,7 +88,7 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])
 
 
-def amplify(instance: MaxCutInstance, params: QaoaParams, target: str,
+def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
             cfg: AmplifyConfig | None = None, noise: NoiseSpec | None = None,
             seed: int = 0,
             ledger: ResourceLedger | None = None) -> tuple[QaoaParams, list[float]]:

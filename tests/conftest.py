@@ -7,6 +7,13 @@ from modeqaoa.graph import (
 )
 
 
+def oracle_cut(instance, bits):
+    """Cut of a '0'/'1' string, character i the side of vertex i: a per-edge
+    sum in edge order, the oracle the cut table is checked against."""
+    assert len(bits) == instance.n
+    return float(sum(w for u, v, w in instance.edges if bits[u] != bits[v]))
+
+
 def oracle_mixer(amps, n, qubit, beta):
     """Per-qubit in-place exp(-i beta X) on qubit `qubit`, in the usual layout."""
     if beta == 0.0:

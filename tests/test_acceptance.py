@@ -19,8 +19,7 @@ from modeqaoa.estimators import (
     Counts, compute_stats, dual_gate, mode_confidence, normalized_cut_variance,
 )
 from modeqaoa.graph import (
-    MaxCutInstance, assign_weights, bits_to_index, cut_values_table, random_regular,
-    with_optimum,
+    MaxCutInstance, assign_weights, cut_values_table, random_regular, with_optimum,
 )
 from modeqaoa.resources import (
     ResourceLedger, final_mode_accuracy, saving_ratios, shots_to_threshold,
@@ -145,7 +144,7 @@ def test_criterion_3_gradient_oracle():
             coeff = gate_coefficient(small, kind, index)
             plus, minus = (
                 float(distribution(oracle_evolve(small, sp, GateShift(kind, 0, index, angle)))
-                      [bits_to_index(target)])
+                      [target])
                 for angle in (np.pi / 2, -np.pi / 2))
             # uniform gate pick (1/count) times the G_k=count rescale cancels
             avg[k] += coeff * (plus - minus)

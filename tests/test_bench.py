@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modeqaoa import baselines, bo, shots, simulator, stage2
+from modeqaoa.baselines import GdConfig
 
 from modeqaoa.bench import (
     AGGREGATE_METRICS, EXPERIMENTS, METHODS, RECORD_KEYS, ExperimentConfig,
@@ -15,7 +16,7 @@ from modeqaoa.bench import (
     load_records, main, make_instance, records_to_jsonl, run_cell,
     run_experiment, run_method, summarize, write_outputs, write_plot_data,
 )
-from modeqaoa.graph import assign_weights, random_regular, with_optimum
+from modeqaoa.graph import assign_weights, from_json, index_to_bits, random_regular, with_optimum
 from modeqaoa.stage2 import AmplifyConfig
 from modeqaoa.shots import AdaptiveConfig
 
@@ -104,6 +105,38 @@ def test_config_ini_rejects_unknown_keys():
         config_from_ini("[experiment]\nbogus_key = 1\n")
     with pytest.raises(ValueError):
         config_from_ini("[adaptive]\nbogus = 2\n")
+
+
+def test_config_ini_booleans_are_strict():
+    for word, value in (("true", True), ("Yes", True), ("on", True), ("1", True),
+                        ("False", False), ("no", False), ("OFF", False), ("0", False)):
+        cfg = config_from_ini(f"[experiment]\nstage2_enabled = {word}\n")
+        assert cfg.stage2_enabled is value
+    for word in ("ture", "2", "enabled", ""):
+        with pytest.raises(ValueError, match="Not a boolean"):
+            config_from_ini(f"[experiment]\nstage2_enabled = {word}\n")
+        with pytest.raises(ValueError, match="Not a boolean"):
+            config_from_ini(f"[gd]\nexact_gradient = {word}\n")
+    for value in (True, False):
+        cfg = ExperimentConfig(stage2_enabled=value, gd=GdConfig(exact_gradient=value))
+        assert config_from_ini(config_to_ini(cfg)) == cfg
+
+
+@pytest.mark.parametrize("lambdas", [(-0.3,), (0.0, 1.5), (float("nan"),)])
+def test_config_rejects_noise_outside_unit_interval(lambdas):
+    with pytest.raises(ValueError, match="noise_lambdas"):
+        ExperimentConfig(noise_lambdas=lambdas)
+    ExperimentConfig(noise_lambdas=(0.0, 1.0))
+
+
+def test_cli_bench_negative_lambda_exits_2(tmp_path, capsys):
+    out = tmp_path / "neg"
+    rc = main(["bench", "--seed", "2", "--out", str(out), "--experiment", "noise_sweep",
+               "--n-values", "4", "--lambdas", "-0.3", "--instances", "1",
+               "--methods", "exp_bo", "--t-max", "2"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: noise_lambdas")
+    assert not out.exists()
 
 
 def test_derive_seed_stable():
@@ -281,6 +314,31 @@ def test_cli_gen_run_roundtrip(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert "best_bitstring" in payload
     assert payload["metrics"]["final_mode_accuracy"] >= 0.0
+
+
+def test_cli_run_json_writes_indices_as_bitstrings(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 6, "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0],
+                                                  [3, 4, 1.0], [4, 5, 1.0], [0, 5, 1.0]]}))
+    args = ["--depth", "1", "--seed", "5", "--t-max", "11", "--n-final", "300"]
+    assert main(["run", "--instance", str(inst), "--method", "exp_bo", *args]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    result, _ = run_method(ExperimentConfig(t_max=11, n_final=300),
+                           with_optimum(from_json(inst.read_text())), 1, 0.0, "exp_bo",
+                           5, derive_seed(5, "stage2"))
+    assert payload["best_bitstring"] == index_to_bits(result.best_index, 6)
+    assert payload["final_eval"]["mode"] == index_to_bits(result.final_eval.mode, 6)
+    assert payload["best_objective"] == result.best_objective
+
+
+def test_cli_run_negative_noise_exits_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0],
+                                                  [2, 3, 1.0], [0, 3, 1.0]]}))
+    rc = main(["run", "--instance", str(inst), "--method", "map_bo", "--seed", "1",
+               "--t-max", "2", "--noise", "-0.5"])
+    assert rc == 2
+    assert "lambda_per_gate must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_cli_run_stage2_metrics_count_stage2(tmp_path, capsys):

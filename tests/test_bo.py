@@ -10,7 +10,7 @@ from modeqaoa.bo import (
     trials_to_jsonl,
 )
 from modeqaoa import estimators
-from modeqaoa.graph import complete_graph, random_regular, with_optimum
+from modeqaoa.graph import complete_graph, index_to_bits, random_regular, with_optimum
 from modeqaoa.shots import AdaptiveConfig
 from modeqaoa.simulator import QaoaParams
 
@@ -19,7 +19,7 @@ def make_trial(i, y, vec=None):
     vec = vec if vec is not None else [0.1 * i, 0.2, 1.0, 2.0]
     return Trial(index=i, params=QaoaParams.from_vector(np.array(vec)),
                  objective=y, shots_used=100, accepted=False,
-                 mode="0000", mode_cut=y)
+                 mode=0, mode_cut=y)
 
 
 def test_config_validation():
@@ -113,7 +113,7 @@ def test_map_bo_finds_square_optimum(square):
     res = optimize_map_bo(square, depth=1, t_max=40, seed=3)
     assert res.best_objective == 4.0
     assert res.final_eval.mode_cut == 4.0
-    assert res.best_bitstring in ("0101", "1010")
+    assert res.best_index in (0b0101, 0b1010)
     assert res.stop_reason in ("budget", "stagnation")
     assert [t.index for t in res.trials] == list(range(1, len(res.trials) + 1))
 
@@ -166,6 +166,9 @@ def test_run_result_to_dict_shape(square):
                       "stop_reason", "trials", "final_eval", "ledger"}
     assert d["trials"] == len(res.trials)
     assert len(d["best_theta"]) == 2
+    # indices become bitstrings only here, at the output boundary
+    assert d["best_bitstring"] == index_to_bits(res.best_index, 4)
+    assert d["final_eval"]["mode"] == index_to_bits(res.final_eval.mode, 4)
     json.dumps(d)  # serializable
 
 

@@ -7,8 +7,8 @@ from modeqaoa.estimators import (
     Counts, _bootstrap_confidence, compute_stats, dual_gate, expectation_estimate,
     mode_confidence, mode_of, normalized_cut_variance,
 )
-from modeqaoa.graph import (MaxCutInstance, assign_weights, cut_value, index_to_bits,
-                            random_regular)
+from conftest import oracle_cut
+from modeqaoa.graph import MaxCutInstance, assign_weights, index_to_bits, random_regular
 from modeqaoa.simulator import sample
 
 
@@ -54,7 +54,7 @@ def test_counts_match_dict_oracle(hist, data):
     assert list(counts.histogram) == sorted(hist)
     assert counts.total == sum(hist.values()) and counts.distinct == len(hist)
     best = max(hist.values())
-    assert mode_of(counts) == min(k for k, v in hist.items() if v == best)
+    assert mode_of(counts) == int(min(k for k, v in hist.items() if v == best), 2)
     n = len(next(iter(hist)))
     other = data.draw(st.dictionaries(st.text("01", min_size=n, max_size=n),
                                       st.integers(1, 50), min_size=1))
@@ -81,17 +81,19 @@ def test_counts_merged():
 
 
 def test_mode_tie_break():
-    assert mode_of(Counts.from_histogram({"10": 4, "01": 4, "11": 1})) == "01"
-    assert mode_of(Counts.from_histogram({"11": 9, "00": 3})) == "11"
+    assert mode_of(Counts.from_histogram({"10": 4, "01": 4, "11": 1})) == 0b01
+    assert mode_of(Counts.from_histogram({"11": 9, "00": 3})) == 0b11
     with pytest.raises(ValueError):
         mode_of(Counts.from_histogram({}))
 
 
 def test_cut_of_mode(square):
     counts = Counts.from_histogram({"0101": 10, "0000": 9})
-    assert cut_value(square, mode_of(counts)) == 4.0
+    assert mode_of(counts) == 0b0101
+    assert compute_stats(square, counts).mode_cut == 4.0
     counts = Counts.from_histogram({"0101": 9, "0000": 10})
-    assert cut_value(square, mode_of(counts)) == 0.0
+    assert mode_of(counts) == 0b0000
+    assert compute_stats(square, counts).mode_cut == 0.0
 
 
 def test_expectation_estimate_weighted_mean(square):
@@ -113,7 +115,7 @@ def test_expectation_estimate_matches_sequential_sum(n, weights, seed, keys):
     counts = Counts(by_index)
     acc = 0.0
     for index in np.flatnonzero(by_index).tolist():
-        acc += by_index[index].item() * cut_value(inst, index_to_bits(index, n))
+        acc += by_index[index].item() * oracle_cut(inst, index_to_bits(index, n))
     assert expectation_estimate(inst, counts) == acc / counts.total
 
 
@@ -169,7 +171,7 @@ def test_variance_matches_expanded_sample(square_hist):
     inst = MaxCutInstance.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0),
                                          (2, 3, 1.0), (0, 3, 1.0)])
     cuts = np.concatenate([
-        np.full(v, cut_value(inst, k)) for k, v in counts.histogram.items()])
+        np.full(v, oracle_cut(inst, k)) for k, v in counts.histogram.items()])
     want = float(np.var(cuts)) / inst.total_weight ** 2
     assert normalized_cut_variance(inst, counts) == pytest.approx(want, abs=1e-12)
 
@@ -248,8 +250,8 @@ def test_dual_gate_boundaries():
 def test_compute_stats_consistent_with_parts(six_reg):
     counts = Counts.from_histogram({"000111": 40, "111000": 35, "010101": 15, "000000": 10})
     stats = compute_stats(six_reg, counts, resamples=400, seed=3)
-    assert stats.mode == mode_of(counts)
-    assert stats.mode_cut == cut_value(six_reg, mode_of(counts))
+    assert stats.mode == mode_of(counts) == 0b000111
+    assert stats.mode_cut == oracle_cut(six_reg, index_to_bits(stats.mode, 6))
     assert stats.expectation_estimate == pytest.approx(
         expectation_estimate(six_reg, counts))
     assert stats.var_normalized == pytest.approx(

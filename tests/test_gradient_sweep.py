@@ -13,8 +13,8 @@ from conftest import oracle_evolve
 from modeqaoa import baselines
 from modeqaoa.baselines import _split_shots, parameter_shift_gradient
 from modeqaoa.estimators import Counts, expectation_estimate
-from modeqaoa.graph import (MaxCutInstance, assign_weights, bits_to_index,
-                            cut_values_table, random_regular, with_optimum)
+from modeqaoa.graph import (MaxCutInstance, assign_weights, cut_values_table,
+                            random_regular, with_optimum)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GateShift, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
@@ -97,7 +97,7 @@ def oracle_target_gradient(instance, params, target, noise):
         plus, minus = (
             float(apply_depolarizing(distribution(
                 oracle_evolve(instance, params, GateShift(kind, layer, index, a))), noise)
-                  [bits_to_index(target)])
+                  [target])
             for a in (np.pi / 2, -np.pi / 2))
         grad[k] += gate_coefficient(instance, kind, index) * (plus - minus)
     return grad

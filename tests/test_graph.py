@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_cut
 from modeqaoa.graph import (
-    MaxCutInstance, assign_weights, bits_to_index, brute_force_optimum,
-    complete_graph, cut_value, cut_values_table, from_json, index_to_bits,
-    random_regular, to_json, with_optimum,
+    MaxCutInstance, assign_weights, brute_force_optimum, complete_graph,
+    cut_values_table, from_json, index_to_bits, random_regular, to_json, with_optimum,
 )
 
 
@@ -34,37 +34,39 @@ def test_index_bits_roundtrip():
         for k in range(2 ** n):
             bits = index_to_bits(k, n)
             assert len(bits) == n
-            assert bits_to_index(bits) == k
+            assert int(bits, 2) == k
     # vertex 0 is the most significant bit
     assert index_to_bits(1, 4) == "0001"
-    assert bits_to_index("1000") == 8
+    assert index_to_bits(8, 4) == "1000"
 
 
 def test_cut_value_square(square):
-    assert cut_value(square, "0101") == 4.0
-    assert cut_value(square, "0000") == 0.0
-    assert cut_value(square, "0001") == 2.0
+    table = cut_values_table(square)
+    for bits, cut in (("0101", 4.0), ("0000", 0.0), ("0001", 2.0)):
+        assert oracle_cut(square, bits) == cut
+        assert table[int(bits, 2)] == cut
 
 
 def test_cut_table_matches_scalar(six_reg):
+    # bit for bit against the per-edge loop over the bitstring
     table = cut_values_table(six_reg)
     for k in range(2 ** six_reg.n):
-        assert table[k] == cut_value(six_reg, index_to_bits(k, six_reg.n))
+        assert table[k] == oracle_cut(six_reg, index_to_bits(k, six_reg.n))
     assert not table.flags.writeable
 
 
 def test_brute_force_triangle(triangle):
-    bits, best = brute_force_optimum(triangle)
+    index, best = brute_force_optimum(triangle)
     assert best == 2.0
     # first max in index order with bit 0 most significant: 001
-    assert bits == "001"
+    assert index == 0b001
 
 
 def test_brute_force_petersen(petersen):
     # independent oracle: full enumeration with a different bit convention
-    bits, best = brute_force_optimum(petersen)
+    index, best = brute_force_optimum(petersen)
     assert best == 12.0
-    assert bits == "0010111000"
+    assert index == 0b0010111000
     ref = max(
         sum(w for (u, v, w) in petersen.edges
             if ((mask >> u) & 1) != ((mask >> v) & 1))
@@ -74,16 +76,17 @@ def test_brute_force_petersen(petersen):
 
 
 def test_brute_force_first_max_is_lex_smallest(square):
-    bits, best = brute_force_optimum(square)
+    index, best = brute_force_optimum(square)
     table = cut_values_table(square)
-    winners = [index_to_bits(k, 4) for k in range(16) if table[k] == best]
-    assert bits == min(winners)
+    winners = [k for k in range(16) if table[k] == best]
+    assert index == min(winners)
+    assert index_to_bits(index, 4) == min(index_to_bits(k, 4) for k in winners)
 
 
 def test_optimum_complement_symmetry(six_reg):
-    bits, best = brute_force_optimum(six_reg)
-    flipped = "".join("1" if b == "0" else "0" for b in bits)
-    assert cut_value(six_reg, flipped) == best
+    index, best = brute_force_optimum(six_reg)
+    flipped = "".join("1" if b == "0" else "0" for b in index_to_bits(index, 6))
+    assert oracle_cut(six_reg, flipped) == best
 
 
 def test_with_optimum_caches(six_reg):
@@ -134,7 +137,7 @@ def test_cut_complement_invariance(k):
     inst = assign_weights(random_regular(6, 3, seed=3), "uniform", seed=3)
     bits = index_to_bits(k, 6)
     flipped = index_to_bits(2 ** 6 - 1 - k, 6)
-    assert cut_value(inst, bits) == pytest.approx(cut_value(inst, flipped))
+    assert oracle_cut(inst, bits) == pytest.approx(oracle_cut(inst, flipped))
 
 
 def test_brute_force_upper_bounds_samples(six_reg):
@@ -142,7 +145,7 @@ def test_brute_force_upper_bounds_samples(six_reg):
     rng = np.random.default_rng(0)
     for _ in range(50):
         bits = "".join(rng.choice(["0", "1"], size=6))
-        assert cut_value(six_reg, bits) <= best
+        assert oracle_cut(six_reg, bits) <= best
 
 
 def test_json_roundtrip(six_reg):

@@ -15,7 +15,7 @@ from modeqaoa.simulator import QaoaParams
 
 def synthetic_trial(i, y, shots=100):
     return Trial(index=i, params=QaoaParams((0.1,), (0.2,)), objective=y,
-                 shots_used=shots, accepted=True, mode="0101", mode_cut=y)
+                 shots_used=shots, accepted=True, mode=0b0101, mode_cut=y)
 
 
 def test_ledger_totals_and_averages():

@@ -90,7 +90,7 @@ def test_degenerate_pair_rarely_accepts():
     # variance gate always passes (both strings cut 1); acceptance is decided
     # purely by mode confidence near 1/2
     assert all(ev.stats.var_normalized == 0.0 for ev in results)
-    assert all(ev.stats.mode in ("01", "10") for ev in results)
+    assert all(ev.stats.mode in (0b01, 0b10) for ev in results)
     assert sum(ev.accepted for ev in results) < 10
 
 

@@ -9,7 +9,8 @@ from modeqaoa.graph import (
 )
 from modeqaoa.simulator import (
     MAX_QUBITS, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
-    exact_expectation, outcome_distribution, sample, sample_indices, shifted_pair,
+    exact_expectation, gate_count, outcome_distribution, sample, sample_indices,
+    shifted_pair,
 )
 
 
@@ -155,6 +156,15 @@ def test_noise_spec_for_circuit(six_reg):
     assert spec.gate_count == 2 * (six_reg.num_edges + six_reg.n)
     assert spec.effective_mixing == pytest.approx(
         1 - (1 - 0.005) ** spec.gate_count)
+
+
+def test_gate_count_per_kind(six_reg):
+    assert gate_count(six_reg, "beta") == 6
+    assert gate_count(six_reg, "gamma") == six_reg.num_edges == 9
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        gate_count(six_reg, "delta")
+    with pytest.raises(ValueError):
+        shifted_pair(six_reg, QaoaParams((0.3,), (0.7,)), "delta", 0, 0)
 
 
 def test_effective_mixing_monotone(six_reg):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import oracle_evolve
-from modeqaoa.graph import bits_to_index, brute_force_optimum, random_regular, with_optimum
+from modeqaoa.graph import brute_force_optimum, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GateShift, QaoaParams, distribution, gate_coefficient, outcome_distribution,
 )
 from modeqaoa.stage2 import (
-    AmplifyConfig, amplify, exact_gradient, randomized_shift_gradient,
+    AmplifyConfig, _read_target, amplify, exact_gradient, randomized_shift_gradient,
     target_probability,
 )
 
@@ -33,34 +33,43 @@ def test_config_validation():
 def test_target_probability_exact(small):
     params = QaoaParams((0.5,), (1.0,))
     dist = outcome_distribution(small, params)
-    bits, _ = brute_force_optimum(small)
-    assert target_probability(small, params, bits) == pytest.approx(
-        float(dist[int(bits, 2)]))
+    target, _ = brute_force_optimum(small)
+    assert target_probability(small, params, target) == pytest.approx(float(dist[target]))
     with pytest.raises(ValueError):
-        target_probability(small, params, "01")
+        target_probability(small, params, 2 ** small.n)
+
+
+@pytest.mark.parametrize("shots", [None, 10])
+def test_read_target_rejects_out_of_range_index(shots):
+    # a negative index would otherwise read the distribution from its end
+    dist = np.full(16, 1 / 16)
+    for target in (-1, 16):
+        with pytest.raises(ValueError, match="outside"):
+            _read_target(dist, target, shots, seed=0)
+    assert _read_target(dist, 15) == 1 / 16
 
 
 def test_target_probability_sampled_converges(small):
     params = QaoaParams((0.5,), (1.0,))
-    bits, _ = brute_force_optimum(small)
-    truth = target_probability(small, params, bits)
-    est = target_probability(small, params, bits, shots=100_000, seed=0)
+    target, _ = brute_force_optimum(small)
+    truth = target_probability(small, params, target)
+    est = target_probability(small, params, target, shots=100_000, seed=0)
     sigma = math.sqrt(truth * (1 - truth) / 100_000)
     assert abs(est - truth) < 5 * sigma + 1e-9
 
 
 def test_exact_gradient_matches_fd(small):
     params = QaoaParams((0.6,), (1.3,))
-    bits, _ = brute_force_optimum(small)
-    grad = exact_gradient(small, params, bits)
+    target, _ = brute_force_optimum(small)
+    grad = exact_gradient(small, params, target)
     h = 1e-6
     theta = params.to_vector()
     for k in range(len(theta)):
         up, dn = theta.copy(), theta.copy()
         up[k] += h
         dn[k] -= h
-        fd = (target_probability(small, QaoaParams.from_vector(up), bits)
-              - target_probability(small, QaoaParams.from_vector(dn), bits)) / (2 * h)
+        fd = (target_probability(small, QaoaParams.from_vector(up), target)
+              - target_probability(small, QaoaParams.from_vector(dn), target)) / (2 * h)
         assert grad[k] == pytest.approx(fd, abs=1e-6)
 
 
@@ -68,13 +77,13 @@ def test_randomized_estimator_enumeration_average(small):
     # averaging the estimator over every (coordinate, gate) draw, weighted by
     # the uniform pick probabilities, reproduces the exact gradient exactly
     params = QaoaParams((0.6,), (1.3,))
-    bits, _ = brute_force_optimum(small)
-    exact = exact_gradient(small, params, bits)
+    target, _ = brute_force_optimum(small)
+    exact = exact_gradient(small, params, target)
     depth = params.depth
 
     def probability(kind, layer, index, angle):
         state = oracle_evolve(small, params, GateShift(kind, layer, index, angle))
-        return float(distribution(state)[bits_to_index(bits)])
+        return float(distribution(state)[target])
 
     avg = np.zeros(2 * depth)
     for k in range(2 * depth):
@@ -94,28 +103,29 @@ def test_randomized_estimator_enumeration_average(small):
 
 def test_randomized_gradient_checks_target_and_charges_ledger(small):
     params = QaoaParams((0.6,), (1.3,))
-    bits, _ = brute_force_optimum(small)
+    target, _ = brute_force_optimum(small)
     ledger = ResourceLedger()
-    with pytest.raises(ValueError, match="target length"):
-        randomized_shift_gradient(small, params, bits + "0", AmplifyConfig(), None, 0, ledger)
+    with pytest.raises(ValueError, match="outside"):
+        randomized_shift_gradient(small, params, 2 ** small.n, AmplifyConfig(), None, 0,
+                                  ledger)
     assert ledger == ResourceLedger()
-    randomized_shift_gradient(small, params, bits, AmplifyConfig(use_exact=True), None, 0,
+    randomized_shift_gradient(small, params, target, AmplifyConfig(use_exact=True), None, 0,
                               ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (2, 0)
-    randomized_shift_gradient(small, params, bits, AmplifyConfig(shots_per_shift=30), None, 0,
+    randomized_shift_gradient(small, params, target, AmplifyConfig(shots_per_shift=30), None, 0,
                               ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (4, 60)
 
 
 def test_randomized_estimator_sampled_mean(small):
     params = QaoaParams((0.6,), (1.3,))
-    bits, _ = brute_force_optimum(small)
-    exact = exact_gradient(small, params, bits)
+    target, _ = brute_force_optimum(small)
+    exact = exact_gradient(small, params, target)
     cfg = AmplifyConfig(use_exact=True)
     sums = np.zeros(2)
     hits = np.zeros(2)
     for s in range(400):
-        k, est = randomized_shift_gradient(small, params, bits, cfg, None,
+        k, est = randomized_shift_gradient(small, params, target, cfg, None,
                                            seed=s, ledger=ResourceLedger())
         sums[k] += est
         hits[k] += 1
@@ -125,21 +135,21 @@ def test_randomized_estimator_sampled_mean(small):
 
 
 def test_amplify_increases_target_probability(small):
-    bits, _ = brute_force_optimum(small)
+    target, _ = brute_force_optimum(small)
     params = QaoaParams((0.4,), (0.9,))
     cfg = AmplifyConfig(steps=120, use_exact=True, learning_rate=0.05)
-    out_params, trace = amplify(small, params, bits, cfg, seed=1)
+    out_params, trace = amplify(small, params, target, cfg, seed=1)
     assert trace[-1] > trace[0]
-    final = target_probability(small, out_params, bits)
-    assert final > target_probability(small, params, bits)
+    final = target_probability(small, out_params, target)
+    assert final > target_probability(small, params, target)
 
 
 def test_amplify_trace_layout_and_ledger(small):
-    bits, _ = brute_force_optimum(small)
+    target, _ = brute_force_optimum(small)
     params = QaoaParams((0.4,), (0.9,))
     cfg = AmplifyConfig(steps=25, reeval_period=10, shots_per_shift=50)
     ledger = ResourceLedger()
-    _, trace = amplify(small, params, bits, cfg, seed=2, ledger=ledger)
+    _, trace = amplify(small, params, target, cfg, seed=2, ledger=ledger)
     # initial exact entry + re-evals at steps 10, 20, 25
     assert len(trace) == 1 + math.ceil(25 / 10)
     assert ledger.stage2_shots == 2 * 25 * 50 + math.ceil(25 / 10) * 50
@@ -147,19 +157,19 @@ def test_amplify_trace_layout_and_ledger(small):
 
 
 def test_amplify_zero_steps(small):
-    bits, _ = brute_force_optimum(small)
+    target, _ = brute_force_optimum(small)
     params = QaoaParams((0.4,), (0.9,))
-    out_params, trace = amplify(small, params, bits,
+    out_params, trace = amplify(small, params, target,
                                 AmplifyConfig(steps=0), seed=0)
     assert out_params == params
     assert len(trace) == 1
 
 
 def test_amplify_deterministic(small):
-    bits, _ = brute_force_optimum(small)
+    target, _ = brute_force_optimum(small)
     params = QaoaParams((0.4,), (0.9,))
     cfg = AmplifyConfig(steps=20, shots_per_shift=80)
-    a = amplify(small, params, bits, cfg, seed=3)
-    b = amplify(small, params, bits, cfg, seed=3)
+    a = amplify(small, params, target, cfg, seed=3)
+    b = amplify(small, params, target, cfg, seed=3)
     assert a[0] == b[0]
     assert a[1] == b[1]
