@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, finish_run,
+from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, adam_step, finish_run,
                  run_search, search_bounds)
 # compute_stats is called through bo.finish_run; perfbench's trace-site test
 # still lists this module among those that import it
@@ -22,8 +22,8 @@ from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # 
 from .graph import MaxCutInstance, cut_values_table
 from .resources import ResourceLedger
 from .simulator import (GATE_KINDS, GateShift, NoiseSpec, QaoaParams,
-                        apply_depolarizing, exact_expectation, gate_count,
-                        outcome_distribution, sample, sample_indices,
+                        apply_depolarizing, child_seeds, exact_expectation,
+                        gate_count, outcome_distribution, sample, sample_indices,
                         shift_rule_gradient)
 
 DEFAULT_N_FIX = 1000
@@ -62,11 +62,16 @@ def fixed_shot_expectation_eval(instance: MaxCutInstance, params: QaoaParams,
     dist = outcome_distribution(instance, params, noise)
     ledger.circuit_evaluations += 1
     counts = sample(dist, shots, seed)
-    ledger.optimization_shots += shots
-    ledger.classical_count_ops += shots
-    ledger.classical_cut_ops += shots  # baseline evaluates the cut per raw shot
-    ledger.record_point(shots, counts.distinct)
+    ledger.record_fixed_point(shots, counts.distinct)
     return expectation_estimate(instance, counts), counts
+
+
+def _fixed_shot_trial(instance: MaxCutInstance, t: int, params: QaoaParams,
+                      value: float, counts: Counts, shots_used: int) -> Trial:
+    """Trial of a fixed-shot point: objective the sampled mean, mode from its histogram."""
+    mode = mode_of(counts)
+    return Trial(index=t, params=params, objective=value, shots_used=shots_used,
+                 accepted=True, mode=mode, mode_cut=float(cut_values_table(instance)[mode]))
 
 
 def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
@@ -93,10 +98,7 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
         part = parts[shift.kind][shift.index]
         # the mean of i.i.d. cut values needs the drawn indices, not a histogram
         idx = sample_indices(dist, part, rng)
-        ledger.optimization_shots += part
-        ledger.classical_count_ops += part
-        ledger.classical_cut_ops += part
-        ledger.record_point(part, 1 + np.count_nonzero(np.diff(idx)))
+        ledger.record_fixed_point(part, 1 + np.count_nonzero(np.diff(idx)))
         return float(cuts[idx].mean())
 
     return shift_rule_gradient(instance, params, value)
@@ -117,10 +119,7 @@ def optimize_exp_bo(instance: MaxCutInstance, depth: int,
     def evaluate(t: int, params: QaoaParams, eval_seed: int) -> Trial:
         value, counts = fixed_shot_expectation_eval(instance, params, n_fix, noise,
                                                     eval_seed, ledger)
-        mode = mode_of(counts)
-        return Trial(index=t, params=params, objective=value, shots_used=n_fix,
-                     accepted=True, mode=mode,
-                     mode_cut=float(cut_values_table(instance)[mode]))
+        return _fixed_shot_trial(instance, t, params, value, counts, n_fix)
 
     return run_search(instance, depth, evaluate, tpe_cfg, stagnation_cfg,
                       noise, t_max, seed, n_final, ledger)
@@ -144,13 +143,11 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     ledger = ledger if ledger is not None else ResourceLedger()
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)
-    init_seed = int(ss.spawn(1)[0].generate_state(1)[0])
-    theta = np.random.default_rng(init_seed).uniform(bounds[:, 0], bounds[:, 1])
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    theta = np.random.default_rng(child_seeds(ss, 1)[0]).uniform(bounds[:, 0], bounds[:, 1])
+    m, v = np.zeros((2, theta.size))
     trials: list[Trial] = []
     for t in range(1, cfg.iterations + 1):
-        eval_seed, grad_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
+        eval_seed, grad_seed = child_seeds(ss, 2)
         params = QaoaParams.from_vector(theta)
         value, counts = fixed_shot_expectation_eval(instance, params,
                                                     cfg.shots_per_eval, noise,
@@ -158,14 +155,9 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
         grad = parameter_shift_gradient(
             instance, params, None if cfg.exact_gradient else cfg.shots_per_eval,
             noise, grad_seed, ledger)
-        mode = mode_of(counts)
         grad_shots = 0 if cfg.exact_gradient else 2 * 2 * depth * cfg.shots_per_eval
-        trials.append(Trial(index=t, params=params, objective=value,
-                            shots_used=cfg.shots_per_eval + grad_shots, accepted=True,
-                            mode=mode, mode_cut=float(cut_values_table(instance)[mode])))
-        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-        v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad**2
-        m_hat = m / (1 - cfg.adam_beta1**t)
-        v_hat = v / (1 - cfg.adam_beta2**t)
-        theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        trials.append(_fixed_shot_trial(instance, t, params, value, counts,
+                                        cfg.shots_per_eval + grad_shots))
+        step, m, v = adam_step(cfg, m, v, grad, t)
+        theta = theta + step
     return finish_run(instance, trials, ss, noise, n_final, ledger, "budget")

@@ -32,7 +32,7 @@ from .graph import (MaxCutInstance, assign_weights, from_json, random_regular,
                     to_json, with_optimum)
 from .resources import build_report, pooled_savings
 from .shots import AdaptiveConfig
-from .simulator import NoiseSpec
+from .simulator import MAX_QUBITS, NoiseSpec
 from .stage2 import AmplifyConfig, amplify
 
 # preset (n, p, lambda) grid of each named sweep
@@ -115,6 +115,13 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}")
         if not all(0.0 <= lam <= 1.0 for lam in self.noise_lambdas):
             raise ValueError(f"noise_lambdas must lie in [0, 1], got {self.noise_lambdas}")
+        # checked here so a bad grid value fails before the first cell runs
+        if not all(2 <= n <= MAX_QUBITS for n in self.n_values):
+            raise ValueError(f"n_values must lie in [2, {MAX_QUBITS}], got {self.n_values}")
+        if not all(p >= 1 for p in self.p_values):
+            raise ValueError(f"p_values must be >= 1, got {self.p_values}")
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
         if self.instances_per_point < 1:
             raise ValueError("instances_per_point must be >= 1")
         if not (0.0 < self.threshold <= 1.0):
@@ -123,9 +130,7 @@ class ExperimentConfig:
     @classmethod
     def for_experiment(cls, name: str, **overrides) -> "ExperimentConfig":
         """Preset grid for each named sweep; explicit overrides win."""
-        if name not in GRIDS:
-            raise ValueError(f"unknown experiment {name!r}")
-        return cls(experiment=name, **{**GRIDS[name], **overrides})
+        return cls(experiment=name, **{**GRIDS.get(name, {}), **overrides})
 
     @property
     def sweep(self) -> _Sweep:
@@ -233,10 +238,8 @@ def make_instance(cfg: ExperimentConfig, master_seed: int, n: int, p: int,
                   lam: float, index: int) -> MaxCutInstance:
     point = (n, p, lam)
     inst = random_regular(n, cfg.degree, derive_seed(master_seed, point, index, "instance"))
-    if cfg.weight_scheme != "unit":
-        inst = assign_weights(inst, cfg.weight_scheme,
-                              derive_seed(master_seed, point, index, "weights"))
-    return with_optimum(inst)
+    return with_optimum(assign_weights(inst, cfg.weight_scheme,
+                                       derive_seed(master_seed, point, index, "weights")))
 
 
 def run_method(cfg: ExperimentConfig, instance: MaxCutInstance, p: int, lam: float,
@@ -329,19 +332,22 @@ def _group(records, cfg: ExperimentConfig):
     return groups
 
 
+def _mean_std(values) -> tuple[float, float, int]:
+    """(mean, population std, count) of the non-null values; NaN stats when none."""
+    values = [x for x in values if x is not None]
+    if not values:
+        return float("nan"), float("nan"), 0
+    return float(np.mean(values)), float(np.std(values)), len(values)
+
+
 def aggregate_rows(records, cfg: ExperimentConfig) -> list[dict]:
     """Per (sweep_key, method, metric): mean, population std, count of non-null."""
     rows = []
     for (sweep_key, method), group in _group(records, cfg).items():
         for metric in AGGREGATE_METRICS:
-            values = [r[metric] for r in group if r[metric] is not None]
-            if values:
-                mean = float(np.mean(values))
-                std = float(np.std(values))
-            else:
-                mean = std = float("nan")
+            mean, std, count = _mean_std(r[metric] for r in group)
             rows.append({"sweep_key": sweep_key, "method": method, "metric": metric,
-                         "mean": mean, "std": std, "count": len(values)})
+                         "mean": mean, "std": std, "count": count})
     return rows
 
 
@@ -377,50 +383,42 @@ def write_plot_data(records, cfg: ExperimentConfig, plot_dir: str) -> None:
     """One CSV per figure; empty records still produce headers."""
     os.makedirs(plot_dir, exist_ok=True)
     groups = _group(records, cfg)
-    sweep_keys = list(_sweep_firsts(cfg))
     axis = cfg.sweep.key
 
     threshold_rows = []
     curve_rows = []
-    for key in sweep_keys:
+    saving_rows = []
+    for key in _sweep_firsts(cfg):
+        medians = {}
         for method in cfg.methods:
             group = groups.get((key, method), [])
             if not group:
                 continue
-            reached = [r for r in group if r["shots_to_threshold"] is not None]
-            mean_reached = (float(np.mean([r["shots_to_threshold"] for r in reached]))
-                            if reached else float("nan"))
+            medians[method] = _median_shots(group)
+            mean_reached, _, reached = _mean_std(r["shots_to_threshold"] for r in group)
             threshold_rows.append({
                 "sweep_key": key, "method": method,
-                "median_shots_to_threshold": _median_shots(group),
+                "median_shots_to_threshold": medians[method],
                 "mean_shots_to_threshold": mean_reached,
-                "reached": len(reached), "count": len(group),
+                "reached": reached, "count": len(group),
             })
             if axis:
-                acc = [r["final_mode_accuracy"] for r in group]
-                shots = [r["total_shots"] for r in group]
+                acc_mean, acc_std, _ = _mean_std(r["final_mode_accuracy"] for r in group)
+                shots_mean, shots_std, _ = _mean_std(r["total_shots"] for r in group)
                 curve_rows.append({
                     axis: group[0][axis], "method": method,
-                    "mean_final_mode_accuracy": float(np.mean(acc)),
-                    "std_final_mode_accuracy": float(np.std(acc)),
-                    "mean_total_shots": float(np.mean(shots)),
-                    "std_total_shots": float(np.std(shots)),
+                    "mean_final_mode_accuracy": acc_mean,
+                    "std_final_mode_accuracy": acc_std,
+                    "mean_total_shots": shots_mean,
+                    "std_total_shots": shots_std,
                 })
+        map_med = medians.get("map_bo", np.inf)
+        exp_med = medians.get("exp_bo", np.inf)
+        if np.isfinite(map_med) and np.isfinite(exp_med) and exp_med > 0:
+            saving_rows.append({"sweep_key": key, "saving_rate": 1.0 - map_med / exp_med})
     _write_csv(os.path.join(plot_dir, "threshold_shots.csv"),
                ["sweep_key", "method", "median_shots_to_threshold",
                 "mean_shots_to_threshold", "reached", "count"], threshold_rows)
-
-    saving_rows = []
-    for key in sweep_keys:
-        map_group = groups.get((key, "map_bo"), [])
-        exp_group = groups.get((key, "exp_bo"), [])
-        if not map_group or not exp_group:
-            continue
-        map_med = _median_shots(map_group)
-        exp_med = _median_shots(exp_group)
-        if np.isfinite(map_med) and np.isfinite(exp_med) and exp_med > 0:
-            saving_rows.append({"sweep_key": key,
-                                "saving_rate": 1.0 - map_med / exp_med})
     _write_csv(os.path.join(plot_dir, "saving_rate.csv"),
                ["sweep_key", "saving_rate"], saving_rows)
 
@@ -491,8 +489,7 @@ def write_outputs(records, traces, cfg: ExperimentConfig, out_dir: str,
         fh.write(config_to_ini(cfg))
     if traces:
         with open(os.path.join(out_dir, "stage2_traces.jsonl"), "w") as fh:
-            for t in traces:
-                fh.write(json.dumps(t) + "\n")
+            fh.writelines(json.dumps(t) + "\n" for t in traces)
     # wall-clock data and provenance stay out of the deterministic artifacts;
     # the numpy version matters because records follow its Generator streams
     meta = {"version": __version__, "master_seed": master_seed,
@@ -507,13 +504,8 @@ def write_outputs(records, traces, cfg: ExperimentConfig, out_dir: str,
 
 
 def load_records(path: str) -> list[dict]:
-    records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _add_search_args(parser: argparse.ArgumentParser) -> None:
@@ -568,6 +560,9 @@ def _build_config(args) -> ExperimentConfig:
                       f"keys {', '.join(dropped)} in {args.config} with its preset grid",
                       file=sys.stderr)
             cfg = replace(cfg, experiment=experiment, **GRIDS[experiment])
+        if cfg.gd.shots_per_eval != GdConfig.shots_per_eval:
+            print(f"warning: [gd] shots_per_eval = {cfg.gd.shots_per_eval} in {args.config} "
+                  "is ignored; exp_gd spends n_fix shots per evaluation", file=sys.stderr)
     else:
         cfg = ExperimentConfig.for_experiment(experiment or "qubit_sweep")
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
@@ -580,9 +575,8 @@ def _cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         seed = derive_seed(args.seed, "gen", args.n, i)
-        inst = random_regular(args.n, args.degree, seed)
-        if args.weights != "unit":
-            inst = assign_weights(inst, args.weights, derive_seed(args.seed, "w", args.n, i))
+        inst = assign_weights(random_regular(args.n, args.degree, seed), args.weights,
+                              derive_seed(args.seed, "w", args.n, i))
         path = os.path.join(args.out, f"instance_n{args.n}_{i}.json")
         with open(path, "w") as fh:
             fh.write(to_json(inst, seed) + "\n")

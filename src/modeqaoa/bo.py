@@ -18,7 +18,7 @@ from .estimators import DEFAULT_BOOTSTRAP_RESAMPLES, Counts, EvalStats, compute_
 from .graph import MaxCutInstance, index_to_bits
 from .resources import ResourceLedger
 from .shots import AdaptiveConfig, evaluate_point
-from .simulator import NoiseSpec, QaoaParams, outcome_distribution, sample
+from .simulator import NoiseSpec, QaoaParams, child_seeds, outcome_distribution, sample
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,16 @@ def should_stop(history, cfg: StagnationConfig) -> bool:
     return incumbent_now - incumbent_then < cfg.min_delta
 
 
+def adam_step(cfg, m, v, grad, t: int):
+    """Adam (Kingma & Ba 2014) at step t >= 1: (ascent step, new m, new v).  Elementwise,
+    so arrays and scalars give the same bits; cfg holds learning_rate, adam_beta1/2/eps."""
+    m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
+    v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad**2
+    m_hat = m / (1 - cfg.adam_beta1**t)
+    v_hat = v / (1 - cfg.adam_beta2**t)
+    return cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), m, v
+
+
 def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfig,
                stagnation_cfg: StagnationConfig, noise: NoiseSpec | None,
                t_max: int, seed: int, n_final: int,
@@ -166,7 +176,7 @@ def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfi
     trials: list[Trial] = []
     stop_reason = "budget"
     for t in range(1, t_max + 1):
-        suggest_seed, eval_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
+        suggest_seed, eval_seed = child_seeds(ss, 2)
         params = QaoaParams.from_vector(suggest(trials, bounds, tpe_cfg, suggest_seed))
         trials.append(evaluate(t, params, eval_seed))
         if should_stop(trials, stagnation_cfg):
@@ -181,7 +191,7 @@ def finish_run(instance: MaxCutInstance, trials: list[Trial], ss: np.random.Seed
     """Final evaluation shared by every method: n_final fresh shots at the best
     trial (the earliest with the top objective), with ungated statistics."""
     best = max(trials, key=lambda t: t.objective)
-    final_seed, boot_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
+    final_seed, boot_seed = child_seeds(ss, 2)
     dist = outcome_distribution(instance, best.params, noise)
     ledger.circuit_evaluations += 1
     final_counts = sample(dist, n_final, final_seed)
@@ -223,26 +233,22 @@ def optimize_map_bo(instance: MaxCutInstance, depth: int,
                       noise, t_max, seed, n_final, ledger)
 
 
-def trial_record(trial: Trial, incumbent: float) -> dict:
-    return {
-        "t": trial.index,
-        "theta": [float(x) for x in trial.params.to_vector()],
-        "y": trial.objective,
-        "shots": trial.shots_used,
-        "accepted": trial.accepted,
-        "conf": None if trial.stats is None else trial.stats.confidence,
-        "var_norm": None if trial.stats is None else trial.stats.var_normalized,
-        "incumbent": incumbent,
-    }
-
-
 def trials_to_jsonl(trials) -> str:
     """One JSON object per trial, with the running incumbent objective."""
     lines = []
     incumbent = -np.inf
     for trial in trials:
         incumbent = max(incumbent, trial.objective)
-        lines.append(json.dumps(trial_record(trial, incumbent)))
+        lines.append(json.dumps({
+            "t": trial.index,
+            "theta": [float(x) for x in trial.params.to_vector()],
+            "y": trial.objective,
+            "shots": trial.shots_used,
+            "accepted": trial.accepted,
+            "conf": None if trial.stats is None else trial.stats.confidence,
+            "var_norm": None if trial.stats is None else trial.stats.var_normalized,
+            "incumbent": incumbent,
+        }))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -39,17 +39,20 @@ class ResourceLedger:
         self.per_point_shots.append(int(shots))
         self.distinct_counts.append(int(distinct))
 
+    def record_fixed_point(self, shots: int, distinct: int) -> None:
+        """A fixed-shot point: its shots, with count and cut work billed per raw shot."""
+        self.optimization_shots += shots
+        self.classical_count_ops += shots
+        self.classical_cut_ops += shots
+        self.record_point(shots, distinct)
+
     @property
     def avg_point_shots(self) -> float | None:
-        if not self.per_point_shots:
-            return None
-        return float(np.mean(self.per_point_shots))
+        return float(np.mean(self.per_point_shots)) if self.per_point_shots else None
 
     @property
     def avg_distinct(self) -> float | None:
-        if not self.distinct_counts:
-            return None
-        return float(np.mean(self.distinct_counts))
+        return float(np.mean(self.distinct_counts)) if self.distinct_counts else None
 
     def to_dict(self) -> dict:
         return {
@@ -130,8 +133,8 @@ def saving_ratios(ledger_exp: ResourceLedger, trials_exp: int,
     if not ledger_map.distinct_counts:
         raise ValueError("adaptive ledger has no per-point distinct counts")
     return pooled_savings(ledger_exp.optimization_shots, ledger_map.optimization_shots,
-                          trials_map, float(np.mean(ledger_map.distinct_counts)),
-                          num_edges, bootstrap_resamples)
+                          trials_map, ledger_map.avg_distinct, num_edges,
+                          bootstrap_resamples)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .estimators import Counts, EvalStats, compute_stats
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
-from .simulator import NoiseSpec, QaoaParams, outcome_distribution, sample
+from .simulator import NoiseSpec, QaoaParams, child_seeds, outcome_distribution, sample
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
     rounds = 0
     while True:
         rounds += 1
-        sample_seed, boot_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
+        sample_seed, boot_seed = child_seeds(ss, 2)
         fresh = sample(dist, batch, sample_seed)
         counts = fresh if counts is None else counts.merged(fresh)
         spent += batch

@@ -341,6 +341,11 @@ def outcome_distribution(instance: MaxCutInstance, params: QaoaParams,
     return apply_depolarizing(distribution(evolve(instance, params)), noise)
 
 
+def child_seeds(ss: np.random.SeedSequence, k: int) -> list[int]:
+    """The next k integer seeds of a run's stream: one word of each spawned child."""
+    return [int(c.generate_state(1)[0]) for c in ss.spawn(k)]
+
+
 def sample(dist: np.ndarray, shots: int, seed: int) -> Counts:
     """Multinomial sample of the outcome distribution as a per-index histogram."""
     if shots < 1:

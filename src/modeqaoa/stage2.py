@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bo import adam_step
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
 from .simulator import (GATE_KINDS, GateShift, NoiseSpec, QaoaParams,
-                        apply_depolarizing, gate_coefficient, gate_count,
-                        outcome_distribution, sample, shift_rule_gradient,
-                        shifted_pair)
+                        apply_depolarizing, child_seeds, gate_coefficient,
+                        gate_count, outcome_distribution, sample,
+                        shift_rule_gradient, shifted_pair)
 
 
 @dataclass(frozen=True)
@@ -103,29 +104,23 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
     ledger = ledger if ledger is not None else ResourceLedger()
     ss = np.random.SeedSequence(seed)
     theta = params.to_vector()
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    m, v = np.zeros((2, theta.size))
     ledger.circuit_evaluations += 1
     trace = [target_probability(instance, params, target, noise)]
     for step in range(1, cfg.steps + 1):
-        grad_seed = int(ss.spawn(1)[0].generate_state(1)[0])
         current = QaoaParams.from_vector(theta)
-        k, estimate = randomized_shift_gradient(instance, current, target, cfg,
-                                                noise, grad_seed, ledger)
-        m[k] = cfg.adam_beta1 * m[k] + (1 - cfg.adam_beta1) * estimate
-        v[k] = cfg.adam_beta2 * v[k] + (1 - cfg.adam_beta2) * estimate**2
-        m_hat = m[k] / (1 - cfg.adam_beta1**step)
-        v_hat = v[k] / (1 - cfg.adam_beta2**step)
-        theta[k] += cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        k, estimate = randomized_shift_gradient(instance, current, target, cfg, noise,
+                                                child_seeds(ss, 1)[0], ledger)
+        delta, m[k], v[k] = adam_step(cfg, m[k], v[k], estimate, step)
+        theta[k] += delta
         if step % cfg.reeval_period == 0 or step == cfg.steps:
             ledger.circuit_evaluations += 1
             current = QaoaParams.from_vector(theta)
             if cfg.use_exact:
                 trace.append(target_probability(instance, current, target, noise))
             else:
-                eval_seed = int(ss.spawn(1)[0].generate_state(1)[0])
                 trace.append(target_probability(instance, current, target, noise,
                                                 shots=cfg.shots_per_shift,
-                                                seed=eval_seed))
+                                                seed=child_seeds(ss, 1)[0]))
                 ledger.stage2_shots += cfg.shots_per_shift
     return QaoaParams.from_vector(theta), trace

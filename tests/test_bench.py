@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modeqaoa import baselines, bo, shots, simulator, stage2
+from modeqaoa import baselines, bench, bo, shots, simulator, stage2
 from modeqaoa.baselines import GdConfig
 
 from modeqaoa.bench import (
     AGGREGATE_METRICS, EXPERIMENTS, METHODS, RECORD_KEYS, ExperimentConfig,
-    _build_config, aggregate_rows, build_parser, config_from_ini, config_hash, config_to_ini, derive_seed,
+    _build_config, _expected_edges, aggregate_rows, build_parser, config_from_ini, config_hash, config_to_ini, derive_seed,
     load_records, main, make_instance, records_to_jsonl, run_cell,
     run_experiment, run_method, summarize, write_outputs, write_plot_data,
 )
@@ -137,6 +137,83 @@ def test_cli_bench_negative_lambda_exits_2(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: noise_lambdas")
     assert not out.exists()
+
+
+BAD_GRIDS = {
+    "p_values": ["--experiment", "depth_sweep", "--n-values", "4", "--p-values", "1", "0"],
+    "n_values": ["--experiment", "qubit_sweep", "--n-values", "4", "1"],
+    "n_values above the cap": ["--experiment", "qubit_sweep", "--n-values", "6", "25"],
+    "degree": ["--experiment", "single", "--n-values", "4", "--config", "degree.ini"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GRIDS))
+def test_cli_bench_rejects_bad_grid_before_any_cell(tmp_path, capsys, monkeypatch, case):
+    # a bad value used to fail only when its cell came up, after the earlier
+    # cells had run, and with nothing written
+    (tmp_path / "degree.ini").write_text("[experiment]\ndegree = 0\n")
+    cells = []
+    real_run_cell = bench.run_cell
+    monkeypatch.setattr(bench, "run_cell",
+                        lambda *a, **k: cells.append(a) or real_run_cell(*a, **k))
+    args = [str(tmp_path / x) if x.endswith(".ini") else x for x in BAD_GRIDS[case]]
+    out = tmp_path / "out"
+    rc = main(["bench", "--seed", "1", "--out", str(out), "--instances", "1",
+               "--methods", "exp_bo", "--t-max", "3"] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + case.split()[0])
+    assert cells == []
+    assert not out.exists()
+
+
+def test_config_rejects_bad_grid_values():
+    for kwargs in (dict(n_values=(1,)), dict(n_values=(4, simulator.MAX_QUBITS + 1)),
+                   dict(p_values=(0,)), dict(p_values=(2, -1)), dict(degree=0)):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ExperimentConfig(**kwargs)
+    ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,), degree=1)
+
+
+def test_expected_edges_matches_random_regular():
+    # summarize's S_cl restates random_regular's K_n fallback (n * degree odd,
+    # or n <= degree) as _expected_edges; the two must give the same edge count
+    grid = [(n, d) for n in range(2, 13) for d in range(1, 5)]
+    grid += [(2, 3), (3, 5), (4, 4), (5, 7), (6, 9)]
+    fallbacks = 0
+    for n, degree in grid:
+        fallbacks += n * degree % 2 == 1 or n <= degree
+        for seed in (0, 1):
+            assert _expected_edges(n, degree) == random_regular(n, degree, seed).num_edges
+    assert fallbacks >= 10
+
+
+def test_cli_warns_on_ignored_gd_shots_per_eval(tmp_path, capsys):
+    # exp_gd spends n_fix shots per evaluation; an INI [gd] shots_per_eval
+    # other than the default is named on stderr and changes no shot
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0],
+                                                  [2, 3, 1.0], [0, 3, 1.0]]}))
+    base = ["run", "--instance", str(inst), "--method", "exp_gd", "--seed", "1",
+            "--n-fix", "150", "--n-final", "200", "--config"]
+    outputs = {}
+    for per_eval in ("", f"shots_per_eval = {GdConfig.shots_per_eval}\n",
+                     "shots_per_eval = 50\n"):
+        ini = tmp_path / "gd.ini"
+        ini.write_text(f"[gd]\niterations = 2\n{per_eval}")
+        assert main(base + [str(ini)]) == 0
+        outputs[per_eval] = capsys.readouterr()
+    plain, default, fifty = outputs.values()
+    assert plain.err == default.err == ""
+    assert fifty.err.startswith("warning:") and len(fifty.err.splitlines()) == 1
+    assert "shots_per_eval = 50" in fifty.err and "n_fix" in fifty.err
+    assert plain.out == default.out == fifty.out
+    # 2 iterations x (1 + 2 * 2p) evaluations of n_fix = 150 shots at p = 2
+    assert json.loads(fifty.out)["ledger"]["optimization_shots"] == 2 * 9 * 150
+    ini.write_text("[experiment]\nn_values = 4\n[gd]\nshots_per_eval = 50\n")
+    _build_config(build_parser().parse_args(
+        ["bench", "--seed", "1", "--out", str(tmp_path / "x"), "--config", str(ini)]))
+    assert "shots_per_eval = 50" in capsys.readouterr().err
 
 
 def test_derive_seed_stable():
