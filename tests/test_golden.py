@@ -125,6 +125,15 @@ GOLDEN = {
         "e22321d4df01a8f0a11efa7a6ff9ea2118ced4ef5adbbe973541e5d2551d2940",
     "n10_map_bo/trials.jsonl":
         "29b935d80cdf1e6da856ace0d4327d46ff44dacd38745d1e285642f6d9dbea37",
+    # [gd] exact_gradient and [stage2] use_exact, from one --config INI
+    "exact_exp_gd/run.json":
+        "88aa2e07a24a6414f66504dc7a598caf706276432badb2df41baa44ee24196bf",
+    "exact_exp_gd/trials.jsonl":
+        "9cf8c08e9724b9d71ed398add01594a9b4d1485daac198d24ebb4118c21b2b33",
+    "exact_map_bo/run.json":
+        "81165c73817851f8d87dc3c5dd7d28d36624a0c009fe89719fe3b9161b973e8d",
+    "exact_map_bo/trials.jsonl":
+        "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
 }
 
 
@@ -152,13 +161,19 @@ def _outputs(root) -> dict[str, str]:
                 got[f"{name}/{path.relative_to(out).as_posix()}"] = path.read_text()
     for n in (6, 10):
         _run(["gen", "--n", str(n), "--count", "1", "--seed", "2024", "--out", str(root)])
-    runs = [("", 6, method, "0.01") for method in ("map_bo", "exp_bo", "exp_gd")]
-    runs += [("n10_", 10, "exp_gd", "0.01"), ("n10_", 10, "map_bo", "0")]
-    for prefix, n, method, noise in runs:
+    exact = root / "exact.ini"
+    exact.write_text("[gd]\nexact_gradient = true\n\n[stage2]\nuse_exact = true\n")
+    runs = [("", 6, method, "0.01", []) for method in ("map_bo", "exp_bo", "exp_gd")]
+    runs += [("n10_", 10, "exp_gd", "0.01", []), ("n10_", 10, "map_bo", "0", [])]
+    # exp_gd's exact gradient and map_bo's exact stage 2
+    runs += [("exact_", 6, method, "0.01", ["--config", str(exact)])
+             for method in ("exp_gd", "map_bo")]
+    for prefix, n, method, noise, extra in runs:
         trials = root / f"{prefix}{method}.jsonl"
         got[f"{prefix}{method}/run.json"] = _run(
             ["run", "--instance", str(root / f"instance_n{n}_0.json"), "--method", method,
-             "--seed", "2024", "--noise", noise, "--trials-out", str(trials)] + SEARCH)
+             "--seed", "2024", "--noise", noise, "--trials-out", str(trials)]
+            + SEARCH + extra)
         got[f"{prefix}{method}/trials.jsonl"] = trials.read_text()
     return got
 
