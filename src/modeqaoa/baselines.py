@@ -21,7 +21,7 @@ from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, adam_step, finis
 from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # noqa: F401
 from .graph import MaxCutInstance, cut_values_table
 from .resources import ResourceLedger
-from .simulator import (GATE_KINDS, GateShift, NoiseSpec, QaoaParams,
+from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams,
                         apply_depolarizing, child_seeds, exact_expectation,
                         gate_count, outcome_distribution, sample, sample_indices,
                         shift_rule_gradient)
@@ -90,12 +90,12 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
         cuts = cut_values_table(instance)
         rng = np.random.default_rng(seed)
 
-    def value(shift: GateShift, probs: np.ndarray) -> float:
+    def value(kind: str, index: int, probs: np.ndarray) -> float:
         dist = apply_depolarizing(probs, noise)
         ledger.circuit_evaluations += 1
         if shots is None:
             return exact_expectation(instance, dist)
-        part = parts[shift.kind][shift.index]
+        part = parts[kind][index]
         # the mean of i.i.d. cut values needs the drawn indices, not a histogram
         idx = sample_indices(dist, part, rng)
         ledger.record_fixed_point(part, 1 + np.count_nonzero(np.diff(idx)))
@@ -106,15 +106,12 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
 
 def optimize_exp_bo(instance: MaxCutInstance, depth: int,
                     n_fix: int = DEFAULT_N_FIX,
-                    tpe_cfg: TpeConfig | None = None,
-                    stagnation_cfg: StagnationConfig | None = None,
+                    tpe_cfg: TpeConfig = TpeConfig(),
+                    stagnation_cfg: StagnationConfig = StagnationConfig(),
                     noise: NoiseSpec | None = None, t_max: int = 100,
-                    seed: int = 0, n_final: int = 5000,
-                    ledger: ResourceLedger | None = None) -> RunResult:
+                    seed: int = 0, n_final: int = 5000) -> RunResult:
     """TPE search on the fixed-shot expectation objective."""
-    tpe_cfg = tpe_cfg or TpeConfig()
-    stagnation_cfg = stagnation_cfg or StagnationConfig()
-    ledger = ledger if ledger is not None else ResourceLedger()
+    ledger = ResourceLedger()
 
     def evaluate(t: int, params: QaoaParams, eval_seed: int) -> Trial:
         value, counts = fixed_shot_expectation_eval(instance, params, n_fix, noise,
@@ -126,38 +123,36 @@ def optimize_exp_bo(instance: MaxCutInstance, depth: int,
 
 
 def optimize_exp_gd(instance: MaxCutInstance, depth: int,
-                    gd_cfg: GdConfig | None = None,
+                    gd_cfg: GdConfig = GdConfig(),
                     noise: NoiseSpec | None = None, seed: int = 0,
-                    n_final: int = 5000,
-                    ledger: ResourceLedger | None = None) -> RunResult:
+                    n_final: int = 5000) -> RunResult:
     """Parameter-shift gradient ascent with Adam on the fixed-shot expectation.
 
     Each iteration: base evaluation at the current theta (tracks the
     incumbent), one gradient call, one Adam update.  Cost per iteration is
     (2 * 2p + 1) * N_fix shots.
     """
-    cfg = gd_cfg or GdConfig()
-    if not cfg.exact_gradient:
+    # the gradient's shots per coordinate and sign; None when it is exact
+    shots = None if gd_cfg.exact_gradient else gd_cfg.shots_per_eval
+    if shots is not None:
         # a budget too small for the gradient's split fails before any charge
-        _split_shots(cfg.shots_per_eval, max(gate_count(instance, k) for k in GATE_KINDS))
-    ledger = ledger if ledger is not None else ResourceLedger()
+        _split_shots(shots, max(gate_count(instance, k) for k in GATE_KINDS))
+    ledger = ResourceLedger()
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)
     theta = np.random.default_rng(child_seeds(ss, 1)[0]).uniform(bounds[:, 0], bounds[:, 1])
     m, v = np.zeros((2, theta.size))
     trials: list[Trial] = []
-    for t in range(1, cfg.iterations + 1):
+    for t in range(1, gd_cfg.iterations + 1):
         eval_seed, grad_seed = child_seeds(ss, 2)
         params = QaoaParams.from_vector(theta)
         value, counts = fixed_shot_expectation_eval(instance, params,
-                                                    cfg.shots_per_eval, noise,
+                                                    gd_cfg.shots_per_eval, noise,
                                                     eval_seed, ledger)
-        grad = parameter_shift_gradient(
-            instance, params, None if cfg.exact_gradient else cfg.shots_per_eval,
-            noise, grad_seed, ledger)
-        grad_shots = 0 if cfg.exact_gradient else 2 * 2 * depth * cfg.shots_per_eval
+        grad = parameter_shift_gradient(instance, params, shots, noise, grad_seed, ledger)
+        grad_shots = 0 if shots is None else 2 * 2 * depth * shots
         trials.append(_fixed_shot_trial(instance, t, params, value, counts,
-                                        cfg.shots_per_eval + grad_shots))
-        step, m, v = adam_step(cfg, m, v, grad, t)
+                                        gd_cfg.shots_per_eval + grad_shots))
+        step, m, v = adam_step(gd_cfg, m, v, grad, t)
         theta = theta + step
     return finish_run(instance, trials, ss, noise, n_final, ledger, "budget")

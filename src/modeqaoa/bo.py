@@ -211,17 +211,13 @@ def finish_run(instance: MaxCutInstance, trials: list[Trial], ss: np.random.Seed
 
 
 def optimize_map_bo(instance: MaxCutInstance, depth: int,
-                    adaptive_cfg: AdaptiveConfig | None = None,
-                    tpe_cfg: TpeConfig | None = None,
-                    stagnation_cfg: StagnationConfig | None = None,
+                    adaptive_cfg: AdaptiveConfig = AdaptiveConfig(),
+                    tpe_cfg: TpeConfig = TpeConfig(),
+                    stagnation_cfg: StagnationConfig = StagnationConfig(),
                     noise: NoiseSpec | None = None, t_max: int = 100,
-                    seed: int = 0, n_final: int = 5000,
-                    ledger: ResourceLedger | None = None) -> RunResult:
+                    seed: int = 0, n_final: int = 5000) -> RunResult:
     """Mode-objective search with adaptive shots; the proposed method."""
-    adaptive_cfg = adaptive_cfg or AdaptiveConfig()
-    tpe_cfg = tpe_cfg or TpeConfig()
-    stagnation_cfg = stagnation_cfg or StagnationConfig()
-    ledger = ledger if ledger is not None else ResourceLedger()
+    ledger = ResourceLedger()
 
     def evaluate(t: int, params: QaoaParams, eval_seed: int) -> Trial:
         pe = evaluate_point(instance, params, noise, adaptive_cfg, eval_seed, ledger)

@@ -24,7 +24,6 @@ from .estimators import Counts
 from .graph import MaxCutInstance, cut_values_table
 
 MAX_QUBITS = 24
-SHIFT_ANGLES = (np.pi / 2.0, -np.pi / 2.0)  # + before -
 GATE_KINDS = ("beta", "gamma")  # search vector order: [betas, gammas]
 # bytes of a stack's largest array, its mirrored + and - probability rows;
 # bigger stacks ran slower (at n = 12, 256 KiB stacks of full-length rows took
@@ -88,7 +87,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class GateShift:
-    """Displace one gate's half-turn angle by `angle` (radians of phi)."""
+    """Displace one gate's half-turn angle by `angle` (radians of phi); the
+    per-gate test oracle's shift, as the library sweeps every gate at +-pi/2."""
 
     kind: str  # "beta" or "gamma"
     layer: int  # 0-based
@@ -265,14 +265,14 @@ def shifted_pair(instance: MaxCutInstance, params: QaoaParams, kind: str,
 
 
 def shifted_states(instance: MaxCutInstance, params: QaoaParams
-                   ) -> Iterator[tuple[GateShift, float, np.ndarray]]:
-    """(shift, gate coefficient, probabilities) for every +-pi/2 gate shift.
+                   ) -> Iterator[tuple[str, int, int, float, np.ndarray, np.ndarray]]:
+    """(kind, layer, index, gate coefficient, p+, p-) for every gate, p+- its
+    probabilities under the +-pi/2 shift.
 
-    Order: search coordinate k = [betas, gammas], then gate within k, then +
-    before -; each gate's rows equal shifted_pair's bit for bit.  The
-    unshifted evolution runs once and keeps its state after each layer, and
-    a layer's generator rows run on in stacks whose probabilities take at
-    most _STACK_BYTES.
+    Order: search coordinate k = [betas, gammas], then gate within k; each
+    gate's rows equal shifted_pair's bit for bit.  The unshifted evolution
+    runs once and keeps its state after each layer, and a layer's generator
+    rows run on in stacks whose probabilities take at most _STACK_BYTES.
 
     Peaks at depth + 2.75 states: the phases of layers 1.. and the after-layer
     states (depth - 1/2), |a|^2 (1/4), a mixer on a one-row stack (its input,
@@ -297,28 +297,23 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
                                          after[layer]) for index in chunk]),
                 iter(later[layer:]), params.betas[layer + 1:])))
             for index, p_plus, p_minus in zip(chunk, plus, minus):
-                coeff = gate_coefficient(instance, kind, index)
-                yield GateShift(kind, layer, index, SHIFT_ANGLES[0]), coeff, p_plus
-                yield GateShift(kind, layer, index, SHIFT_ANGLES[1]), coeff, p_minus
+                yield (kind, layer, index, gate_coefficient(instance, kind, index),
+                       p_plus, p_minus)
 
 
 def shift_rule_gradient(instance: MaxCutInstance, params: QaoaParams,
-                        value: Callable[[GateShift, np.ndarray], float]) -> np.ndarray:
+                        value: Callable[[str, int, np.ndarray], float]) -> np.ndarray:
     """Gradient w.r.t. theta = [betas, gammas] by the exact two-point rule per gate.
 
-    value(shift, probabilities) scores each shifted outcome distribution, in
-    the order of `shifted_states`; coordinate k sums
-    coeff * (value(+) - value(-)) over its gates.
+    value(kind, index, probabilities) scores each shifted outcome
+    distribution, in the order of `shifted_states` and + before -; coordinate
+    k sums coeff * (value(+) - value(-)) over its gates.
     """
     depth = params.depth
     grad = np.zeros(2 * depth)
-    plus = 0.0
-    for shift, coeff, probs in shifted_states(instance, params):
-        if shift.angle > 0:
-            plus = value(shift, probs)
-        else:
-            k = shift.layer + (depth if shift.kind == "gamma" else 0)
-            grad[k] += coeff * (plus - value(shift, probs))
+    for kind, layer, index, coeff, plus, minus in shifted_states(instance, params):
+        k = layer + (depth if kind == "gamma" else 0)
+        grad[k] += coeff * (value(kind, index, plus) - value(kind, index, minus))
     return grad
 
 

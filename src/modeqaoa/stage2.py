@@ -15,7 +15,7 @@ import numpy as np
 from .bo import adam_step
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
-from .simulator import (GATE_KINDS, GateShift, NoiseSpec, QaoaParams,
+from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams,
                         apply_depolarizing, child_seeds, gate_coefficient,
                         gate_count, outcome_distribution, sample,
                         shift_rule_gradient, shifted_pair)
@@ -61,25 +61,25 @@ def target_probability(instance: MaxCutInstance, params: QaoaParams, target: int
 def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: int,
                    noise: NoiseSpec | None = None) -> np.ndarray:
     """Full gradient of p_theta(z_tar), every gate enumerated, exact distributions."""
-    def value(shift: GateShift, probs: np.ndarray) -> float:
+    def value(kind: str, index: int, probs: np.ndarray) -> float:
         return _read_target(apply_depolarizing(probs, noise), target)
 
     return shift_rule_gradient(instance, params, value)
 
 
 def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
-                              target: int, cfg: AmplifyConfig,
+                              target: int, shots: int | None,
                               noise: NoiseSpec | None, seed: int,
                               ledger: ResourceLedger) -> tuple[int, float]:
     """(coordinate, unbiased single-coordinate gradient estimate) from one
-    uniformly chosen gate's two-point shift, scaled by the gate count G_k."""
+    uniformly chosen gate's two-point shift, scaled by the gate count G_k;
+    each shifted p(target) is read exactly (shots=None) or from `shots` shots."""
     depth = params.depth
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2 * depth))
     kind, layer = GATE_KINDS[k // depth], k % depth
     g_k = gate_count(instance, kind)
     index = int(rng.integers(g_k))
-    shots = None if cfg.use_exact else cfg.shots_per_shift
     values = []
     for probs in shifted_pair(instance, params, kind, layer, index):
         shot_seed = None if shots is None else int(rng.integers(2**63))
@@ -90,7 +90,7 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
 
 
 def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
-            cfg: AmplifyConfig | None = None, noise: NoiseSpec | None = None,
+            cfg: AmplifyConfig = AmplifyConfig(), noise: NoiseSpec | None = None,
             seed: int = 0,
             ledger: ResourceLedger | None = None) -> tuple[QaoaParams, list[float]]:
     """Run the amplification loop; returns final params and the probability trace.
@@ -100,8 +100,8 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
     shots_per_shift unless use_exact).  Sampled-mode shot charge is exactly
     2 * steps * shots_per_shift + ceil(steps / reeval_period) * shots_per_shift.
     """
-    cfg = cfg or AmplifyConfig()
     ledger = ledger if ledger is not None else ResourceLedger()
+    shots = None if cfg.use_exact else cfg.shots_per_shift
     ss = np.random.SeedSequence(seed)
     theta = params.to_vector()
     m, v = np.zeros((2, theta.size))
@@ -109,18 +109,14 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
     trace = [target_probability(instance, params, target, noise)]
     for step in range(1, cfg.steps + 1):
         current = QaoaParams.from_vector(theta)
-        k, estimate = randomized_shift_gradient(instance, current, target, cfg, noise,
+        k, estimate = randomized_shift_gradient(instance, current, target, shots, noise,
                                                 child_seeds(ss, 1)[0], ledger)
         delta, m[k], v[k] = adam_step(cfg, m[k], v[k], estimate, step)
         theta[k] += delta
         if step % cfg.reeval_period == 0 or step == cfg.steps:
             ledger.circuit_evaluations += 1
-            current = QaoaParams.from_vector(theta)
-            if cfg.use_exact:
-                trace.append(target_probability(instance, current, target, noise))
-            else:
-                trace.append(target_probability(instance, current, target, noise,
-                                                shots=cfg.shots_per_shift,
-                                                seed=child_seeds(ss, 1)[0]))
-                ledger.stage2_shots += cfg.shots_per_shift
+            trace.append(target_probability(
+                instance, QaoaParams.from_vector(theta), target, noise, shots,
+                None if shots is None else child_seeds(ss, 1)[0]))
+            ledger.stage2_shots += 0 if shots is None else shots
     return QaoaParams.from_vector(theta), trace

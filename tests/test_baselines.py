@@ -1,15 +1,21 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from modeqaoa import baselines
 from modeqaoa.baselines import (
     GdConfig, _split_shots, fixed_shot_expectation_eval,
     optimize_exp_bo, optimize_exp_gd, parameter_shift_gradient,
 )
+from modeqaoa.bo import optimize_map_bo
 from modeqaoa.graph import assign_weights, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     QaoaParams, exact_expectation, outcome_distribution, shifted_states,
 )
+from modeqaoa.stage2 import amplify
 
 
 def fd_gradient(inst, params, h=1e-6):
@@ -37,32 +43,48 @@ def test_gd_config_validation():
         GdConfig(shots_per_eval=0)
 
 
-def test_exp_gd_refuses_small_budget_before_charging():
+@pytest.mark.parametrize("entry", [optimize_map_bo, optimize_exp_bo, optimize_exp_gd, amplify])
+def test_config_defaults_are_frozen(entry):
+    # each config default is one instance shared by every call
+    defaults = [p.default for p in inspect.signature(entry).parameters.values()
+                if dataclasses.is_dataclass(p.default)]
+    assert defaults
+    for cfg in defaults:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, dataclasses.fields(cfg)[0].name, None)
+
+
+def test_exp_gd_refuses_small_budget_before_charging(monkeypatch):
     # 10 shots cannot be split over 12 mixer gates or 18 edge gates
     inst = random_regular(12, 3, seed=0)
-    ledger = ResourceLedger()
+    evaluations = []
+    evaluate = baselines.fixed_shot_expectation_eval
+    monkeypatch.setattr(baselines, "fixed_shot_expectation_eval",
+                        lambda *args: evaluations.append(args) or evaluate(*args))
     with pytest.raises(ValueError, match="cannot cover"):
-        optimize_exp_gd(inst, 2, GdConfig(shots_per_eval=10), ledger=ledger)
-    assert ledger == ResourceLedger()
-    optimize_exp_gd(inst, 1, GdConfig(iterations=1, shots_per_eval=10, exact_gradient=True),
-                    n_final=10, ledger=ledger)
+        optimize_exp_gd(inst, 2, GdConfig(shots_per_eval=10))
+    assert evaluations == []
+    result = optimize_exp_gd(inst, 1, GdConfig(iterations=1, shots_per_eval=10,
+                                               exact_gradient=True), n_final=10)
+    assert len(evaluations) == 1
+    assert result.ledger.optimization_shots == 10
 
 
 def test_coordinate_gates_layout(six_reg):
     params = QaoaParams((0.3, 0.5), (0.7, 1.1))
     depth = params.depth
     by_coord = {}
-    for shift, coeff, _ in shifted_states(six_reg, params):
-        k = shift.layer + (depth if shift.kind == "gamma" else 0)
-        by_coord.setdefault(k, []).append((shift, coeff))
-    beta_gates = [(s, c) for s, c in by_coord[0] if s.angle > 0]
-    assert len(beta_gates) == 6
-    assert all(s.kind == "beta" and s.layer == 0 and coeff == 1.0
-               for s, coeff in beta_gates)
-    gamma_gates = [(s, c) for s, c in by_coord[3] if s.angle > 0]
-    assert len(gamma_gates) == six_reg.num_edges
-    assert all(s.kind == "gamma" and s.layer == 1 for s, _ in gamma_gates)
-    assert all(coeff == 0.5 for _, coeff in gamma_gates)  # unit weights
+    for kind, layer, index, coeff, _, _ in shifted_states(six_reg, params):
+        k = layer + (depth if kind == "gamma" else 0)
+        by_coord.setdefault(k, []).append((kind, layer, index, coeff))
+    beta_gates = by_coord[0]
+    assert [index for _, _, index, _ in beta_gates] == list(range(6))
+    assert all(kind == "beta" and layer == 0 and coeff == 1.0
+               for kind, layer, _, coeff in beta_gates)
+    gamma_gates = by_coord[3]
+    assert [index for _, _, index, _ in gamma_gates] == list(range(six_reg.num_edges))
+    assert all(kind == "gamma" and layer == 1 for kind, layer, _, _ in gamma_gates)
+    assert all(coeff == 0.5 for *_, coeff in gamma_gates)  # unit weights
     # coordinate 4 does not exist at depth 2
     assert sorted(by_coord) == [0, 1, 2, 3]
 

@@ -46,10 +46,16 @@ def assert_close_to_oracle(got, instance, params, shift):
     assert np.max(np.abs(got - want)) <= 1e-15
 
 
+def _shifts(kind, layer, index):
+    """The oracle's +pi/2 and -pi/2 shift of one gate."""
+    return [GateShift(kind, layer, index, sign * np.pi / 2.0) for sign in (1.0, -1.0)]
+
+
 def assert_kernel_matches_oracle(instance, params):
     assert_same_bits(evolve(instance, params), oracle_evolve(instance, params))
-    for shift, _, probs in shifted_states(instance, params):
-        assert_close_to_oracle(probs, instance, params, shift)
+    for kind, layer, index, _, plus, minus in shifted_states(instance, params):
+        for shift, probs in zip(_shifts(kind, layer, index), (plus, minus)):
+            assert_close_to_oracle(probs, instance, params, shift)
 
 
 def _regular(n, weights):
@@ -58,7 +64,7 @@ def _regular(n, weights):
 
 
 def _gates(instance, depth):
-    """Per-gate oracle of the sweep order: coordinate, gate, then + before -."""
+    """Per-gate oracle of the sweep order: coordinate, then gate."""
     for k in range(2 * depth):
         kind, layer = ("beta", k) if k < depth else ("gamma", k - depth)
         count = instance.n if kind == "beta" else instance.num_edges
@@ -74,8 +80,7 @@ def oracle_parameter_shift(instance, params, shots, noise, seed, ledger):
         count = instance.n if kind == "beta" else instance.num_edges
         part = None if shots is None else _split_shots(shots, count)[index]
         values = []
-        for sign in (1.0, -1.0):
-            gs = GateShift(kind, layer, index, sign * np.pi / 2.0)
+        for gs in _shifts(kind, layer, index):
             dist = apply_depolarizing(distribution(oracle_evolve(instance, params, gs)), noise)
             ledger.circuit_evaluations += 1
             if part is None:
@@ -95,10 +100,9 @@ def oracle_target_gradient(instance, params, target, noise):
     grad = np.zeros(2 * params.depth)
     for k, kind, layer, index in _gates(instance, params.depth):
         plus, minus = (
-            float(apply_depolarizing(distribution(
-                oracle_evolve(instance, params, GateShift(kind, layer, index, a))), noise)
-                  [target])
-            for a in (np.pi / 2, -np.pi / 2))
+            float(apply_depolarizing(distribution(oracle_evolve(instance, params, gs)),
+                                     noise)[target])
+            for gs in _shifts(kind, layer, index))
         grad[k] += gate_coefficient(instance, kind, index) * (plus - minus)
     return grad
 
@@ -107,27 +111,25 @@ def oracle_target_gradient(instance, params, target, noise):
 def test_swept_states_equal_evolve(weighted6, depth):
     params = PARAMS[depth]
     swept = list(shifted_states(weighted6, params))
-    want = [(kind, layer, index, sign * np.pi / 2.0)
-            for _, kind, layer, index in _gates(weighted6, depth)
-            for sign in (1.0, -1.0)]
-    assert [(s.kind, s.layer, s.index, s.angle) for s, _, _ in swept] == want
-    for shift, coeff, probs in swept:
-        assert coeff == gate_coefficient(weighted6, shift.kind, shift.index)
-        assert_close_to_oracle(probs, weighted6, params, shift)
+    want = [(kind, layer, index) for _, kind, layer, index in _gates(weighted6, depth)]
+    assert [gate[:3] for gate in swept] == want
+    for kind, layer, index, coeff, plus, minus in swept:
+        assert coeff == gate_coefficient(weighted6, kind, index)
+        for shift, probs in zip(_shifts(kind, layer, index), (plus, minus)):
+            assert_close_to_oracle(probs, weighted6, params, shift)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_shifted_pair_equals_sweep_and_oracle(weighted6, depth):
     params = PARAMS[depth]
-    swept = list(shifted_states(weighted6, params))
-    for (plus, _, plus_probs), (minus, _, minus_probs) in zip(swept[::2], swept[1::2]):
-        pair = shifted_pair(weighted6, params, plus.kind, plus.layer, plus.index)
+    for kind, layer, index, _, plus, minus in shifted_states(weighted6, params):
+        pair = shifted_pair(weighted6, params, kind, layer, index)
         assert pair.shape == (2, 2**weighted6.n)
         # the same rows through the same layers, whatever stack they share
-        assert_same_bits(pair[0], plus_probs)
-        assert_same_bits(pair[1], minus_probs)
-        assert_close_to_oracle(pair[0], weighted6, params, plus)
-        assert_close_to_oracle(pair[1], weighted6, params, minus)
+        assert_same_bits(pair[0], plus)
+        assert_same_bits(pair[1], minus)
+        for shift, probs in zip(_shifts(kind, layer, index), pair):
+            assert_close_to_oracle(probs, weighted6, params, shift)
     for kind, layer, index in [("delta", 0, 0), ("beta", depth, 0), ("beta", -1, 0),
                                ("beta", 0, weighted6.n), ("gamma", 0, weighted6.num_edges),
                                ("gamma", 0, -1)]:
@@ -181,7 +183,8 @@ def test_half_space_is_exact(circuit):
     assert_kernel_matches_oracle(instance, params)
     state = evolve(instance, params)
     assert state.tobytes() == state[::-1].tobytes()
-    rows = [probs for _, _, probs in shifted_states(instance, params)]
+    rows = [probs for *_, plus, minus in shifted_states(instance, params)
+            for probs in (plus, minus)]
     rows += [row for _, kind, layer, index in _gates(instance, params.depth)
              for row in shifted_pair(instance, params, kind, layer, index)]
     for row in rows:
@@ -223,7 +226,7 @@ def test_sampled_gate_value_equals_histogram_estimate(weighted6, monkeypatch, la
     counts = [Counts(np.bincount(idx, minlength=2 ** weighted6.n)) for idx in drawn]
     assert ledger.distinct_counts == [c.distinct for c in counts]
     values = iter([expectation_estimate(weighted6, c) for c in counts])
-    want = shift_rule_gradient(weighted6, params, lambda shift, probs: next(values))
+    want = shift_rule_gradient(weighted6, params, lambda kind, index, probs: next(values))
     assert next(values, None) is None
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -279,9 +282,9 @@ def test_size_message_counts_peak_states(depth):
     inst = _regular(14, "uniform")
     params = PARAMS[depth]
     # fill the cut-table cache, which the counts leave out
-    shift_rule_gradient(inst, params, lambda shift, probs: 0.0)
+    shift_rule_gradient(inst, params, lambda *_: 0.0)
     runs = [(2, lambda: evolve(inst, params)),
-            (depth + 2, lambda: shift_rule_gradient(inst, params, lambda shift, probs: 0.0))]
+            (depth + 2, lambda: shift_rule_gradient(inst, params, lambda *_: 0.0))]
     # a pair peaks while its stack runs through a later layer
     runs += [(4, lambda kind=kind: shifted_pair(inst, params, kind, 0, 1))
              for kind in ("beta", "gamma") if depth > 1]

@@ -106,14 +106,11 @@ def test_randomized_gradient_checks_target_and_charges_ledger(small):
     target, _ = brute_force_optimum(small)
     ledger = ResourceLedger()
     with pytest.raises(ValueError, match="outside"):
-        randomized_shift_gradient(small, params, 2 ** small.n, AmplifyConfig(), None, 0,
-                                  ledger)
+        randomized_shift_gradient(small, params, 2 ** small.n, 200, None, 0, ledger)
     assert ledger == ResourceLedger()
-    randomized_shift_gradient(small, params, target, AmplifyConfig(use_exact=True), None, 0,
-                              ledger)
+    randomized_shift_gradient(small, params, target, None, None, 0, ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (2, 0)
-    randomized_shift_gradient(small, params, target, AmplifyConfig(shots_per_shift=30), None, 0,
-                              ledger)
+    randomized_shift_gradient(small, params, target, 30, None, 0, ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (4, 60)
 
 
@@ -121,11 +118,10 @@ def test_randomized_estimator_sampled_mean(small):
     params = QaoaParams((0.6,), (1.3,))
     target, _ = brute_force_optimum(small)
     exact = exact_gradient(small, params, target)
-    cfg = AmplifyConfig(use_exact=True)
     sums = np.zeros(2)
     hits = np.zeros(2)
     for s in range(400):
-        k, est = randomized_shift_gradient(small, params, target, cfg, None,
+        k, est = randomized_shift_gradient(small, params, target, None, None,
                                            seed=s, ledger=ResourceLedger())
         sums[k] += est
         hits[k] += 1
