@@ -120,10 +120,9 @@ class ExperimentConfig:
             raise ValueError(f"n_values must lie in [2, {MAX_QUBITS}], got {self.n_values}")
         if not all(p >= 1 for p in self.p_values):
             raise ValueError(f"p_values must be >= 1, got {self.p_values}")
-        if self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
-        if self.instances_per_point < 1:
-            raise ValueError("instances_per_point must be >= 1")
+        for name in ("degree", "instances_per_point", "t_max", "n_fix", "n_final"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError("threshold must lie in (0, 1]")
 
@@ -452,7 +451,8 @@ def summarize(records, cfg: ExperimentConfig) -> dict:
         if map_group:
             avg_shots = float(np.mean([r["avg_point_shots"] for r in map_group]))
             entry["avg_point_shots"] = avg_shots
-            entry["avg_point_shots_in_guard_band"] = bool(100.0 <= avg_shots <= 1200.0)
+            entry["avg_point_shots_in_guard_band"] = bool(
+                cfg.adaptive.pilot_shots <= avg_shots <= cfg.adaptive.max_shots)
             entry["avg_point_shots_in_typical_band"] = bool(
                 TYPICAL_POINT_SHOT_BAND[0] <= avg_shots <= TYPICAL_POINT_SHOT_BAND[1])
         if map_group and exp_group:

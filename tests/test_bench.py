@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,6 +145,9 @@ BAD_GRIDS = {
     "n_values": ["--experiment", "qubit_sweep", "--n-values", "4", "1"],
     "n_values above the cap": ["--experiment", "qubit_sweep", "--n-values", "6", "25"],
     "degree": ["--experiment", "single", "--n-values", "4", "--config", "degree.ini"],
+    # the whole map_bo cell used to run before the exp_bo cell failed on these
+    **{field: ["--experiment", "single", "--n-values", "6", "--methods", "map_bo", "exp_bo",
+               "--" + field.replace("_", "-"), "0"] for field in ("t_max", "n_fix", "n_final")},
 }
 
 
@@ -169,7 +173,8 @@ def test_cli_bench_rejects_bad_grid_before_any_cell(tmp_path, capsys, monkeypatc
 
 def test_config_rejects_bad_grid_values():
     for kwargs in (dict(n_values=(1,)), dict(n_values=(4, simulator.MAX_QUBITS + 1)),
-                   dict(p_values=(0,)), dict(p_values=(2, -1)), dict(degree=0)):
+                   dict(p_values=(0,)), dict(p_values=(2, -1)), dict(degree=0),
+                   dict(t_max=0), dict(n_fix=0), dict(n_final=-1)):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ExperimentConfig(**kwargs)
     ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,), degree=1)
@@ -357,6 +362,15 @@ def test_summary_savings_and_band(tmp_path):
     shots = {m: sum(r["optimization_shots"] for r in records if r["method"] == m)
              for m in ("map_bo", "exp_bo")}
     assert entry["s_q"] == pytest.approx(shots["exp_bo"] / shots["map_bo"])
+
+
+def test_summary_guard_band_follows_adaptive_config():
+    # the band is the adaptive controller's [pilot_shots, max_shots]
+    cfg = replace(SMALL, adaptive=AdaptiveConfig(pilot_shots=200, max_shots=2000))
+    for avg, inside in ((1500.0, True), (150.0, False), (200.0, True), (2000.5, False)):
+        record = {"n": 4, "p": 2, "lambda": 0.0, "method": "map_bo", "avg_point_shots": avg}
+        entry = summarize([record], cfg)["sweep_points"][0]
+        assert entry["avg_point_shots_in_guard_band"] is inside, avg
 
 
 def test_noise_sweep_plot_files(tmp_path):
