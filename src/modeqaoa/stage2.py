@@ -5,6 +5,8 @@ is pushed up by stochastic ascent: each step picks one search coordinate and
 one gate under it uniformly at random, reads the target probability from the
 gate's shifted distributions (simulator.shifted_pair), and rescales by the
 gate count G_k: an unbiased single-coordinate gradient.  Adam updates it.
+A sampled read of p(target) is a binomial draw (the histogram's marginal at
+that bin) from the run's one generator, which also picks each step's gate.
 """
 from __future__ import annotations
 
@@ -15,9 +17,9 @@ import numpy as np
 from .bo import adam_step
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
-from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams,
-                        apply_depolarizing, child_seeds, gate_coefficient,
-                        gate_count, outcome_distribution, sample,
+# sample is not called here; perfbench's trace-site test still pins this import
+from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, apply_depolarizing,  # noqa: F401
+                        gate_coefficient, gate_count, outcome_distribution, sample,
                         shift_rule_gradient, shifted_pair)
 
 
@@ -42,18 +44,20 @@ class AmplifyConfig:
 
 
 def _read_target(dist: np.ndarray, target: int, shots: int | None = None,
-                 seed: int | None = None) -> float:
+                 seed: int | np.random.Generator | None = None) -> float:
     """p(target) from `dist`, exactly or as its sampled frequency in `shots` shots."""
     if not 0 <= target < dist.size:  # a negative index would wrap around
         raise ValueError(f"target index {target} outside [0, {dist.size})")
     if shots is None:
         return float(dist[target])
-    return int(sample(dist, shots, seed).by_index[target]) / shots
+    if shots < 1 or seed is None:  # no silent OS entropy: a read must be reproducible
+        raise ValueError("a sampled read needs shots >= 1 and a seed")
+    return int(np.random.default_rng(seed).binomial(shots, dist[target] / dist.sum())) / shots
 
 
 def target_probability(instance: MaxCutInstance, params: QaoaParams, target: int,
                        noise: NoiseSpec | None = None, shots: int | None = None,
-                       seed: int | None = None) -> float:
+                       seed: int | np.random.Generator | None = None) -> float:
     """p_theta(z_tar), exact from the distribution or as a sampled frequency."""
     return _read_target(outcome_distribution(instance, params, noise), target, shots, seed)
 
@@ -69,7 +73,7 @@ def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: int,
 
 def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
                               target: int, shots: int | None,
-                              noise: NoiseSpec | None, seed: int,
+                              noise: NoiseSpec | None, seed: int | np.random.Generator,
                               ledger: ResourceLedger) -> tuple[int, float]:
     """(coordinate, unbiased single-coordinate gradient estimate) from one
     uniformly chosen gate's two-point shift, scaled by the gate count G_k;
@@ -80,10 +84,8 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     kind, layer = GATE_KINDS[k // depth], k % depth
     g_k = gate_count(instance, kind)
     index = int(rng.integers(g_k))
-    values = []
-    for probs in shifted_pair(instance, params, kind, layer, index):
-        shot_seed = None if shots is None else int(rng.integers(2**63))
-        values.append(_read_target(apply_depolarizing(probs, noise), target, shots, shot_seed))
+    values = [_read_target(apply_depolarizing(probs, noise), target, shots, rng)
+              for probs in shifted_pair(instance, params, kind, layer, index)]
     ledger.circuit_evaluations += 2
     ledger.stage2_shots += 0 if shots is None else 2 * shots
     return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])
@@ -102,21 +104,19 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
     """
     ledger = ledger if ledger is not None else ResourceLedger()
     shots = None if cfg.use_exact else cfg.shots_per_shift
-    ss = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seed)
     theta = params.to_vector()
     m, v = np.zeros((2, theta.size))
     ledger.circuit_evaluations += 1
     trace = [target_probability(instance, params, target, noise)]
     for step in range(1, cfg.steps + 1):
-        current = QaoaParams.from_vector(theta)
-        k, estimate = randomized_shift_gradient(instance, current, target, shots, noise,
-                                                child_seeds(ss, 1)[0], ledger)
+        k, estimate = randomized_shift_gradient(
+            instance, QaoaParams.from_vector(theta), target, shots, noise, rng, ledger)
         delta, m[k], v[k] = adam_step(cfg, m[k], v[k], estimate, step)
         theta[k] += delta
         if step % cfg.reeval_period == 0 or step == cfg.steps:
             ledger.circuit_evaluations += 1
             trace.append(target_probability(
-                instance, QaoaParams.from_vector(theta), target, noise, shots,
-                None if shots is None else child_seeds(ss, 1)[0]))
+                instance, QaoaParams.from_vector(theta), target, noise, shots, rng))
             ledger.stage2_shots += 0 if shots is None else shots
     return QaoaParams.from_vector(theta), trace

@@ -18,7 +18,7 @@ from modeqaoa.bench import (
     run_experiment, run_method, summarize, write_outputs, write_plot_data,
 )
 from modeqaoa.graph import assign_weights, from_json, index_to_bits, random_regular, with_optimum
-from modeqaoa.stage2 import AmplifyConfig
+from modeqaoa.stage2 import AmplifyConfig, _read_target
 from modeqaoa.shots import AdaptiveConfig
 
 
@@ -254,7 +254,8 @@ def test_run_cell_record_shape():
 def test_ledger_phases_sum_to_drawn_shots(seed, lam):
     # every shot sampled is charged to exactly one phase: the search, the
     # final evaluation (bo.finish_run) or stage 2; exp_gd's gradient draws
-    # indices with sample_indices rather than a histogram with sample
+    # indices with sample_indices rather than a histogram with sample, and
+    # stage 2 reads its one bin with a binomial draw in _read_target
     inst = with_optimum(assign_weights(random_regular(4, 3, seed=seed % 7), "uniform",
                                        seed=seed % 5))
     cfg = ExperimentConfig.for_experiment(
@@ -264,7 +265,7 @@ def test_ledger_phases_sum_to_drawn_shots(seed, lam):
         drawn = {"optimization": 0, "final_eval": 0, "stage2": 0}
         with pytest.MonkeyPatch.context() as mp:
             for module, phase in ((shots, "optimization"), (baselines, "optimization"),
-                                  (bo, "final_eval"), (stage2, "stage2")):
+                                  (bo, "final_eval")):
                 def counted(dist, n_shots, sample_seed, phase=phase):
                     drawn[phase] += n_shots
                     return simulator.sample(dist, n_shots, sample_seed)
@@ -274,6 +275,11 @@ def test_ledger_phases_sum_to_drawn_shots(seed, lam):
                 drawn["optimization"] += n_shots
                 return simulator.sample_indices(dist, n_shots, rng)
             mp.setattr(baselines, "sample_indices", counted_indices)
+
+            def counted_read(dist, target, n_shots=None, read_seed=None):
+                drawn["stage2"] += 0 if n_shots is None else n_shots
+                return _read_target(dist, target, n_shots, read_seed)
+            mp.setattr(stage2, "_read_target", counted_read)
             result, _ = run_method(cfg, inst, 2, lam, method, seed, seed + 1)
         ledger = result.ledger
         assert ledger.optimization_shots == drawn["optimization"] > 0

@@ -49,7 +49,7 @@ GOLDEN = {
     "noise_sweep/records.jsonl":
         "f2211610364ed464e18c9c707e8d9db7d283629bffb31a91c54f1918869f383e",
     "noise_sweep/stage2_traces.jsonl":
-        "aaf904a99e3a2301ff0cb071b27159e2c37cf135f928568ab4619108c2d00147",
+        "6b6e6e97f4409511e3ecdaaaac068a45da51e8e68702163acecf83738ee2daaf",
     "noise_sweep/summary.json":
         "3bd23233a5d7f12e82cb2507fd40807d397b2fcb98d620c6fd2bdab2e9a7631c",
     "depth_sweep/aggregates.csv":
@@ -67,7 +67,7 @@ GOLDEN = {
     "depth_sweep/records.jsonl":
         "c3608acb50152ae4ec7876b415ea2f58bce8652253c00249395f17ffafa0ea4d",
     "depth_sweep/stage2_traces.jsonl":
-        "5ed8b33092667d046514154c800e1e1e4f789882bded44d1d8e615e8cd704e8f",
+        "5d4861b306dfbff37de6a11fc18b5bea08280504039029941a8c34a161dfe17e",
     "depth_sweep/summary.json":
         "e8e60ec0b6b7325943ed052e3a32152f02222146f45c2557af9f67db47d3cd77",
     "qubit_sweep/aggregates.csv":
@@ -85,7 +85,7 @@ GOLDEN = {
     "qubit_sweep/records.jsonl":
         "0291c2d680d17d0ea9ffe13fe3ee9d7aeb811dc1fdf66cc052f7c60a6d8a9301",
     "qubit_sweep/stage2_traces.jsonl":
-        "e1bd4e2f0240fe3f94a059a84a3ec5355c62aed6c7b43f83804798072959b27b",
+        "2bca718306366ea9de9242d134b4d4bc12e3a28e6e69720a252b4dac2a359b7c",
     "qubit_sweep/summary.json":
         "e5d9ad35e99155f2fddd7de528d455146afc2fbe3d1bb1c6c3ef66245d79f44a",
     "single/aggregates.csv":
@@ -101,11 +101,11 @@ GOLDEN = {
     "single/records.jsonl":
         "95deff8ed410698d47dd24242e68cf93dab6ac64c38f816b3461a9b28d22e70d",
     "single/stage2_traces.jsonl":
-        "49b6636b29e1b24d97b4edd27a3a2040698cd07caebc4168586f984604577a45",
+        "adfa36a4d18d64472be6d96cd8ba6f3e4586759907d5c065afba5e013619854f",
     "single/summary.json":
         "1b4291cd5c6db9b2e9e65bba1c80d344c252a127cc7e131a02f916ab576b0f9b",
     "map_bo/run.json":
-        "422a1068d0ded52f3a595943c5e0bf0bdd62b3784c75225858b38babc4cfd7bc",
+        "64847ed1f2ca43db7d07e696fd67356cae5312526c39d73ae5462a389628d865",
     "map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
     "exp_bo/run.json":
@@ -122,7 +122,7 @@ GOLDEN = {
     "n10_exp_gd/trials.jsonl":
         "3a8f45723de24bd02732c866a1c53dac6da81cdc81c2f3309b76742e32a7d777",
     "n10_map_bo/run.json":
-        "e22321d4df01a8f0a11efa7a6ff9ea2118ced4ef5adbbe973541e5d2551d2940",
+        "0848d0637d166f898740975f1be2575957b02e1be6b17af203bac6ec627a96cc",
     "n10_map_bo/trials.jsonl":
         "29b935d80cdf1e6da856ace0d4327d46ff44dacd38745d1e285642f6d9dbea37",
     # [gd] exact_gradient and [stage2] use_exact, from one --config INI
@@ -131,7 +131,7 @@ GOLDEN = {
     "exact_exp_gd/trials.jsonl":
         "9cf8c08e9724b9d71ed398add01594a9b4d1485daac198d24ebb4118c21b2b33",
     "exact_map_bo/run.json":
-        "81165c73817851f8d87dc3c5dd7d28d36624a0c009fe89719fe3b9161b973e8d",
+        "425b9bddd63a5e80597c98d9c618cc76b429d5b8607c1cb9b3df10fe547f5527",
     "exact_map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
 }

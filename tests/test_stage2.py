@@ -49,6 +49,29 @@ def test_read_target_rejects_out_of_range_index(shots):
     assert _read_target(dist, 15) == 1 / 16
 
 
+def test_sampled_read_needs_a_seed(small):
+    # a sampled read from OS entropy could not be reproduced
+    params = QaoaParams((0.5,), (1.0,))
+    with pytest.raises(ValueError, match="seed"):
+        _read_target(np.full(16, 1 / 16), 3, 10)
+    with pytest.raises(ValueError, match="seed"):
+        target_probability(small, params, 3, shots=10)
+    with pytest.raises(ValueError, match="shots"):
+        _read_target(np.full(16, 1 / 16), 3, 0, seed=0)
+
+
+def test_read_target_sampled_mean():
+    # the binomial read has the law of the multinomial histogram's bin,
+    # at p(target) / sum(dist) for an unnormalized dist
+    dist = np.array([0.5, 1.5, 0.25, 0.75])
+    p, shots, draws = 1.5 / 3.0, 40, 2000
+    rng = np.random.default_rng(11)
+    reads = [_read_target(dist, 1, shots, rng) for _ in range(draws)]
+    assert all(0.0 <= r <= 1.0 and (r * shots).is_integer() for r in reads)
+    sigma = math.sqrt(p * (1 - p) / (shots * draws))
+    assert abs(np.mean(reads) - p) < 5 * sigma
+
+
 def test_target_probability_sampled_converges(small):
     params = QaoaParams((0.5,), (1.0,))
     target, _ = brute_force_optimum(small)
@@ -128,6 +151,23 @@ def test_randomized_estimator_sampled_mean(small):
     means = sums / np.maximum(hits, 1)
     # Monte Carlo over gate choice only (exact evals): loose bound
     assert np.max(np.abs(means - exact)) < 0.15
+
+
+def test_randomized_estimator_sampled_reads_mean(small):
+    # one generator picks the gate and draws both 200-shot reads; per
+    # coordinate, the estimate's mean matches the exact gradient within 5 sigma
+    params = QaoaParams((0.4,), (0.9,))
+    target, _ = brute_force_optimum(small)
+    exact = exact_gradient(small, params, target)
+    rng = np.random.default_rng(17)
+    ests = [[], []]
+    for _ in range(3000):
+        k, est = randomized_shift_gradient(small, params, target, 200, None, rng,
+                                           ResourceLedger())
+        ests[k].append(est)
+    for k, values in enumerate(ests):
+        sem = np.std(values, ddof=1) / math.sqrt(len(values))
+        assert abs(np.mean(values) - exact[k]) < 5 * sem
 
 
 def test_amplify_increases_target_probability(small):
