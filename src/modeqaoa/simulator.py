@@ -4,7 +4,8 @@ The cost layer is diagonal, so one layer costs an elementwise phase over the
 2^n cut values plus n independent single-qubit X rotations.  States are
 indexed by basis index in the graph module's bit order.
 Parameter-shift gradients branch one generator row per gate off the
-unshifted evolution (see _generator_row).
+unshifted evolution (see _generator_row); a read of one shifted bin projects
+the row onto the target run backwards instead (see shifted_target).
 
 Every state and generator row is unchanged when all bits flip, as cut(z) =
 cut(~z) and the mixers commute with X on all qubits (Farhi et al. 2014,
@@ -14,8 +15,9 @@ rebuilt only where a state or distribution is returned.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -117,7 +119,7 @@ def _check_size(n: int, states: int) -> None:
 
     `states` is the call's peak memory in complex 2^n arrays, rounded down: a
     complex half vector counts 1/2, a float one 1/4.  The cached cut table
-    (8 B per entry) comes on top.
+    (8 B per entry) and popcount table (1 B per half entry) come on top.
     """
     if n > MAX_QUBITS:
         per_state = 2**n * 16
@@ -156,21 +158,36 @@ def _apply_mixer(amps: np.ndarray, c: float, js: complex) -> np.ndarray:
     return out
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@lru_cache(maxsize=None)
+def _popcounts(size: int) -> np.ndarray:
+    """popcount(z) for z in [0, size), size a power of two, by doubling
+    (np.bitwise_count needs numpy >= 2)."""
+    counts = np.zeros(1, dtype=np.uint8)
+    while counts.size < size:
+        counts = np.concatenate([counts, counts + 1])
+    counts.flags.writeable = False
+    return counts
+
+
 def _uniform(n: int) -> np.ndarray:
     return np.full(2 ** (n - 1), 2.0 ** (-n / 2), dtype=complex)
 
 
-def _phases(instance: MaxCutInstance, params: QaoaParams) -> Iterator[np.ndarray]:
+def _phases(instance: MaxCutInstance, gammas: Iterable[float]) -> Iterator[np.ndarray]:
     """Each layer's cost phase exp(-i gamma C), computed when it is reached."""
     cuts = cut_values_table(instance)[: 2 ** (instance.n - 1)]
-    return (np.exp(-1j * gamma * cuts) for gamma in params.gammas)
+    return (np.exp(-1j * gamma * cuts) for gamma in gammas)
 
 
 def _run(amps: np.ndarray, phases: Iterator[np.ndarray], betas: tuple[float, ...]
          ) -> np.ndarray:
     """`amps` (one half state or a stack of half rows) through one layer per
     beta, from before its cost phase, the next item of `phases`, to after its
-    mixers.  evolve, shifted_pair and shifted_states all run this one loop."""
+    mixers.  evolve, shifted_states and shifted_target all run this one loop,
+    and shifted_target also runs it backwards, with -beta and -gamma."""
     n = amps.shape[-1].bit_length()
     for beta in betas:
         amps = amps * next(phases)
@@ -241,27 +258,56 @@ def _shift_probabilities(final: np.ndarray, final_sq: np.ndarray,
 def evolve(instance: MaxCutInstance, params: QaoaParams) -> np.ndarray:
     """Statevector after p alternating layers applied to the uniform superposition."""
     _check_size(instance.n, 2)  # a mixer's input, output and two products
-    return _mirror(_run(_uniform(instance.n), _phases(instance, params), params.betas))
+    return _mirror(_run(_uniform(instance.n), _phases(instance, params.gammas),
+                        params.betas))
 
 
-def shifted_pair(instance: MaxCutInstance, params: QaoaParams, kind: str,
-                 layer: int, index: int) -> np.ndarray:
-    """One gate's `shifted_states` probabilities as a (2, 2^n) array, + shift
-    first; `index` is the qubit of a "beta" gate or the edge of a "gamma" gate.
+def shifted_target(instance: MaxCutInstance, params: QaoaParams, kind: str,
+                   layer: int, index: int, target: int) -> tuple[float, float]:
+    """One gate's p+-(target) under its +-pi/2 shift, + first: bin `target`
+    of that gate's `shifted_states` rows, with no row propagated; `index` is
+    the qubit of a "beta" gate or the edge of a "gamma" gate.
 
-    The unshifted state runs to the end of the gate's layer, and it and the
-    gate's generator row run on through the later layers as one two-row stack.
-    Peaks at 4.5 states: that state (1/2) and a mixer on the stack (its input,
-    output and two products, 1 each)."""
-    if not (0 <= layer < params.depth and 0 <= index < gate_count(instance, kind)):
-        raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {params.depth}")
-    _check_size(instance.n, 4)
-    phases = _phases(instance, params)
-    after = _run(_uniform(instance.n), phases, params.betas[:layer + 1])
-    final, row = _run(np.stack([after, _generator_row(instance, kind, index,
-                                                      params.betas[layer], after)]),
-                      phases, params.betas[layer + 1:])
-    return _mirror(_shift_probabilities(final, np.abs(final) ** 2, row))
+    The unshifted state runs to m, the state after the gate's layer, and
+    _generator_row gives b.  A gate of the last layer reads a = m and b' = b
+    at the target's half index min(t, 2^n - 1 - t).  Any other gate projects
+    m and b onto v = U^dagger (|t> + |~t>), U the later layers, instead of
+    running them through U: m, b and v are unchanged when all bits flip, so
+    a_t = <t|U m> = <v|m>/2 is the first-half sum of conj(v) m, and b'_t that
+    of conj(v) b (the adjoint read of Jones & Gacon 2020, arXiv:2009.02823).
+    The last layer's mixers, exp(+i beta X) on every qubit, take the two
+    basis vectors to v_z = c^(n-d) (i s)^d + c^d (i s)^(n-d), with
+    c = cos beta, s = sin beta and d = popcount(z XOR t); its conjugate cost
+    phase and any earlier later layers follow, run backwards with -beta and
+    -gamma.  Then p+- = (|a_t|^2 + |b'_t|^2)/2 +- Im(conj(a_t) b'_t) (see
+    _generator_row), clipped at zero like the rows.
+
+    Peaks at 3 states at depth >= 3: m and b (1/2 each) and a mixer on v
+    (its input, output and two products, 2); at 2.5 below that.
+    """
+    n, depth = instance.n, params.depth
+    if not (0 <= layer < depth and 0 <= index < gate_count(instance, kind)):
+        raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {depth}")
+    if not 0 <= target < 2**n:
+        raise ValueError(f"target index {target} outside [0, {2**n})")
+    _check_size(n, 3)
+    after = _run(_uniform(n), _phases(instance, params.gammas), params.betas[:layer + 1])
+    row = _generator_row(instance, kind, index, params.betas[layer], after)
+    half_index = min(target, 2**n - 1 - target)
+    if layer == depth - 1:
+        a, b = complex(after[half_index]), complex(row[half_index])
+    else:
+        c, s = np.cos(params.betas[-1]), np.sin(params.betas[-1])
+        d = np.arange(n + 1)
+        one = c ** (n - d) * s**d * _I_POWERS[d % 4]  # by d, for |t> alone
+        half = 2 ** (n - 1)
+        v = (one + one[::-1])[_popcounts(half)[np.arange(half) ^ half_index]]
+        back = _phases(instance, [-gamma for gamma in params.gammas[:layer:-1]])
+        v = _run(v, back, tuple(-beta for beta in params.betas[-2:layer:-1])) * next(back)
+        a, b = complex(np.vdot(v, after)), complex(np.vdot(v, row))
+    mean = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2) / 2
+    cross = a.real * b.imag - a.imag * b.real
+    return max(mean + cross, 0.0), max(mean - cross, 0.0)
 
 
 def shifted_states(instance: MaxCutInstance, params: QaoaParams
@@ -270,7 +316,7 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     probabilities under the +-pi/2 shift.
 
     Order: search coordinate k = [betas, gammas], then gate within k; each
-    gate's rows equal shifted_pair's bit for bit.  The unshifted evolution
+    gate's p+-[t] equal shifted_target's to rounding.  The unshifted evolution
     runs once and keeps its state after each layer, and a layer's generator
     rows run on in stacks whose probabilities take at most _STACK_BYTES.
 
@@ -281,7 +327,7 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     """
     n, depth = instance.n, params.depth
     _check_size(n, depth + 2)
-    phases = _phases(instance, params)
+    phases = _phases(instance, params.gammas)
     after = [_run(_uniform(n), phases, params.betas[:1])]
     later = list(phases)  # cost phases of layers 1.., shared by every row
     for beta, phase in zip(params.betas[1:], later):

@@ -2,11 +2,12 @@
 
 After the search has fixed a candidate index, its probability p_theta(z_tar)
 is pushed up by stochastic ascent: each step picks one search coordinate and
-one gate under it uniformly at random, reads the target probability from the
-gate's shifted distributions (simulator.shifted_pair), and rescales by the
-gate count G_k: an unbiased single-coordinate gradient.  Adam updates it.
-A sampled read of p(target) is a binomial draw (the histogram's marginal at
-that bin) from the run's one generator, which also picks each step's gate.
+one gate under it uniformly at random, reads the target probability under
+the gate's two shifts (simulator.shifted_target, which builds neither
+shifted distribution), and rescales by the gate count G_k: an unbiased
+single-coordinate gradient.  Adam updates it.  A sampled read of p(target)
+is a binomial draw (the histogram's marginal at that bin) from the run's one
+generator, which also picks each step's gate.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .resources import ResourceLedger
 # sample is not called here; perfbench's trace-site test still pins this import
 from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, apply_depolarizing,  # noqa: F401
                         gate_coefficient, gate_count, outcome_distribution, sample,
-                        shift_rule_gradient, shifted_pair)
+                        shift_rule_gradient, shifted_target)
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,30 @@ class AmplifyConfig:
             raise ValueError("reeval_period must be >= 1")
 
 
+def _check_read(size: int, target: int, shots: int | None,
+                seed: int | np.random.Generator | None) -> None:
+    """Refuse a read of `target` from `size` bins before any state is made."""
+    if not 0 <= target < size:  # a negative index would wrap around
+        raise ValueError(f"target index {target} outside [0, {size})")
+    if shots is not None and (shots < 1 or seed is None):
+        # no silent OS entropy: a read must be reproducible
+        raise ValueError("a sampled read needs shots >= 1 and a seed")
+
+
+def _draw(p: float, shots: int | None, seed: int | np.random.Generator | None) -> float:
+    """p itself, or its sampled frequency in `shots` shots; every stage-2 shot
+    is drawn here, as a binomial draw."""
+    if shots is None:
+        return p
+    return int(np.random.default_rng(seed).binomial(shots, p)) / shots
+
+
 def _read_target(dist: np.ndarray, target: int, shots: int | None = None,
                  seed: int | np.random.Generator | None = None) -> float:
     """p(target) from `dist`, exactly or as its sampled frequency in `shots` shots."""
-    if not 0 <= target < dist.size:  # a negative index would wrap around
-        raise ValueError(f"target index {target} outside [0, {dist.size})")
-    if shots is None:
-        return float(dist[target])
-    if shots < 1 or seed is None:  # no silent OS entropy: a read must be reproducible
-        raise ValueError("a sampled read needs shots >= 1 and a seed")
-    return int(np.random.default_rng(seed).binomial(shots, dist[target] / dist.sum())) / shots
+    _check_read(dist.size, target, shots, seed)
+    return _draw(float(dist[target] if shots is None else dist[target] / dist.sum()),
+                 shots, seed)
 
 
 def target_probability(instance: MaxCutInstance, params: QaoaParams, target: int,
@@ -77,15 +92,18 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
                               ledger: ResourceLedger) -> tuple[int, float]:
     """(coordinate, unbiased single-coordinate gradient estimate) from one
     uniformly chosen gate's two-point shift, scaled by the gate count G_k;
-    each shifted p(target) is read exactly (shots=None) or from `shots` shots."""
+    each shifted p(target), depolarized as (1 - L) p + L / 2^n, is read exactly
+    (shots=None) or from `shots` shots."""
+    _check_read(2**instance.n, target, shots, seed)
     depth = params.depth
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2 * depth))
     kind, layer = GATE_KINDS[k // depth], k % depth
     g_k = gate_count(instance, kind)
     index = int(rng.integers(g_k))
-    values = [_read_target(apply_depolarizing(probs, noise), target, shots, rng)
-              for probs in shifted_pair(instance, params, kind, layer, index)]
+    mixing = 0.0 if noise is None else noise.effective_mixing
+    values = [_draw((1.0 - mixing) * p + mixing / 2**instance.n, shots, rng)
+              for p in shifted_target(instance, params, kind, layer, index, target)]
     ledger.circuit_evaluations += 2
     ledger.stage2_shots += 0 if shots is None else 2 * shots
     return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])

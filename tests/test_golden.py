@@ -130,8 +130,10 @@ GOLDEN = {
         "88aa2e07a24a6414f66504dc7a598caf706276432badb2df41baa44ee24196bf",
     "exact_exp_gd/trials.jsonl":
         "9cf8c08e9724b9d71ed398add01594a9b4d1485daac198d24ebb4118c21b2b33",
+    # stage 2's exact reads are one bin each, computed from two projected
+    # amplitudes and depolarized unnormalized; the trace moved by <= 1.6e-16
     "exact_map_bo/run.json":
-        "425b9bddd63a5e80597c98d9c618cc76b429d5b8607c1cb9b3df10fe547f5527",
+        "ee8b3c885f596f80da5ed0f617e47fb7ac95b2ff3ae2a39205e3162d9c22823e",
     "exact_map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
 }

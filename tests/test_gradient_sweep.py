@@ -4,6 +4,7 @@ Shifted distributions come from the identity p+- = (|a|^2 + |b|^2)/2 +-
 Im(conj(a) b), not from the shifted states, so they match the per-gate
 oracle to rounding (1e-15 absolute) rather than bit for bit."""
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from modeqaoa.graph import (MaxCutInstance, assign_weights, cut_values_table,
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GateShift, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
-    exact_expectation, gate_coefficient, sample_indices, shift_rule_gradient,
-    shifted_pair, shifted_states,
+    exact_expectation, gate_coefficient, gate_count, sample_indices, shift_rule_gradient,
+    shifted_states, shifted_target,
 )
 from modeqaoa.stage2 import exact_gradient
 
@@ -119,22 +120,30 @@ def test_swept_states_equal_evolve(weighted6, depth):
             assert_close_to_oracle(probs, weighted6, params, shift)
 
 
+def assert_target_reads_rows(instance, params, kind, layer, index, rows):
+    """shifted_target at every target is the rows' bin there, to rounding."""
+    for target in range(2**instance.n):
+        got = shifted_target(instance, params, kind, layer, index, target)
+        assert type(got[0]) is type(got[1]) is float
+        assert max(abs(p - row[target]) for p, row in zip(got, rows)) <= 1e-15
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_shifted_pair_equals_sweep_and_oracle(weighted6, depth):
+def test_shifted_target_equals_sweep_and_oracle(weighted6, depth):
     params = PARAMS[depth]
     for kind, layer, index, _, plus, minus in shifted_states(weighted6, params):
-        pair = shifted_pair(weighted6, params, kind, layer, index)
-        assert pair.shape == (2, 2**weighted6.n)
-        # the same rows through the same layers, whatever stack they share
-        assert_same_bits(pair[0], plus)
-        assert_same_bits(pair[1], minus)
-        for shift, probs in zip(_shifts(kind, layer, index), pair):
-            assert_close_to_oracle(probs, weighted6, params, shift)
+        assert_target_reads_rows(weighted6, params, kind, layer, index, (plus, minus))
+        oracle = [distribution(oracle_evolve(weighted6, params, shift))
+                  for shift in _shifts(kind, layer, index)]
+        assert_target_reads_rows(weighted6, params, kind, layer, index, oracle)
     for kind, layer, index in [("delta", 0, 0), ("beta", depth, 0), ("beta", -1, 0),
                                ("beta", 0, weighted6.n), ("gamma", 0, weighted6.num_edges),
                                ("gamma", 0, -1)]:
         with pytest.raises(ValueError):
-            shifted_pair(weighted6, params, kind, layer, index)
+            shifted_target(weighted6, params, kind, layer, index, 0)
+    for target in (-1, 2**weighted6.n):
+        with pytest.raises(ValueError, match="outside"):
+            shifted_target(weighted6, params, "beta", 0, 0, target)
 
 
 @pytest.mark.parametrize("weights", ["unit", "uniform"])
@@ -183,12 +192,23 @@ def test_half_space_is_exact(circuit):
     assert_kernel_matches_oracle(instance, params)
     state = evolve(instance, params)
     assert state.tobytes() == state[::-1].tobytes()
-    rows = [probs for *_, plus, minus in shifted_states(instance, params)
-            for probs in (plus, minus)]
-    rows += [row for _, kind, layer, index in _gates(instance, params.depth)
-             for row in shifted_pair(instance, params, kind, layer, index)]
-    for row in rows:
-        assert row.tobytes() == row[::-1].tobytes()
+    for *_, plus, minus in shifted_states(instance, params):
+        for row in (plus, minus):
+            assert row.tobytes() == row[::-1].tobytes()
+
+
+@given(_circuits())
+@example((MaxCutInstance.from_edges(2, [(0, 1, 1.0)]), QaoaParams((0.41,), (1.3,))))
+@settings(max_examples=15, deadline=None)
+def test_shifted_target_equals_rows(circuit):
+    # the adjoint read (the later layers run backwards from the target, the
+    # last one's mixers in closed form) is the rows' bin at every target; the
+    # first and last gate of each kind and layer are read, and edges are
+    # sorted, so gamma gate 0 is a vertex-0 edge
+    instance, params = circuit
+    for kind, layer, index, _, plus, minus in shifted_states(instance, params):
+        if index in (0, gate_count(instance, kind) - 1):
+            assert_target_reads_rows(instance, params, kind, layer, index, (plus, minus))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -262,8 +282,11 @@ def test_size_check_precedes_allocation():
         evolve(inst, params)
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
         next(shifted_states(inst, params))
-    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
-        shifted_pair(inst, params, "beta", 0, 0)
+    # a target read's refusal allocates nothing: not a tenth of a 2^14 state
+    assert _peak_states(lambda: pytest.raises(
+        ValueError, shifted_target, inst, params, "beta", 0, 0, 2**25 - 1)) < 0.1
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 3 of them \(1536 MiB\)"):
+        shifted_target(inst, params, "beta", 0, 0, 2**25 - 1)
 
 
 def _peak_states(run):
@@ -275,7 +298,7 @@ def _peak_states(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3])
 def test_size_message_counts_peak_states(depth):
     # the counts in the size message are the measured peak in full states,
     # rounded down (numpy's ufunc buffer adds a little at n = 14)
@@ -285,10 +308,11 @@ def test_size_message_counts_peak_states(depth):
     shift_rule_gradient(inst, params, lambda *_: 0.0)
     runs = [(2, lambda: evolve(inst, params)),
             (depth + 2, lambda: shift_rule_gradient(inst, params, lambda *_: 0.0))]
-    # a pair peaks while its stack runs through a later layer
-    runs += [(4, lambda kind=kind: shifted_pair(inst, params, kind, 0, 1))
-             for kind in ("beta", "gamma") if depth > 1]
     for count, run in runs:
         assert count <= _peak_states(run) < count + 1
-    for kind in ("beta", "gamma"):
-        assert _peak_states(lambda: shifted_pair(inst, params, kind, depth - 1, 1)) < 4 + 1
+    # a target read peaks while the target runs backwards through a later
+    # layer (depth >= 3), holding the gate's m and b, and at its forward
+    # run's mixer otherwise
+    for layer, kind in product(range(depth), ("beta", "gamma")):
+        peak = _peak_states(lambda: shifted_target(inst, params, kind, layer, 1, 5))
+        assert (3 if depth - layer > 2 else 2) <= peak < 3 + 1

@@ -10,7 +10,7 @@ from modeqaoa.graph import (
 from modeqaoa.simulator import (
     MAX_QUBITS, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
     exact_expectation, gate_count, outcome_distribution, sample, sample_indices,
-    shifted_pair,
+    shifted_states, shifted_target,
 )
 
 
@@ -92,10 +92,16 @@ def test_distribution_normalized(six_reg):
     assert np.all(dist >= 0)
 
 
+def plus_row(inst, params, kind, layer, index):
+    """One gate's +pi/2 shifted distribution from the shift sweep."""
+    return next(plus for k, l, i, _, plus, _ in shifted_states(inst, params)
+                if (k, l, i) == (kind, layer, index))
+
+
 def test_gate_shift_matches_manual_beta(square):
     # a mixer-gate shift of +pi/2 in gate angle is +pi/4 on that qubit's beta
     params = QaoaParams((0.4,), (1.1,))
-    shifted = shifted_pair(square, params, "beta", layer=0, index=2)[0]
+    shifted = plus_row(square, params, "beta", layer=0, index=2)
 
     n = square.n
     dim = 2 ** n
@@ -112,13 +118,16 @@ def test_gate_shift_matches_manual_beta(square):
         for op in ops[1:]:
             full = np.kron(full, op)
         state = (np.cos(beta) * np.eye(dim) - 1j * np.sin(beta) * full) @ state
-    assert np.max(np.abs(shifted - np.abs(state) ** 2)) < 1e-12
+    want = np.abs(state) ** 2
+    assert np.max(np.abs(shifted - want)) < 1e-12
+    for t in range(dim):
+        assert abs(shifted_target(square, params, "beta", 0, 2, t)[0] - want[t]) < 1e-12
 
 
 def test_gate_shift_matches_manual_gamma(square):
     # an edge-gate shift multiplies in a phase on the cut indicator of that edge
     params = QaoaParams((0.4,), (1.1,))
-    shifted = shifted_pair(square, params, "gamma", layer=0, index=1)[0]
+    shifted = plus_row(square, params, "gamma", layer=0, index=1)
 
     u, v, _ = square.edges[1]
     dim = 2 ** square.n
@@ -137,7 +146,10 @@ def test_gate_shift_matches_manual_gamma(square):
         for op in ops[1:]:
             full = np.kron(full, op)
         state = (np.cos(0.4) * np.eye(dim) - 1j * np.sin(0.4) * full) @ state
-    assert np.max(np.abs(shifted - np.abs(state) ** 2)) < 1e-12
+    want = np.abs(state) ** 2
+    assert np.max(np.abs(shifted - want)) < 1e-12
+    for t in range(dim):
+        assert abs(shifted_target(square, params, "gamma", 0, 1, t)[0] - want[t]) < 1e-12
 
 
 def test_depolarizing_mixes_toward_uniform():
@@ -164,7 +176,7 @@ def test_gate_count_per_kind(six_reg):
     with pytest.raises(ValueError, match="unknown gate kind"):
         gate_count(six_reg, "delta")
     with pytest.raises(ValueError):
-        shifted_pair(six_reg, QaoaParams((0.3,), (0.7,)), "delta", 0, 0)
+        shifted_target(six_reg, QaoaParams((0.3,), (0.7,)), "delta", 0, 0, 0)
 
 
 def test_effective_mixing_monotone(six_reg):

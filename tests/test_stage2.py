@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import oracle_evolve
-from modeqaoa.graph import brute_force_optimum, random_regular, with_optimum
+from modeqaoa import stage2
+from modeqaoa.graph import assign_weights, brute_force_optimum, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
-    GateShift, QaoaParams, distribution, gate_coefficient, outcome_distribution,
+    GATE_KINDS, GateShift, NoiseSpec, QaoaParams, apply_depolarizing, distribution,
+    gate_coefficient, gate_count, outcome_distribution, shifted_states,
 )
 from modeqaoa.stage2 import (
     AmplifyConfig, _read_target, amplify, exact_gradient, randomized_shift_gradient,
@@ -124,17 +126,67 @@ def test_randomized_estimator_enumeration_average(small):
     assert np.max(np.abs(avg - exact)) < 1e-12
 
 
-def test_randomized_gradient_checks_target_and_charges_ledger(small):
+def test_randomized_gradient_checks_target_and_charges_ledger(small, monkeypatch):
     params = QaoaParams((0.6,), (1.3,))
     target, _ = brute_force_optimum(small)
     ledger = ResourceLedger()
-    with pytest.raises(ValueError, match="outside"):
-        randomized_shift_gradient(small, params, 2 ** small.n, 200, None, 0, ledger)
+    # refused before any state is made or anything is charged
+    monkeypatch.setattr(stage2, "shifted_target", None)
+    for bad_target in (-1, 2 ** small.n):
+        with pytest.raises(ValueError, match="outside"):
+            randomized_shift_gradient(small, params, bad_target, 200, None, 0, ledger)
+    with pytest.raises(ValueError, match="seed"):
+        randomized_shift_gradient(small, params, target, 200, None, None, ledger)
+    with pytest.raises(ValueError, match="shots"):
+        randomized_shift_gradient(small, params, target, 0, None, 0, ledger)
     assert ledger == ResourceLedger()
+    monkeypatch.undo()
     randomized_shift_gradient(small, params, target, None, None, 0, ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (2, 0)
     randomized_shift_gradient(small, params, target, 30, None, 0, ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (4, 60)
+
+
+def full_row_estimate(instance, params, target, shots, noise, rng):
+    """randomized_shift_gradient's estimate from the gate's full shifted rows:
+    the gate picked from `rng` alike, each row depolarized and read by
+    _read_target from `rng`."""
+    depth = params.depth
+    k = int(rng.integers(2 * depth))
+    kind, layer = GATE_KINDS[k // depth], k % depth
+    g_k = gate_count(instance, kind)
+    index = int(rng.integers(g_k))
+    rows = next((plus, minus) for got_kind, got_layer, got_index, _, plus, minus
+                in shifted_states(instance, params)
+                if (got_kind, got_layer, got_index) == (kind, layer, index))
+    values = [_read_target(apply_depolarizing(row, noise), target, shots, rng)
+              for row in rows]
+    return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_randomized_gradient_reads_as_full_rows(depth, lam):
+    # the target-only read draws what a read of the full rows drew: the same
+    # gates and binomial counts from the same generator, so sampled estimates
+    # are equal and exact ones agree to rounding
+    inst = with_optimum(assign_weights(random_regular(6, 3, seed=2), "uniform", seed=4))
+    params = QaoaParams((0.41, 0.77, -0.35)[:depth], (1.3, 2.6, 0.2)[:depth])
+    noise = NoiseSpec.for_circuit(lam, inst, depth)
+    optimum = inst.optimum[0]
+    for shots in (None, 200):
+        for seed, target in enumerate((optimum, 2 ** inst.n - 1 - optimum, 5)):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(12):
+                got = randomized_shift_gradient(inst, params, target, shots, noise,
+                                                got_rng, ResourceLedger())
+                want = full_row_estimate(inst, params, target, shots, noise, want_rng)
+                assert got[0] == want[0]
+                if shots is None:
+                    assert abs(got[1] - want[1]) <= 1e-13
+                else:
+                    assert got[1] == want[1]
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_randomized_estimator_sampled_mean(small):
