@@ -4,8 +4,10 @@ The cost layer is diagonal, so one layer costs an elementwise phase over the
 2^n cut values plus n independent single-qubit X rotations.  States are
 indexed by basis index in the graph module's bit order.
 Parameter-shift gradients branch one generator row per gate off the
-unshifted evolution (see _generator_row); a read of one shifted bin projects
-the row onto the target run backwards instead (see shifted_target).
+unshifted evolution (see _generator_row).  A read of one shifted bin instead
+stops the evolution at the gate's own layer, before its mixers, and projects
+onto the target run backwards to there (see shifted_target); a TargetReader
+keeps both runs' layers from one read to the next.
 
 Every state and generator row is unchanged when all bits flip, as cut(z) =
 cut(~z) and the mixers commute with X on all qubits (Farhi et al. 2014,
@@ -15,6 +17,7 @@ rebuilt only where a state or distribution is returned.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,9 +46,8 @@ class QaoaParams:
     def __post_init__(self):
         if len(self.betas) != len(self.gammas) or not self.betas:
             raise ValueError("betas and gammas must have equal positive length")
-        for x in (*self.betas, *self.gammas):
-            if not np.isfinite(x):
-                raise ValueError("angles must be finite")
+        if not all(map(math.isfinite, self.betas + self.gammas)):
+            raise ValueError("angles must be finite")
 
     @property
     def depth(self) -> int:
@@ -60,7 +62,8 @@ class QaoaParams:
         if theta.ndim != 1 or theta.size % 2 != 0 or theta.size == 0:
             raise ValueError("theta must be a flat vector of even positive length")
         p = theta.size // 2
-        return cls(betas=tuple(theta[:p]), gammas=tuple(theta[p:]))
+        angles = theta.tolist()
+        return cls(betas=tuple(angles[:p]), gammas=tuple(angles[p:]))
 
 
 @dataclass(frozen=True)
@@ -114,18 +117,18 @@ def gate_coefficient(instance: MaxCutInstance, kind: str, index: int) -> float:
     return 1.0 if kind == "beta" else instance.edges[index][2] / 2.0
 
 
-def _check_size(n: int, states: int) -> None:
+def _check_size(n: int, states: int, holder: str = "this call") -> None:
     """Refuse n above the cap before any state is allocated.
 
-    `states` is the call's peak memory in complex 2^n arrays, rounded down: a
-    complex half vector counts 1/2, a float one 1/4.  The cached cut table
-    (8 B per entry) and popcount table (1 B per half entry) come on top.
+    `states` is the peak memory of `holder` in complex 2^n arrays, rounded
+    down: a complex half vector counts 1/2, a float one 1/4.  The cached cut
+    table (8 B per entry) and popcount table (1 B per half entry) come on top.
     """
     if n > MAX_QUBITS:
         per_state = 2**n * 16
         raise ValueError(
             f"simulator capped at n={MAX_QUBITS}, got n={n}: one state is "
-            f"2^{n} x 16 B = {per_state / 2**20:.0f} MiB and this call keeps "
+            f"2^{n} x 16 B = {per_state / 2**20:.0f} MiB and {holder} keeps "
             f"{states} of them ({states * per_state / 2**20:.0f} MiB)")
 
 
@@ -182,12 +185,21 @@ def _phases(instance: MaxCutInstance, gammas: Iterable[float]) -> Iterator[np.nd
     return (np.exp(-1j * gamma * cuts) for gamma in gammas)
 
 
+def _mix(amps: np.ndarray, beta: float) -> np.ndarray:
+    """exp(-i beta X) on every qubit: n passes of _apply_mixer."""
+    c, js = np.cos(beta), 1j * np.sin(beta)
+    for _ in range(amps.shape[-1].bit_length()):
+        amps = _apply_mixer(amps, c, js)
+    return amps
+
+
 def _run(amps: np.ndarray, phases: Iterator[np.ndarray], betas: tuple[float, ...]
          ) -> np.ndarray:
     """`amps` (one half state or a stack of half rows) through one layer per
     beta, from before its cost phase, the next item of `phases`, to after its
-    mixers.  evolve, shifted_states and shifted_target all run this one loop,
-    and shifted_target also runs it backwards, with -beta and -gamma."""
+    mixers.  evolve and shifted_states run this loop; a TargetReader runs its
+    layers one _mix at a time, forwards and backwards.  The mixer loop is
+    _mix's, written out so that no layer's input outlives its first pass."""
     n = amps.shape[-1].bit_length()
     for beta in betas:
         amps = amps * next(phases)
@@ -195,6 +207,29 @@ def _run(amps: np.ndarray, phases: Iterator[np.ndarray], betas: tuple[float, ...
         for _ in range(n):
             amps = _apply_mixer(amps, c, js)
     return amps
+
+
+def _flip(row: np.ndarray, q: int) -> np.ndarray:
+    """X_q on a half row: qubit 0 is the mirror bit, so its flip reverses."""
+    if q == 0:
+        return row[::-1]
+    return row.reshape(2 ** (q - 1), 2, -1)[:, ::-1].reshape(-1)
+
+
+def _edge_parity(row: np.ndarray, u: int, v: int) -> np.ndarray:
+    """-Z_u Z_v on a half row, u < v: a copy negated where z_u = z_v (the edge
+    is uncut).  Bit 0 is clear on the first half, so with u = 0 that is where
+    z_v = 0."""
+    out = row.copy()
+    if u == 0:
+        uncut = out.reshape(2 ** (v - 1), 2, -1)[:, 0]
+        np.negative(uncut, out=uncut)
+        return out
+    bits = out.reshape(2 ** (u - 1), 2, 2 ** (v - u - 1), 2, -1)
+    for bit in (0, 1):
+        uncut = bits[:, bit, :, bit]
+        np.negative(uncut, out=uncut)
+    return out
 
 
 def _generator_row(instance: MaxCutInstance, kind: str, index: int, beta: float,
@@ -213,17 +248,17 @@ def _generator_row(instance: MaxCutInstance, kind: str, index: int, beta: float,
     through the later layers only, and a row of the last layer through none.
 
     Mixer gate on qubit q: P = X_q commutes with the mixers, so b is m with
-    bit q flipped.  Edge gate (u, v): the gate is exp(-i gamma w (1 - Z_u Z_v)/2),
-    so P = -Z_u Z_v up to the gate's global phase, and past R = exp(-i beta X)
-    on every qubit it becomes P' = -A_u A_v, where
+    bit q flipped (_flip).  Edge gate (u, v): the gate is
+    exp(-i gamma w (1 - Z_u Z_v)/2), so P = -Z_u Z_v up to the gate's global
+    phase (_edge_parity, before the mixers), and past R = exp(-i beta X) on
+    every qubit it becomes P' = -A_u A_v, where
     A = R Z R^dagger = [[cos 2beta, i sin 2beta], [-i sin 2beta, -cos 2beta]].
     On qubit 0 (u at most, as u < v), bit 0 set is the mirrored half times the
     row's parity: +1 for m, -1 for A_v m, as A anticommutes with X.
+    A TargetReader reads before the mixers instead, where P itself acts.
     """
     if kind == "beta":
-        if index == 0:
-            return after[::-1]
-        return after.reshape(2 ** (index - 1), 2, -1)[:, ::-1].reshape(-1)
+        return _flip(after, index)
     c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
     u, v, _ = instance.edges[index]
     row = after
@@ -262,52 +297,129 @@ def evolve(instance: MaxCutInstance, params: QaoaParams) -> np.ndarray:
                         params.betas))
 
 
+class TargetReader:
+    """Single gates' p+-(target) on one instance, read at angles that move
+    between calls (see shifted_target for the read).
+
+    Keeps the forward states s_l and backward target rows w_l built for the
+    last read's angles.  A read at other angles drops the ones that depend
+    on a moved angle (s_l on gammas[:l + 1] and betas[:l], w_l on betas[l:]
+    and gammas[l + 1:]; angles compare by value, as 0.0 and -0.0 are one
+    rotation) and rebuilds only those it needs, from the nearest kept one,
+    with the same operations as a fresh reader, so every read equals a fresh
+    reader's to the bit.  A run whose steps each move one
+    coordinate rebuilds fewer than the depth - 1 mixer layers of a fresh read
+    (0.74 per read in perfbench's amplify_small, at depth 2).
+
+    Keeps at most depth states, a half for each s_l and each w_l.  It peaks
+    below depth + 2: a rebuild adds a mixer's 2 states (see evolve) to at
+    most depth - 1/2 kept, and a read adds its generator row and, for some
+    edges, a ufunc buffer (1/2 each).
+    """
+
+    def __init__(self, instance: MaxCutInstance, target: int):
+        if not 0 <= target < 2**instance.n:
+            raise ValueError(f"target index {target} outside [0, {2**instance.n})")
+        self.instance, self.target = instance, target
+        self._betas: tuple[float, ...] = ()
+        self._gammas: tuple[float, ...] = ()
+        self._forward: list[np.ndarray] = []  # s_0, s_1, ...
+        self._backward: list[np.ndarray] = []  # w_{depth-1}, w_{depth-2}, ...
+        self._cuts = self._distance = None  # built by the first read, after its size check
+
+    def read(self, params: QaoaParams, kind: str, layer: int, index: int
+             ) -> tuple[float, float]:
+        """(p+, p-) of gate `index` of `kind` in `layer` at `params`."""
+        instance, depth = self.instance, params.depth
+        if not (0 <= layer < depth and 0 <= index < gate_count(instance, kind)):
+            raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {depth}")
+        if depth != len(self._betas):
+            n = instance.n
+            _check_size(n, depth + 1, "a target reader")
+            if self._cuts is None:
+                half = 2 ** (n - 1)
+                self._cuts = cut_values_table(instance)[:half]
+                t = min(self.target, 2**n - 1 - self.target)
+                self._distance = _popcounts(half)[np.arange(half) ^ t]
+            self._forward, self._backward = [], []
+        else:
+            self._drop_moved(params)
+        self._betas, self._gammas = params.betas, params.gammas
+        state, row = self._state(layer), self._row(layer)
+        a = complex(np.vdot(row, state))
+        if kind == "beta":
+            b = complex(np.vdot(row, _flip(state, index)))
+        else:
+            u, v, _ = instance.edges[index]
+            b = complex(np.vdot(row, _edge_parity(state, u, v)))
+        mean = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2) / 2
+        cross = a.real * b.imag - a.imag * b.real
+        return max(mean + cross, 0.0), max(mean - cross, 0.0)
+
+    def _drop_moved(self, params: QaoaParams) -> None:
+        depth = params.depth
+        first, last = depth, -1  # s_l with l >= first and w_l with l <= last are stale
+        for l in range(depth):
+            if params.gammas[l] != self._gammas[l]:
+                first, last = min(first, l), max(last, l - 1)
+            if params.betas[l] != self._betas[l]:
+                first, last = min(first, l + 1), max(last, l)
+        del self._forward[first:]
+        del self._backward[depth - 1 - last:]
+
+    def _state(self, layer: int) -> np.ndarray:
+        """s_layer, the state after the layer's cost phase."""
+        forward = self._forward
+        while len(forward) <= layer:
+            l = len(forward)
+            forward.append((2.0 ** (-self.instance.n / 2) if l == 0
+                            else _mix(forward[-1], self._betas[l - 1]))
+                           * np.exp(-1j * self._gammas[l] * self._cuts))
+        return forward[layer]
+
+    def _row(self, layer: int) -> np.ndarray:
+        """w_layer = R_layer^dagger U^dagger (|t> + |~t>), R_layer the layer's
+        mixers and U the later layers, as a half row."""
+        backward, depth = self._backward, len(self._betas)
+        if not backward:
+            n = self.instance.n
+            c, s = np.cos(self._betas[-1]), np.sin(self._betas[-1])
+            d = np.arange(n + 1)
+            one = c ** (n - d) * s**d * _I_POWERS[d % 4]  # by d, for |t> alone
+            backward.append((one + one[::-1])[self._distance])
+        while depth - len(backward) > layer:
+            l = depth - len(backward)  # backward[-1] is w_l
+            backward.append(_mix(backward[-1] * np.exp(1j * self._gammas[l] * self._cuts),
+                                 -self._betas[l - 1]))
+        return backward[depth - 1 - layer]
+
+
 def shifted_target(instance: MaxCutInstance, params: QaoaParams, kind: str,
                    layer: int, index: int, target: int) -> tuple[float, float]:
     """One gate's p+-(target) under its +-pi/2 shift, + first: bin `target`
     of that gate's `shifted_states` rows, with no row propagated; `index` is
-    the qubit of a "beta" gate or the edge of a "gamma" gate.
+    the qubit of a "beta" gate or the edge of a "gamma" gate.  A one-shot
+    TargetReader; a run that reads many gates keeps one.
 
-    The unshifted state runs to m, the state after the gate's layer, and
-    _generator_row gives b.  A gate of the last layer reads a = m and b' = b
-    at the target's half index min(t, 2^n - 1 - t).  Any other gate projects
-    m and b onto v = U^dagger (|t> + |~t>), U the later layers, instead of
-    running them through U: m, b and v are unchanged when all bits flip, so
-    a_t = <t|U m> = <v|m>/2 is the first-half sum of conj(v) m, and b'_t that
-    of conj(v) b (the adjoint read of Jones & Gacon 2020, arXiv:2009.02823).
-    The last layer's mixers, exp(+i beta X) on every qubit, take the two
-    basis vectors to v_z = c^(n-d) (i s)^d + c^d (i s)^(n-d), with
-    c = cos beta, s = sin beta and d = popcount(z XOR t); its conjugate cost
-    phase and any earlier later layers follow, run backwards with -beta and
-    -gamma.  Then p+- = (|a_t|^2 + |b'_t|^2)/2 +- Im(conj(a_t) b'_t) (see
-    _generator_row), clipped at zero like the rows.
-
-    Peaks at 3 states at depth >= 3: m and b (1/2 each) and a mixer on v
-    (its input, output and two products, 2); at 2.5 below that.
+    The read is taken at the gate's own layer l, on s, the state after its
+    cost phase and before its mixers R.  There the gate's generator P (see
+    _generator_row) is X_q for a mixer gate, which commutes with R, or the
+    diagonal -Z_u Z_v, +1 where the edge is cut and -1 elsewhere, for an edge
+    gate.  With U the later layers, the shifted final states are
+    (U R s -+ i U R P s)/sqrt(2), so a_t = <t|U R s> and b'_t = <t|U R P s>.
+    States and rows are unchanged when all bits flip, so each is the
+    first-half sum of conj(w) s or conj(w) P s, where
+    w = R^dagger U^dagger (|t> + |~t>) is the target run backwards (the
+    adjoint read of Jones & Gacon 2020, arXiv:2009.02823).  The last layer's
+    mixers, exp(+i beta X) on every qubit, take the two basis vectors to
+    w_z = c^(n-d) (i s)^d + c^d (i s)^(n-d), with c = cos beta,
+    s = sin beta and d = popcount(z XOR t); each earlier layer down to l
+    follows with its conjugate cost phase and its mixers at -beta.  Then
+    p+- = (|a_t|^2 + |b'_t|^2)/2 +- Im(conj(a_t) b'_t), clipped at zero like
+    the rows.  Layers before l run forwards and layers l to p - 2 backwards,
+    so every read costs (p - 1) n mixer passes.
     """
-    n, depth = instance.n, params.depth
-    if not (0 <= layer < depth and 0 <= index < gate_count(instance, kind)):
-        raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {depth}")
-    if not 0 <= target < 2**n:
-        raise ValueError(f"target index {target} outside [0, {2**n})")
-    _check_size(n, 3)
-    after = _run(_uniform(n), _phases(instance, params.gammas), params.betas[:layer + 1])
-    row = _generator_row(instance, kind, index, params.betas[layer], after)
-    half_index = min(target, 2**n - 1 - target)
-    if layer == depth - 1:
-        a, b = complex(after[half_index]), complex(row[half_index])
-    else:
-        c, s = np.cos(params.betas[-1]), np.sin(params.betas[-1])
-        d = np.arange(n + 1)
-        one = c ** (n - d) * s**d * _I_POWERS[d % 4]  # by d, for |t> alone
-        half = 2 ** (n - 1)
-        v = (one + one[::-1])[_popcounts(half)[np.arange(half) ^ half_index]]
-        back = _phases(instance, [-gamma for gamma in params.gammas[:layer:-1]])
-        v = _run(v, back, tuple(-beta for beta in params.betas[-2:layer:-1])) * next(back)
-        a, b = complex(np.vdot(v, after)), complex(np.vdot(v, row))
-    mean = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2) / 2
-    cross = a.real * b.imag - a.imag * b.real
-    return max(mean + cross, 0.0), max(mean - cross, 0.0)
+    return TargetReader(instance, target).read(params, kind, layer, index)
 
 
 def shifted_states(instance: MaxCutInstance, params: QaoaParams

@@ -5,9 +5,10 @@ is pushed up by stochastic ascent: each step picks one search coordinate and
 one gate under it uniformly at random, reads the target probability under
 the gate's two shifts (simulator.shifted_target, which builds neither
 shifted distribution), and rescales by the gate count G_k: an unbiased
-single-coordinate gradient.  Adam updates it.  A sampled read of p(target)
-is a binomial draw (the histogram's marginal at that bin) from the run's one
-generator, which also picks each step's gate.
+single-coordinate gradient.  Adam updates it.  A run reads through one
+simulator.TargetReader, which rebuilds only the layers a step has moved.  A
+sampled read of p(target) is a binomial draw (the histogram's marginal at
+that bin) from the run's one generator, which also picks each step's gate.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ from .bo import adam_step
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
 # sample is not called here; perfbench's trace-site test still pins this import
-from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, apply_depolarizing,  # noqa: F401
-                        gate_coefficient, gate_count, outcome_distribution, sample,
-                        shift_rule_gradient, shifted_target)
+from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, TargetReader,  # noqa: F401
+                        apply_depolarizing, gate_coefficient, gate_count,
+                        outcome_distribution, sample, shift_rule_gradient)
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,19 @@ def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: int,
 def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
                               target: int, shots: int | None,
                               noise: NoiseSpec | None, seed: int | np.random.Generator,
-                              ledger: ResourceLedger) -> tuple[int, float]:
+                              ledger: ResourceLedger, reader: TargetReader | None = None
+                              ) -> tuple[int, float]:
     """(coordinate, unbiased single-coordinate gradient estimate) from one
     uniformly chosen gate's two-point shift, scaled by the gate count G_k;
     each shifted p(target), depolarized as (1 - L) p + L / 2^n, is read exactly
-    (shots=None) or from `shots` shots."""
+    (shots=None) or from `shots` shots.  `reader`, a TargetReader of this
+    instance and target, keeps its states for the next call; without one the
+    read is one-shot."""
     _check_read(2**instance.n, target, shots, seed)
+    if reader is None:
+        reader = TargetReader(instance, target)
+    elif reader.instance is not instance or reader.target != target:
+        raise ValueError("reader is for another instance or target")
     depth = params.depth
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2 * depth))
@@ -103,7 +111,7 @@ def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     index = int(rng.integers(g_k))
     mixing = 0.0 if noise is None else noise.effective_mixing
     values = [_draw((1.0 - mixing) * p + mixing / 2**instance.n, shots, rng)
-              for p in shifted_target(instance, params, kind, layer, index, target)]
+              for p in reader.read(params, kind, layer, index)]
     ledger.circuit_evaluations += 2
     ledger.stage2_shots += 0 if shots is None else 2 * shots
     return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])
@@ -123,13 +131,15 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
     ledger = ledger if ledger is not None else ResourceLedger()
     shots = None if cfg.use_exact else cfg.shots_per_shift
     rng = np.random.default_rng(seed)
+    reader = TargetReader(instance, target)
     theta = params.to_vector()
     m, v = np.zeros((2, theta.size))
     ledger.circuit_evaluations += 1
     trace = [target_probability(instance, params, target, noise)]
     for step in range(1, cfg.steps + 1):
         k, estimate = randomized_shift_gradient(
-            instance, QaoaParams.from_vector(theta), target, shots, noise, rng, ledger)
+            instance, QaoaParams.from_vector(theta), target, shots, noise, rng, ledger,
+            reader)
         delta, m[k], v[k] = adam_step(cfg, m[k], v[k], estimate, step)
         theta[k] += delta
         if step % cfg.reeval_period == 0 or step == cfg.steps:

@@ -131,9 +131,10 @@ GOLDEN = {
     "exact_exp_gd/trials.jsonl":
         "9cf8c08e9724b9d71ed398add01594a9b4d1485daac198d24ebb4118c21b2b33",
     # stage 2's exact reads are one bin each, computed from two projected
-    # amplitudes and depolarized unnormalized; the trace moved by <= 1.6e-16
+    # amplitudes and depolarized unnormalized; the trace moved by <= 1.6e-16,
+    # and by <= 1.4e-16 more when reads moved to the gate's own layer
     "exact_map_bo/run.json":
-        "ee8b3c885f596f80da5ed0f617e47fb7ac95b2ff3ae2a39205e3162d9c22823e",
+        "923822ae7d08a34c6878722afc50a7868225e9c59239212a2e478c0846617969",
     "exact_map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
 }

@@ -11,16 +11,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_evolve
-from modeqaoa import baselines
+from modeqaoa import baselines, simulator
 from modeqaoa.baselines import _split_shots, parameter_shift_gradient
 from modeqaoa.estimators import Counts, expectation_estimate
 from modeqaoa.graph import (MaxCutInstance, assign_weights, cut_values_table,
                             random_regular, with_optimum)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
-    GateShift, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
-    exact_expectation, gate_coefficient, gate_count, sample_indices, shift_rule_gradient,
-    shifted_states, shifted_target,
+    GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
+    distribution, evolve, exact_expectation, gate_coefficient, gate_count, sample_indices,
+    shift_rule_gradient, shifted_states, shifted_target,
 )
 from modeqaoa.stage2 import exact_gradient
 
@@ -310,9 +310,84 @@ def test_size_message_counts_peak_states(depth):
             (depth + 2, lambda: shift_rule_gradient(inst, params, lambda *_: 0.0))]
     for count, run in runs:
         assert count <= _peak_states(run) < count + 1
-    # a target read peaks while the target runs backwards through a later
-    # layer (depth >= 3), holding the gate's m and b, and at its forward
-    # run's mixer otherwise
+    # a one-shot read keeps the forward states up to its layer and the target
+    # rows back down to it, and peaks at its last mixer run or at its
+    # generator row; negating this edge's uncut blocks adds a ufunc buffer
     for layer, kind in product(range(depth), ("beta", "gamma")):
+        count = ONE_SHOT_READ_PEAKS[depth][layer][kind == "gamma"]
         peak = _peak_states(lambda: shifted_target(inst, params, kind, layer, 1, 5))
-        assert (3 if depth - layer > 2 else 2) <= peak < 3 + 1
+        assert count <= peak < count + 1
+    # a reader's message names what it keeps at the worst: every state and
+    # row, less the one it rebuilds after a step, plus that rebuild's mixer
+    with pytest.raises(ValueError, match=f"a target reader keeps {depth + 1} of them"):
+        shifted_target(MaxCutInstance.from_edges(25, [(0, 1, 1.0)]), params, "beta", 0, 0, 0)
+    peaks = []
+    for k, layer, kind in product(range(2 * depth), range(depth), ("beta", "gamma")):
+        theta = params.to_vector()
+        theta[k] += 0.1
+        tracemalloc.start()
+        try:
+            reader = TargetReader(inst, 5)
+            for filled in range(depth):
+                reader.read(params, "beta", filled, 1)
+            tracemalloc.reset_peak()
+            reader.read(QaoaParams.from_vector(theta), kind, layer, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1] / (2**14 * 16))
+        finally:
+            tracemalloc.stop()
+    assert depth + 1 <= max(peaks) < depth + 2
+
+
+# measured at n = 14, by depth, then layer: (beta read, gamma read)
+ONE_SHOT_READ_PEAKS = {1: [(1, 2)], 2: [(3, 3), (2, 2)], 3: [(3, 3), (2, 3), (2, 3)]}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_read_runs_depth_minus_one_mixer_layers(weighted6, depth, monkeypatch):
+    # a fresh read of any gate runs the layers before it forwards and the rest
+    # but the last backwards; a reader at unchanged angles runs none
+    passes, apply_mixer = [], simulator._apply_mixer
+
+    def counting(amps, c, js):
+        passes.append(amps.shape)
+        return apply_mixer(amps, c, js)
+
+    monkeypatch.setattr(simulator, "_apply_mixer", counting)
+    params = PARAMS[depth]
+    for _, kind, layer, index in _gates(weighted6, depth):
+        passes.clear()
+        shifted_target(weighted6, params, kind, layer, index, 5)
+        assert len(passes) == (depth - 1) * weighted6.n
+    reader = TargetReader(weighted6, 5)
+    for _, kind, layer, index in _gates(weighted6, depth):
+        reader.read(params, kind, layer, index)
+    passes.clear()
+    for _, kind, layer, index in _gates(weighted6, depth):
+        reader.read(QaoaParams(params.betas, params.gammas), kind, layer, index)
+    assert passes == []
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("weights", ["unit", "uniform"])
+def test_reused_reads_equal_fresh_reads(depth, weights):
+    # over seeded single-coordinate steps, some to 0.0 or -0.0 (one rotation,
+    # so a reader keeps what either built), a reader's every read equals a
+    # fresh one to the bit; edge 0 is a vertex-0 edge and PARAMS[3] has a
+    # zero beta
+    instance = _regular(7, weights)
+    assert instance.edges[0][0] == 0
+    rng = np.random.default_rng(depth)
+    theta = PARAMS[depth].to_vector()
+    target = int(rng.integers(2**instance.n))
+    reader = TargetReader(instance, target)
+    for step in range(60):
+        k = int(rng.integers(theta.size))
+        theta[k] = (0.0, -0.0, theta[k] + 0.05 * rng.standard_normal())[step % 3]
+        params = QaoaParams.from_vector(theta)
+        for _ in range(2):
+            kind = GATE_KINDS[int(rng.integers(2))]
+            layer = int(rng.integers(depth))
+            index = int(rng.integers(gate_count(instance, kind)))
+            got = reader.read(params, kind, layer, index)
+            want = shifted_target(instance, params, kind, layer, index, target)
+            assert np.array(got).tobytes() == np.array(want).tobytes()

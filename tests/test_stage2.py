@@ -8,8 +8,9 @@ from modeqaoa import stage2
 from modeqaoa.graph import assign_weights, brute_force_optimum, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
-    GATE_KINDS, GateShift, NoiseSpec, QaoaParams, apply_depolarizing, distribution,
-    gate_coefficient, gate_count, outcome_distribution, shifted_states,
+    GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
+    distribution, gate_coefficient, gate_count, outcome_distribution, shifted_states,
+    shifted_target,
 )
 from modeqaoa.stage2 import (
     AmplifyConfig, _read_target, amplify, exact_gradient, randomized_shift_gradient,
@@ -130,8 +131,9 @@ def test_randomized_gradient_checks_target_and_charges_ledger(small, monkeypatch
     params = QaoaParams((0.6,), (1.3,))
     target, _ = brute_force_optimum(small)
     ledger = ResourceLedger()
-    # refused before any state is made or anything is charged
-    monkeypatch.setattr(stage2, "shifted_target", None)
+    # refused before any state is made or anything is charged: every read,
+    # a run's or a one-shot one, goes through TargetReader.read
+    monkeypatch.setattr(TargetReader, "read", None)
     for bad_target in (-1, 2 ** small.n):
         with pytest.raises(ValueError, match="outside"):
             randomized_shift_gradient(small, params, bad_target, 200, None, 0, ledger)
@@ -187,6 +189,39 @@ def test_randomized_gradient_reads_as_full_rows(depth, lam):
                 else:
                     assert got[1] == want[1]
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class OneShotReader:
+    """A TargetReader that keeps nothing: each read is shifted_target's."""
+
+    def __init__(self, instance, target):
+        self.instance, self.target = instance, target
+
+    def read(self, params, kind, layer, index):
+        return shifted_target(self.instance, params, kind, layer, index, self.target)
+
+
+@pytest.mark.parametrize("use_exact", [True, False])
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_amplify_reuse_equals_one_shot_reads(monkeypatch, use_exact, lam):
+    # amplify's one reader per run rebuilds only the layers each step moved;
+    # the run must equal one whose every read starts afresh, to the bit
+    inst = with_optimum(assign_weights(random_regular(6, 3, seed=2), "uniform", seed=4))
+    params = QaoaParams((0.41, 0.0), (1.3, 2.6))  # a zero beta
+    noise = NoiseSpec.for_circuit(lam, inst, params.depth) if lam else None
+    cfg = AmplifyConfig(steps=60, use_exact=use_exact)
+    got = amplify(inst, params, inst.optimum[0], cfg, noise, seed=9)
+    monkeypatch.setattr(stage2, "TargetReader", OneShotReader)
+    want = amplify(inst, params, inst.optimum[0], cfg, noise, seed=9)
+    assert got[0].to_vector().tobytes() == want[0].to_vector().tobytes()
+    assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+
+
+def test_randomized_gradient_refuses_another_targets_reader(small):
+    params = QaoaParams((0.6,), (1.3,))
+    with pytest.raises(ValueError, match="another"):
+        randomized_shift_gradient(small, params, 1, None, None, 0, ResourceLedger(),
+                                  TargetReader(small, 2))
 
 
 def test_randomized_estimator_sampled_mean(small):
