@@ -21,9 +21,9 @@ from .resources import (MetricsReport, ResourceLedger, aux_accuracies,
                         build_report, final_mode_accuracy, saving_ratios,
                         shots_to_threshold)
 from .shots import AdaptiveConfig, PointEvaluation, evaluate_point, next_batch
-from .simulator import (GateShift, NoiseSpec, QaoaParams, apply_depolarizing,
-                        distribution, evolve, exact_expectation,
-                        outcome_distribution, sample)
+from .simulator import (GateShift, NoiseSpec, QaoaParams, TargetReader,
+                        apply_depolarizing, distribution, evolve,
+                        exact_expectation, outcome_distribution, sample)
 from .stage2 import (AmplifyConfig, amplify, exact_gradient,
                      randomized_shift_gradient, target_probability)
 

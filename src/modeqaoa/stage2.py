@@ -45,11 +45,8 @@ class AmplifyConfig:
             raise ValueError("reeval_period must be >= 1")
 
 
-def _check_read(size: int, target: int, shots: int | None,
-                seed: int | np.random.Generator | None) -> None:
-    """Refuse a read of `target` from `size` bins before any state is made."""
-    if not 0 <= target < size:  # a negative index would wrap around
-        raise ValueError(f"target index {target} outside [0, {size})")
+def _check_shots(shots: int | None, seed: int | np.random.Generator | None) -> None:
+    """Refuse a sampled read that could not be reproduced, before any state is made."""
     if shots is not None and (shots < 1 or seed is None):
         # no silent OS entropy: a read must be reproducible
         raise ValueError("a sampled read needs shots >= 1 and a seed")
@@ -66,7 +63,9 @@ def _draw(p: float, shots: int | None, seed: int | np.random.Generator | None) -
 def _read_target(dist: np.ndarray, target: int, shots: int | None = None,
                  seed: int | np.random.Generator | None = None) -> float:
     """p(target) from `dist`, exactly or as its sampled frequency in `shots` shots."""
-    _check_read(dist.size, target, shots, seed)
+    if not 0 <= target < dist.size:  # a negative index would wrap around
+        raise ValueError(f"target index {target} outside [0, {dist.size})")
+    _check_shots(shots, seed)
     return _draw(float(dist[target] if shots is None else dist[target] / dist.sum()),
                  shots, seed)
 
@@ -87,22 +86,17 @@ def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: int,
     return shift_rule_gradient(instance, params, value)
 
 
-def randomized_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
-                              target: int, shots: int | None,
-                              noise: NoiseSpec | None, seed: int | np.random.Generator,
-                              ledger: ResourceLedger, reader: TargetReader | None = None
+def randomized_shift_gradient(reader: TargetReader, params: QaoaParams,
+                              shots: int | None, noise: NoiseSpec | None,
+                              seed: int | np.random.Generator, ledger: ResourceLedger
                               ) -> tuple[int, float]:
     """(coordinate, unbiased single-coordinate gradient estimate) from one
     uniformly chosen gate's two-point shift, scaled by the gate count G_k;
-    each shifted p(target), depolarized as (1 - L) p + L / 2^n, is read exactly
-    (shots=None) or from `shots` shots.  `reader`, a TargetReader of this
-    instance and target, keeps its states for the next call; without one the
-    read is one-shot."""
-    _check_read(2**instance.n, target, shots, seed)
-    if reader is None:
-        reader = TargetReader(instance, target)
-    elif reader.instance is not instance or reader.target != target:
-        raise ValueError("reader is for another instance or target")
+    each shifted p(reader.target), depolarized as (1 - L) p + L / 2^n, is read
+    exactly (shots=None) or from `shots` shots.  `reader` keeps its states for
+    the next call."""
+    _check_shots(shots, seed)
+    instance = reader.instance
     depth = params.depth
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2 * depth))
@@ -138,8 +132,7 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
     trace = [target_probability(instance, params, target, noise)]
     for step in range(1, cfg.steps + 1):
         k, estimate = randomized_shift_gradient(
-            instance, QaoaParams.from_vector(theta), target, shots, noise, rng, ledger,
-            reader)
+            reader, QaoaParams.from_vector(theta), shots, noise, rng, ledger)
         delta, m[k], v[k] = adam_step(cfg, m[k], v[k], estimate, step)
         theta[k] += delta
         if step % cfg.reeval_period == 0 or step == cfg.steps:

@@ -136,16 +136,17 @@ def test_randomized_gradient_checks_target_and_charges_ledger(small, monkeypatch
     monkeypatch.setattr(TargetReader, "read", None)
     for bad_target in (-1, 2 ** small.n):
         with pytest.raises(ValueError, match="outside"):
-            randomized_shift_gradient(small, params, bad_target, 200, None, 0, ledger)
+            TargetReader(small, bad_target)
+    reader = TargetReader(small, target)
     with pytest.raises(ValueError, match="seed"):
-        randomized_shift_gradient(small, params, target, 200, None, None, ledger)
+        randomized_shift_gradient(reader, params, 200, None, None, ledger)
     with pytest.raises(ValueError, match="shots"):
-        randomized_shift_gradient(small, params, target, 0, None, 0, ledger)
+        randomized_shift_gradient(reader, params, 0, None, 0, ledger)
     assert ledger == ResourceLedger()
     monkeypatch.undo()
-    randomized_shift_gradient(small, params, target, None, None, 0, ledger)
+    randomized_shift_gradient(reader, params, None, None, 0, ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (2, 0)
-    randomized_shift_gradient(small, params, target, 30, None, 0, ledger)
+    randomized_shift_gradient(reader, params, 30, None, 0, ledger)
     assert (ledger.circuit_evaluations, ledger.stage2_shots) == (4, 60)
 
 
@@ -179,9 +180,10 @@ def test_randomized_gradient_reads_as_full_rows(depth, lam):
     for shots in (None, 200):
         for seed, target in enumerate((optimum, 2 ** inst.n - 1 - optimum, 5)):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            reader = TargetReader(inst, target)
             for _ in range(12):
-                got = randomized_shift_gradient(inst, params, target, shots, noise,
-                                                got_rng, ResourceLedger())
+                got = randomized_shift_gradient(reader, params, shots, noise, got_rng,
+                                                ResourceLedger())
                 want = full_row_estimate(inst, params, target, shots, noise, want_rng)
                 assert got[0] == want[0]
                 if shots is None:
@@ -217,21 +219,15 @@ def test_amplify_reuse_equals_one_shot_reads(monkeypatch, use_exact, lam):
     assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
 
 
-def test_randomized_gradient_refuses_another_targets_reader(small):
-    params = QaoaParams((0.6,), (1.3,))
-    with pytest.raises(ValueError, match="another"):
-        randomized_shift_gradient(small, params, 1, None, None, 0, ResourceLedger(),
-                                  TargetReader(small, 2))
-
-
 def test_randomized_estimator_sampled_mean(small):
     params = QaoaParams((0.6,), (1.3,))
     target, _ = brute_force_optimum(small)
     exact = exact_gradient(small, params, target)
+    reader = TargetReader(small, target)
     sums = np.zeros(2)
     hits = np.zeros(2)
     for s in range(400):
-        k, est = randomized_shift_gradient(small, params, target, None, None,
+        k, est = randomized_shift_gradient(reader, params, None, None,
                                            seed=s, ledger=ResourceLedger())
         sums[k] += est
         hits[k] += 1
@@ -246,10 +242,11 @@ def test_randomized_estimator_sampled_reads_mean(small):
     params = QaoaParams((0.4,), (0.9,))
     target, _ = brute_force_optimum(small)
     exact = exact_gradient(small, params, target)
+    reader = TargetReader(small, target)
     rng = np.random.default_rng(17)
     ests = [[], []]
     for _ in range(3000):
-        k, est = randomized_shift_gradient(small, params, target, 200, None, rng,
+        k, est = randomized_shift_gradient(reader, params, 200, None, rng,
                                            ResourceLedger())
         ests[k].append(est)
     for k, values in enumerate(ests):
