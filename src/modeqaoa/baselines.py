@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, adam_step, finish_run,
-                 run_search, search_bounds)
+from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, adam_step, check_adam,
+                 finish_run, run_search, search_bounds)
 # compute_stats is called through bo.finish_run; perfbench's trace-site test
 # still lists this module among those that import it
 from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # noqa: F401
@@ -42,8 +42,7 @@ class GdConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        check_adam(self)
         if self.shots_per_eval < 1:
             raise ValueError("shots_per_eval must be >= 1")
 

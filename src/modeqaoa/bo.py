@@ -150,6 +150,16 @@ def should_stop(history, cfg: StagnationConfig) -> bool:
     return incumbent_now - incumbent_then < cfg.min_delta
 
 
+def check_adam(cfg) -> None:
+    """Refuse settings adam_step would descend or fail on, before any shot is spent."""
+    for name, ok, bound in (("learning_rate", cfg.learning_rate >= 0, ">= 0"),
+                            ("adam_beta1", 0 <= cfg.adam_beta1 < 1, "in [0, 1)"),
+                            ("adam_beta2", 0 <= cfg.adam_beta2 < 1, "in [0, 1)"),
+                            ("adam_eps", cfg.adam_eps > 0, "> 0")):
+        if not ok:
+            raise ValueError(f"{name} must be {bound}, got {getattr(cfg, name)}")
+
+
 def adam_step(cfg, m, v, grad, t: int):
     """Adam (Kingma & Ba 2014) at step t >= 1: (ascent step, new m, new v).  Elementwise,
     so arrays and scalars give the same bits; cfg holds learning_rate, adam_beta1/2/eps."""

@@ -4,10 +4,8 @@ The cost layer is diagonal, so one layer costs an elementwise phase over the
 2^n cut values plus n independent single-qubit X rotations.  States are
 indexed by basis index in the graph module's bit order.
 Parameter-shift gradients branch one generator row per gate off the
-unshifted evolution (see _generator_row).  A read of one shifted bin instead
-stops the evolution at the gate's own layer, before its mixers, and projects
-onto the target run backwards to there (see shifted_target); a TargetReader
-keeps both runs' layers from one read to the next.
+unshifted evolution (see _generator_row); a TargetReader reads only the
+target's bin, projecting onto the target run backwards.
 
 Every state and generator row is unchanged when all bits flip, as cut(z) =
 cut(~z) and the mixers commute with X on all qubits (Farhi et al. 2014,
@@ -255,7 +253,6 @@ def _generator_row(instance: MaxCutInstance, kind: str, index: int, beta: float,
     A = R Z R^dagger = [[cos 2beta, i sin 2beta], [-i sin 2beta, -cos 2beta]].
     On qubit 0 (u at most, as u < v), bit 0 set is the mirrored half times the
     row's parity: +1 for m, -1 for A_v m, as A anticommutes with X.
-    A TargetReader reads before the mixers instead, where P itself acts.
     """
     if kind == "beta":
         return _flip(after, index)
@@ -298,66 +295,78 @@ def evolve(instance: MaxCutInstance, params: QaoaParams) -> np.ndarray:
 
 
 class TargetReader:
-    """Single gates' p+-(target) on one instance, read at angles that move
-    between calls (see shifted_target for the read).
+    """p(target) and single gates' p+-(target) on one instance at one depth,
+    at angles that may move between calls.
 
-    Keeps the forward states s_l and backward target rows w_l built for the
-    last read's angles.  A read at other angles drops the ones that depend
-    on a moved angle (s_l on gammas[:l + 1] and betas[:l], w_l on betas[l:]
-    and gammas[l + 1:]; angles compare by value, as 0.0 and -0.0 are one
-    rotation) and rebuilds only those it needs, from the nearest kept one,
-    with the same operations as a fresh reader, so every read equals a fresh
-    reader's to the bit.  A run whose steps each move one
-    coordinate rebuilds fewer than the depth - 1 mixer layers of a fresh read
-    (0.74 per read in perfbench's amplify_small, at depth 2).
+    A gate's read is bin `target` of its `shifted_states` rows, taken at its
+    own layer l on s, the state after the cost phase and before the mixers R.
+    There its generator P (see _generator_row) is X_q for a mixer gate, which
+    commutes with R, or for an edge gate the diagonal -Z_u Z_v, +1 where the
+    edge is cut.  With U the later layers, the shifted final states are
+    (U R s -+ i U R P s)/sqrt(2), so a_t = <t|U R s> and b'_t = <t|U R P s>,
+    the first-half sums of conj(w) s and conj(w) P s (all states are
+    flip-symmetric) with w = R^dagger U^dagger (|t> + |~t>), the target run
+    backwards (the adjoint read of Jones & Gacon 2020, arXiv:2009.02823).
+    The last layer's mixers, exp(+i beta X) on every qubit, give
+    w_z = c^(n-d) (i s)^d + c^d (i s)^(n-d) with c = cos beta, s = sin beta
+    and d = popcount(z XOR t); each earlier layer down to l follows with its
+    conjugate cost phase and its mixers at -beta.  Then
+    p+- = (|a_t|^2 + |b'_t|^2)/2 +- Im(conj(a_t) b'_t), clipped at zero like
+    the rows, and p(target) is |a_t|^2 at the last layer.  A fresh read runs
+    layers before l forwards and l to p - 2 backwards: (p - 1) n mixer passes.
 
-    Keeps at most depth states, a half for each s_l and each w_l.  It peaks
-    below depth + 2: a rebuild adds a mixer's 2 states (see evolve) to at
-    most depth - 1/2 kept, and a read adds its generator row and, for some
-    edges, a ufunc buffer (1/2 each).
+    The s_l and w_l of the last angles are kept.  New angles drop those that
+    depend on a moved one (s_l on gammas[:l + 1] and betas[:l], w_l on
+    betas[l:] and gammas[l + 1:]; 0.0 and -0.0 compare equal, as one
+    rotation), and a read rebuilds what it needs from the nearest kept one
+    with a fresh reader's operations, so it equals a fresh reader's to the
+    bit.  Single-coordinate steps rebuild fewer layers than a fresh read
+    (0.70 per read in perfbench's amplify_small).  At most depth states are
+    kept, a half for each s_l and w_l; the peak stays below depth + 2, as a
+    rebuild adds a mixer's 2 states (see evolve) to at most depth - 1/2 kept,
+    and a read its generator row and, for some edges, a ufunc buffer (1/2
+    each).
     """
 
-    def __init__(self, instance: MaxCutInstance, target: int):
-        if not 0 <= target < 2**instance.n:
-            raise ValueError(f"target index {target} outside [0, {2**instance.n})")
-        self.instance, self.target = instance, target
-        self._betas: tuple[float, ...] = ()
-        self._gammas: tuple[float, ...] = ()
+    def __init__(self, instance: MaxCutInstance, target: int, depth: int):
+        n = instance.n
+        if not 0 <= target < 2**n:
+            raise ValueError(f"target index {target} outside [0, {2**n})")
+        _check_size(n, depth + 1, "a target reader")
+        self.instance, self.target, self.depth = instance, target, depth
+        half = 2 ** (n - 1)
+        self._cuts = cut_values_table(instance)[:half]
+        t = min(target, 2**n - 1 - target)
+        self._distance = _popcounts(half)[np.arange(half) ^ t]
+        self._betas = self._gammas = (None,) * depth  # no angles yet: all stale
         self._forward: list[np.ndarray] = []  # s_0, s_1, ...
         self._backward: list[np.ndarray] = []  # w_{depth-1}, w_{depth-2}, ...
-        self._cuts = self._distance = None  # built by the first read, after its size check
+
+    def probability(self, params: QaoaParams) -> float:
+        """p(target) at `params`."""
+        self._move_to(params)
+        a = complex(np.vdot(self._row(self.depth - 1), self._state(self.depth - 1)))
+        return a.real**2 + a.imag**2
 
     def read(self, params: QaoaParams, kind: str, layer: int, index: int
              ) -> tuple[float, float]:
-        """(p+, p-) of gate `index` of `kind` in `layer` at `params`."""
-        instance, depth = self.instance, params.depth
-        if not (0 <= layer < depth and 0 <= index < gate_count(instance, kind)):
-            raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {depth}")
-        if depth != len(self._betas):
-            n = instance.n
-            _check_size(n, depth + 1, "a target reader")
-            if self._cuts is None:
-                half = 2 ** (n - 1)
-                self._cuts = cut_values_table(instance)[:half]
-                t = min(self.target, 2**n - 1 - self.target)
-                self._distance = _popcounts(half)[np.arange(half) ^ t]
-            self._forward, self._backward = [], []
-        else:
-            self._drop_moved(params)
-        self._betas, self._gammas = params.betas, params.gammas
+        """(p+, p-) of "beta" gate (qubit) or "gamma" gate (edge) `index` in `layer`."""
+        if not (0 <= layer < self.depth and 0 <= index < gate_count(self.instance, kind)):
+            raise ValueError(f"no {kind!r} gate {index} in layer {layer} of {self.depth}")
+        self._move_to(params)
         state, row = self._state(layer), self._row(layer)
-        a = complex(np.vdot(row, state))
-        if kind == "beta":
-            b = complex(np.vdot(row, _flip(state, index)))
-        else:
-            u, v, _ = instance.edges[index]
-            b = complex(np.vdot(row, _edge_parity(state, u, v)))
+        moved = (_flip(state, index) if kind == "beta"
+                 else _edge_parity(state, *self.instance.edges[index][:2]))
+        a, b = complex(np.vdot(row, state)), complex(np.vdot(row, moved))
         mean = (a.real**2 + a.imag**2 + b.real**2 + b.imag**2) / 2
         cross = a.real * b.imag - a.imag * b.real
         return max(mean + cross, 0.0), max(mean - cross, 0.0)
 
-    def _drop_moved(self, params: QaoaParams) -> None:
-        depth = params.depth
+    def _move_to(self, params: QaoaParams) -> None:
+        """Take the angles of `params`, dropping what depends on a moved one."""
+        depth = self.depth
+        if params.depth != depth:
+            raise ValueError(f"a target reader of depth {depth} got depth {params.depth}")
         first, last = depth, -1  # s_l with l >= first and w_l with l <= last are stale
         for l in range(depth):
             if params.gammas[l] != self._gammas[l]:
@@ -366,6 +375,7 @@ class TargetReader:
                 first, last = min(first, l + 1), max(last, l)
         del self._forward[first:]
         del self._backward[depth - 1 - last:]
+        self._betas, self._gammas = params.betas, params.gammas
 
     def _state(self, layer: int) -> np.ndarray:
         """s_layer, the state after the layer's cost phase."""
@@ -380,7 +390,7 @@ class TargetReader:
     def _row(self, layer: int) -> np.ndarray:
         """w_layer = R_layer^dagger U^dagger (|t> + |~t>), R_layer the layer's
         mixers and U the later layers, as a half row."""
-        backward, depth = self._backward, len(self._betas)
+        backward, depth = self._backward, self.depth
         if not backward:
             n = self.instance.n
             c, s = np.cos(self._betas[-1]), np.sin(self._betas[-1])
@@ -394,41 +404,13 @@ class TargetReader:
         return backward[depth - 1 - layer]
 
 
-def shifted_target(instance: MaxCutInstance, params: QaoaParams, kind: str,
-                   layer: int, index: int, target: int) -> tuple[float, float]:
-    """One gate's p+-(target) under its +-pi/2 shift, + first: bin `target`
-    of that gate's `shifted_states` rows, with no row propagated; `index` is
-    the qubit of a "beta" gate or the edge of a "gamma" gate.  A one-shot
-    TargetReader; a run that reads many gates keeps one.
-
-    The read is taken at the gate's own layer l, on s, the state after its
-    cost phase and before its mixers R.  There the gate's generator P (see
-    _generator_row) is X_q for a mixer gate, which commutes with R, or the
-    diagonal -Z_u Z_v, +1 where the edge is cut and -1 elsewhere, for an edge
-    gate.  With U the later layers, the shifted final states are
-    (U R s -+ i U R P s)/sqrt(2), so a_t = <t|U R s> and b'_t = <t|U R P s>.
-    States and rows are unchanged when all bits flip, so each is the
-    first-half sum of conj(w) s or conj(w) P s, where
-    w = R^dagger U^dagger (|t> + |~t>) is the target run backwards (the
-    adjoint read of Jones & Gacon 2020, arXiv:2009.02823).  The last layer's
-    mixers, exp(+i beta X) on every qubit, take the two basis vectors to
-    w_z = c^(n-d) (i s)^d + c^d (i s)^(n-d), with c = cos beta,
-    s = sin beta and d = popcount(z XOR t); each earlier layer down to l
-    follows with its conjugate cost phase and its mixers at -beta.  Then
-    p+- = (|a_t|^2 + |b'_t|^2)/2 +- Im(conj(a_t) b'_t), clipped at zero like
-    the rows.  Layers before l run forwards and layers l to p - 2 backwards,
-    so every read costs (p - 1) n mixer passes.
-    """
-    return TargetReader(instance, target).read(params, kind, layer, index)
-
-
 def shifted_states(instance: MaxCutInstance, params: QaoaParams
                    ) -> Iterator[tuple[str, int, int, float, np.ndarray, np.ndarray]]:
     """(kind, layer, index, gate coefficient, p+, p-) for every gate, p+- its
     probabilities under the +-pi/2 shift.
 
     Order: search coordinate k = [betas, gammas], then gate within k; each
-    gate's p+-[t] equal shifted_target's to rounding.  The unshifted evolution
+    gate's p+-[t] equal TargetReader.read's to rounding.  The unshifted evolution
     runs once and keeps its state after each layer, and a layer's generator
     rows run on in stacks whose probabilities take at most _STACK_BYTES.
 

@@ -3,12 +3,11 @@
 After the search has fixed a candidate index, its probability p_theta(z_tar)
 is pushed up by stochastic ascent: each step picks one search coordinate and
 one gate under it uniformly at random, reads the target probability under
-the gate's two shifts (simulator.shifted_target, which builds neither
-shifted distribution), and rescales by the gate count G_k: an unbiased
-single-coordinate gradient.  Adam updates it.  A run reads through one
-simulator.TargetReader, which rebuilds only the layers a step has moved.  A
-sampled read of p(target) is a binomial draw (the histogram's marginal at
-that bin) from the run's one generator, which also picks each step's gate.
+the gate's two shifts, and rescales by the gate count G_k: an unbiased
+single-coordinate gradient.  Adam updates it.  Every read of a run, its trace
+included, goes through one simulator.TargetReader, with no distribution
+built.  A sampled read is a binomial draw (the histogram's marginal at that
+bin) from the run's one generator, which also picks each step's gate.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import adam_step
+from .bo import adam_step, check_adam
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
 # sample is not called here; perfbench's trace-site test still pins this import
@@ -43,6 +42,7 @@ class AmplifyConfig:
             raise ValueError("shots_per_shift must be >= 1")
         if self.reeval_period < 1:
             raise ValueError("reeval_period must be >= 1")
+        check_adam(self)
 
 
 def _check_shots(shots: int | None, seed: int | np.random.Generator | None) -> None:
@@ -58,6 +58,17 @@ def _draw(p: float, shots: int | None, seed: int | np.random.Generator | None) -
     if shots is None:
         return p
     return int(np.random.default_rng(seed).binomial(shots, p)) / shots
+
+
+def _read_depolarized(p: float, noise: NoiseSpec | None, n: int, shots: int | None,
+                      rng: np.random.Generator, ledger: ResourceLedger) -> float:
+    """One circuit's read of a reader's p(target), depolarized as
+    (1 - L) p + L / 2^n (unnormalized), exact or from `shots` shots, charged
+    to `ledger`."""
+    mixing = 0.0 if noise is None else noise.effective_mixing
+    ledger.circuit_evaluations += 1
+    ledger.stage2_shots += 0 if shots is None else shots
+    return _draw((1.0 - mixing) * p + mixing / 2**n, shots, rng)
 
 
 def _read_target(dist: np.ndarray, target: int, shots: int | None = None,
@@ -103,12 +114,9 @@ def randomized_shift_gradient(reader: TargetReader, params: QaoaParams,
     kind, layer = GATE_KINDS[k // depth], k % depth
     g_k = gate_count(instance, kind)
     index = int(rng.integers(g_k))
-    mixing = 0.0 if noise is None else noise.effective_mixing
-    values = [_draw((1.0 - mixing) * p + mixing / 2**instance.n, shots, rng)
-              for p in reader.read(params, kind, layer, index)]
-    ledger.circuit_evaluations += 2
-    ledger.stage2_shots += 0 if shots is None else 2 * shots
-    return k, g_k * gate_coefficient(instance, kind, index) * (values[0] - values[1])
+    plus, minus = (_read_depolarized(p, noise, instance.n, shots, rng, ledger)
+                   for p in reader.read(params, kind, layer, index))
+    return k, g_k * gate_coefficient(instance, kind, index) * (plus - minus)
 
 
 def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
@@ -119,25 +127,24 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
 
     The trace starts with the exact initial probability and then records a
     re-evaluation every reeval_period steps plus one at the end (sampled with
-    shots_per_shift unless use_exact).  Sampled-mode shot charge is exactly
+    shots_per_shift unless use_exact), read as the steps' reads are.  The
+    sampled-mode shot charge is exactly
     2 * steps * shots_per_shift + ceil(steps / reeval_period) * shots_per_shift.
     """
     ledger = ledger if ledger is not None else ResourceLedger()
     shots = None if cfg.use_exact else cfg.shots_per_shift
     rng = np.random.default_rng(seed)
-    reader = TargetReader(instance, target)
+    reader = TargetReader(instance, target, params.depth)
     theta = params.to_vector()
     m, v = np.zeros((2, theta.size))
-    ledger.circuit_evaluations += 1
-    trace = [target_probability(instance, params, target, noise)]
+    trace = [_read_depolarized(reader.probability(params), noise, instance.n, None, rng,
+                               ledger)]
     for step in range(1, cfg.steps + 1):
         k, estimate = randomized_shift_gradient(
             reader, QaoaParams.from_vector(theta), shots, noise, rng, ledger)
         delta, m[k], v[k] = adam_step(cfg, m[k], v[k], estimate, step)
         theta[k] += delta
         if step % cfg.reeval_period == 0 or step == cfg.steps:
-            ledger.circuit_evaluations += 1
-            trace.append(target_probability(
-                instance, QaoaParams.from_vector(theta), target, noise, shots, rng))
-            ledger.stage2_shots += 0 if shots is None else shots
+            trace.append(_read_depolarized(reader.probability(QaoaParams.from_vector(theta)),
+                                           noise, instance.n, shots, rng, ledger))
     return QaoaParams.from_vector(theta), trace

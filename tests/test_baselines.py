@@ -41,6 +41,12 @@ def test_gd_config_validation():
         GdConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         GdConfig(shots_per_eval=0)
+    # Adam's settings are checked with stage 2's, by bo.check_adam
+    for kwargs in (dict(adam_beta1=1.0), dict(adam_beta2=1.5), dict(adam_beta1=-0.1),
+                   dict(adam_eps=0.0), dict(learning_rate=float("nan"))):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            GdConfig(**kwargs)
+    GdConfig(learning_rate=0.0, adam_beta1=0.0, adam_beta2=0.0)
 
 
 @pytest.mark.parametrize("entry", [optimize_map_bo, optimize_exp_bo, optimize_exp_gd, amplify])

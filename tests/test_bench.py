@@ -171,6 +171,35 @@ def test_cli_bench_rejects_bad_grid_before_any_cell(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+BAD_ADAM = {
+    "learning_rate": "[stage2]\nlearning_rate = -0.05\n",
+    "adam_beta1": "[stage2]\nadam_beta1 = 1.0\n",
+    "adam_beta2": "[gd]\nadam_beta2 = 1.0\n",
+    "adam_eps": "[gd]\nadam_eps = 0\n",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ADAM))
+def test_cli_bench_rejects_bad_adam_settings_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                              case):
+    # stage 2 used to run on these until Adam failed or descended, after the
+    # search cells had run
+    ini = tmp_path / "adam.ini"
+    ini.write_text(BAD_ADAM[case])
+    cells = []
+    real_run_cell = bench.run_cell
+    monkeypatch.setattr(bench, "run_cell",
+                        lambda *a, **k: cells.append(a) or real_run_cell(*a, **k))
+    out = tmp_path / "out"
+    rc = main(["bench", "--seed", "1", "--out", str(out), "--instances", "1",
+               "--experiment", "single", "--n-values", "4", "--methods", "exp_bo",
+               "--t-max", "3", "--stage2", "--config", str(ini)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: " + case)
+    assert cells == []
+    assert not out.exists()
+
+
 def test_config_rejects_bad_grid_values():
     for kwargs in (dict(n_values=(1,)), dict(n_values=(4, simulator.MAX_QUBITS + 1)),
                    dict(p_values=(0,)), dict(p_values=(2, -1)), dict(degree=0),

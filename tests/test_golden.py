@@ -49,7 +49,7 @@ GOLDEN = {
     "noise_sweep/records.jsonl":
         "f2211610364ed464e18c9c707e8d9db7d283629bffb31a91c54f1918869f383e",
     "noise_sweep/stage2_traces.jsonl":
-        "6b6e6e97f4409511e3ecdaaaac068a45da51e8e68702163acecf83738ee2daaf",
+        "376fc14e8ddda4d26d7c9f436ccbd125cffe4ddb262bf907caab1ea1833f7d57",
     "noise_sweep/summary.json":
         "3bd23233a5d7f12e82cb2507fd40807d397b2fcb98d620c6fd2bdab2e9a7631c",
     "depth_sweep/aggregates.csv":
@@ -67,7 +67,7 @@ GOLDEN = {
     "depth_sweep/records.jsonl":
         "c3608acb50152ae4ec7876b415ea2f58bce8652253c00249395f17ffafa0ea4d",
     "depth_sweep/stage2_traces.jsonl":
-        "5d4861b306dfbff37de6a11fc18b5bea08280504039029941a8c34a161dfe17e",
+        "e023d4dbb718f4257bd73cf5590b6328f496de3ca9275725b7f635147e1164c1",
     "depth_sweep/summary.json":
         "e8e60ec0b6b7325943ed052e3a32152f02222146f45c2557af9f67db47d3cd77",
     "qubit_sweep/aggregates.csv":
@@ -85,7 +85,7 @@ GOLDEN = {
     "qubit_sweep/records.jsonl":
         "0291c2d680d17d0ea9ffe13fe3ee9d7aeb811dc1fdf66cc052f7c60a6d8a9301",
     "qubit_sweep/stage2_traces.jsonl":
-        "2bca718306366ea9de9242d134b4d4bc12e3a28e6e69720a252b4dac2a359b7c",
+        "a4ab676bc5936286edd495217d9a1654645b05728d7dc15d290b892ea4e9f316",
     "qubit_sweep/summary.json":
         "e5d9ad35e99155f2fddd7de528d455146afc2fbe3d1bb1c6c3ef66245d79f44a",
     "single/aggregates.csv":
@@ -101,11 +101,11 @@ GOLDEN = {
     "single/records.jsonl":
         "95deff8ed410698d47dd24242e68cf93dab6ac64c38f816b3461a9b28d22e70d",
     "single/stage2_traces.jsonl":
-        "adfa36a4d18d64472be6d96cd8ba6f3e4586759907d5c065afba5e013619854f",
+        "e2b7e53b80b0215eb70a436a06df27f30cd162bba61222797a5bf0b66617beaa",
     "single/summary.json":
         "1b4291cd5c6db9b2e9e65bba1c80d344c252a127cc7e131a02f916ab576b0f9b",
     "map_bo/run.json":
-        "64847ed1f2ca43db7d07e696fd67356cae5312526c39d73ae5462a389628d865",
+        "8aead3cc1ded0526f24770e27f75a702774b4f5196361623b336ba664fb7eaed",
     "map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
     "exp_bo/run.json":
@@ -122,7 +122,7 @@ GOLDEN = {
     "n10_exp_gd/trials.jsonl":
         "3a8f45723de24bd02732c866a1c53dac6da81cdc81c2f3309b76742e32a7d777",
     "n10_map_bo/run.json":
-        "0848d0637d166f898740975f1be2575957b02e1be6b17af203bac6ec627a96cc",
+        "9ba83238eec5966e8d9a396e204b8ccd995fcc47a6031a4becd60e668dc8a280",
     "n10_map_bo/trials.jsonl":
         "29b935d80cdf1e6da856ace0d4327d46ff44dacd38745d1e285642f6d9dbea37",
     # [gd] exact_gradient and [stage2] use_exact, from one --config INI
@@ -132,9 +132,10 @@ GOLDEN = {
         "9cf8c08e9724b9d71ed398add01594a9b4d1485daac198d24ebb4118c21b2b33",
     # stage 2's exact reads are one bin each, computed from two projected
     # amplitudes and depolarized unnormalized; the trace moved by <= 1.6e-16,
-    # and by <= 1.4e-16 more when reads moved to the gate's own layer
+    # by <= 1.4e-16 more when reads moved to the gate's own layer, and by
+    # <= 9.8e-17 more when its entries came from the run's target reader
     "exact_map_bo/run.json":
-        "923822ae7d08a34c6878722afc50a7868225e9c59239212a2e478c0846617969",
+        "7f989303b48266536d9a7de59f49a4187d73420d047549a1bbac7d30513b4069",
     "exact_map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
 }

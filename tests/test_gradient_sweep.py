@@ -20,9 +20,9 @@ from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
     distribution, evolve, exact_expectation, gate_coefficient, gate_count, sample_indices,
-    shift_rule_gradient, shifted_states, shifted_target,
+    shift_rule_gradient, shifted_states,
 )
-from modeqaoa.stage2 import exact_gradient
+from modeqaoa.stage2 import AmplifyConfig, amplify, exact_gradient
 
 PARAMS = {
     1: QaoaParams((0.41,), (1.3,)),
@@ -121,15 +121,15 @@ def test_swept_states_equal_evolve(weighted6, depth):
 
 
 def assert_target_reads_rows(instance, params, kind, layer, index, rows):
-    """shifted_target at every target is the rows' bin there, to rounding."""
+    """A fresh reader's read at every target is the rows' bin there, to rounding."""
     for target in range(2**instance.n):
-        got = shifted_target(instance, params, kind, layer, index, target)
+        got = TargetReader(instance, target, params.depth).read(params, kind, layer, index)
         assert type(got[0]) is type(got[1]) is float
         assert max(abs(p - row[target]) for p, row in zip(got, rows)) <= 1e-15
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_shifted_target_equals_sweep_and_oracle(weighted6, depth):
+def test_target_read_equals_sweep_and_oracle(weighted6, depth):
     params = PARAMS[depth]
     for kind, layer, index, _, plus, minus in shifted_states(weighted6, params):
         assert_target_reads_rows(weighted6, params, kind, layer, index, (plus, minus))
@@ -140,10 +140,15 @@ def test_shifted_target_equals_sweep_and_oracle(weighted6, depth):
                                ("beta", 0, weighted6.n), ("gamma", 0, weighted6.num_edges),
                                ("gamma", 0, -1)]:
         with pytest.raises(ValueError):
-            shifted_target(weighted6, params, kind, layer, index, 0)
+            TargetReader(weighted6, 0, depth).read(params, kind, layer, index)
     for target in (-1, 2**weighted6.n):
         with pytest.raises(ValueError, match="outside"):
-            shifted_target(weighted6, params, "beta", 0, 0, target)
+            TargetReader(weighted6, target, depth)
+    # a reader serves the one depth it was built for
+    with pytest.raises(ValueError, match="depth"):
+        TargetReader(weighted6, 0, depth + 1).read(params, "beta", 0, 0)
+    with pytest.raises(ValueError, match="depth"):
+        TargetReader(weighted6, 0, depth + 1).probability(params)
 
 
 @pytest.mark.parametrize("weights", ["unit", "uniform"])
@@ -200,7 +205,7 @@ def test_half_space_is_exact(circuit):
 @given(_circuits())
 @example((MaxCutInstance.from_edges(2, [(0, 1, 1.0)]), QaoaParams((0.41,), (1.3,))))
 @settings(max_examples=15, deadline=None)
-def test_shifted_target_equals_rows(circuit):
+def test_target_read_equals_rows(circuit):
     # the adjoint read (the later layers run backwards from the target, the
     # last one's mixers in closed form) is the rows' bin at every target; the
     # first and last gate of each kind and layer are read, and edges are
@@ -284,9 +289,9 @@ def test_size_check_precedes_allocation():
         next(shifted_states(inst, params))
     # a target read's refusal allocates nothing: not a tenth of a 2^14 state
     assert _peak_states(lambda: pytest.raises(
-        ValueError, shifted_target, inst, params, "beta", 0, 0, 2**25 - 1)) < 0.1
+        ValueError, TargetReader, inst, 2**25 - 1, params.depth)) < 0.1
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 3 of them \(1536 MiB\)"):
-        shifted_target(inst, params, "beta", 0, 0, 2**25 - 1)
+        TargetReader(inst, 2**25 - 1, params.depth)
 
 
 def _peak_states(run):
@@ -315,19 +320,19 @@ def test_size_message_counts_peak_states(depth):
     # generator row; negating this edge's uncut blocks adds a ufunc buffer
     for layer, kind in product(range(depth), ("beta", "gamma")):
         count = ONE_SHOT_READ_PEAKS[depth][layer][kind == "gamma"]
-        peak = _peak_states(lambda: shifted_target(inst, params, kind, layer, 1, 5))
+        peak = _peak_states(lambda: TargetReader(inst, 5, depth).read(params, kind, layer, 1))
         assert count <= peak < count + 1
     # a reader's message names what it keeps at the worst: every state and
     # row, less the one it rebuilds after a step, plus that rebuild's mixer
     with pytest.raises(ValueError, match=f"a target reader keeps {depth + 1} of them"):
-        shifted_target(MaxCutInstance.from_edges(25, [(0, 1, 1.0)]), params, "beta", 0, 0, 0)
+        TargetReader(MaxCutInstance.from_edges(25, [(0, 1, 1.0)]), 0, depth)
     peaks = []
     for k, layer, kind in product(range(2 * depth), range(depth), ("beta", "gamma")):
         theta = params.to_vector()
         theta[k] += 0.1
         tracemalloc.start()
         try:
-            reader = TargetReader(inst, 5)
+            reader = TargetReader(inst, 5, depth)
             for filled in range(depth):
                 reader.read(params, "beta", filled, 1)
             tracemalloc.reset_peak()
@@ -336,6 +341,17 @@ def test_size_message_counts_peak_states(depth):
         finally:
             tracemalloc.stop()
     assert depth + 1 <= max(peaks) < depth + 2
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_amplify_peaks_below_reader_bound(depth):
+    # a sampled run keeps its reader's states and no more: its trace entries
+    # are read from them, with no evolve and no 2^n distribution on top
+    inst = _regular(14, "uniform")
+    cut_values_table(inst)  # the cached table, which the counts leave out
+    cfg = AmplifyConfig(steps=30)
+    peak = _peak_states(lambda: amplify(inst, PARAMS[depth], 5, cfg, seed=depth))
+    assert peak < depth + 2
 
 
 # measured at n = 14, by depth, then layer: (beta read, gamma read)
@@ -356,9 +372,9 @@ def test_read_runs_depth_minus_one_mixer_layers(weighted6, depth, monkeypatch):
     params = PARAMS[depth]
     for _, kind, layer, index in _gates(weighted6, depth):
         passes.clear()
-        shifted_target(weighted6, params, kind, layer, index, 5)
+        TargetReader(weighted6, 5, depth).read(params, kind, layer, index)
         assert len(passes) == (depth - 1) * weighted6.n
-    reader = TargetReader(weighted6, 5)
+    reader = TargetReader(weighted6, 5, depth)
     for _, kind, layer, index in _gates(weighted6, depth):
         reader.read(params, kind, layer, index)
     passes.clear()
@@ -379,7 +395,7 @@ def test_reused_reads_equal_fresh_reads(depth, weights):
     rng = np.random.default_rng(depth)
     theta = PARAMS[depth].to_vector()
     target = int(rng.integers(2**instance.n))
-    reader = TargetReader(instance, target)
+    reader = TargetReader(instance, target, depth)
     for step in range(60):
         k = int(rng.integers(theta.size))
         theta[k] = (0.0, -0.0, theta[k] + 0.05 * rng.standard_normal())[step % 3]
@@ -389,5 +405,5 @@ def test_reused_reads_equal_fresh_reads(depth, weights):
             layer = int(rng.integers(depth))
             index = int(rng.integers(gate_count(instance, kind)))
             got = reader.read(params, kind, layer, index)
-            want = shifted_target(instance, params, kind, layer, index, target)
+            want = TargetReader(instance, target, depth).read(params, kind, layer, index)
             assert np.array(got).tobytes() == np.array(want).tobytes()

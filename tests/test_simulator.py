@@ -8,9 +8,9 @@ from modeqaoa.graph import (
     assign_weights, cut_values_table, random_regular, with_optimum,
 )
 from modeqaoa.simulator import (
-    MAX_QUBITS, NoiseSpec, QaoaParams, apply_depolarizing, distribution, evolve,
-    exact_expectation, gate_count, outcome_distribution, sample, sample_indices,
-    shifted_states, shifted_target,
+    MAX_QUBITS, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing, distribution,
+    evolve, exact_expectation, gate_count, outcome_distribution, sample, sample_indices,
+    shifted_states,
 )
 
 
@@ -121,7 +121,7 @@ def test_gate_shift_matches_manual_beta(square):
     want = np.abs(state) ** 2
     assert np.max(np.abs(shifted - want)) < 1e-12
     for t in range(dim):
-        assert abs(shifted_target(square, params, "beta", 0, 2, t)[0] - want[t]) < 1e-12
+        assert abs(TargetReader(square, t, 1).read(params, "beta", 0, 2)[0] - want[t]) < 1e-12
 
 
 def test_gate_shift_matches_manual_gamma(square):
@@ -149,7 +149,7 @@ def test_gate_shift_matches_manual_gamma(square):
     want = np.abs(state) ** 2
     assert np.max(np.abs(shifted - want)) < 1e-12
     for t in range(dim):
-        assert abs(shifted_target(square, params, "gamma", 0, 1, t)[0] - want[t]) < 1e-12
+        assert abs(TargetReader(square, t, 1).read(params, "gamma", 0, 1)[0] - want[t]) < 1e-12
 
 
 def test_depolarizing_mixes_toward_uniform():
@@ -176,7 +176,7 @@ def test_gate_count_per_kind(six_reg):
     with pytest.raises(ValueError, match="unknown gate kind"):
         gate_count(six_reg, "delta")
     with pytest.raises(ValueError):
-        shifted_target(six_reg, QaoaParams((0.3,), (0.7,)), "delta", 0, 0, 0)
+        TargetReader(six_reg, 0, 1).read(QaoaParams((0.3,), (0.7,)), "delta", 0, 0)
 
 
 def test_effective_mixing_monotone(six_reg):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import oracle_evolve
-from modeqaoa import stage2
+from modeqaoa import simulator, stage2
 from modeqaoa.graph import assign_weights, brute_force_optimum, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
     distribution, gate_coefficient, gate_count, outcome_distribution, shifted_states,
-    shifted_target,
 )
 from modeqaoa.stage2 import (
     AmplifyConfig, _read_target, amplify, exact_gradient, randomized_shift_gradient,
@@ -31,6 +30,12 @@ def test_config_validation():
         AmplifyConfig(shots_per_shift=0)
     with pytest.raises(ValueError):
         AmplifyConfig(reeval_period=0)
+    # a negative rate descends, and beta = 1 or eps = 0 made amplify fail only
+    # after spending its shots
+    for kwargs in (dict(learning_rate=-0.05), dict(adam_beta1=1.0), dict(adam_beta2=1.0),
+                   dict(adam_eps=0.0)):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            AmplifyConfig(**kwargs)
 
 
 def test_target_probability_exact(small):
@@ -136,8 +141,8 @@ def test_randomized_gradient_checks_target_and_charges_ledger(small, monkeypatch
     monkeypatch.setattr(TargetReader, "read", None)
     for bad_target in (-1, 2 ** small.n):
         with pytest.raises(ValueError, match="outside"):
-            TargetReader(small, bad_target)
-    reader = TargetReader(small, target)
+            TargetReader(small, bad_target, params.depth)
+    reader = TargetReader(small, target, params.depth)
     with pytest.raises(ValueError, match="seed"):
         randomized_shift_gradient(reader, params, 200, None, None, ledger)
     with pytest.raises(ValueError, match="shots"):
@@ -180,7 +185,7 @@ def test_randomized_gradient_reads_as_full_rows(depth, lam):
     for shots in (None, 200):
         for seed, target in enumerate((optimum, 2 ** inst.n - 1 - optimum, 5)):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            reader = TargetReader(inst, target)
+            reader = TargetReader(inst, target, depth)
             for _ in range(12):
                 got = randomized_shift_gradient(reader, params, shots, noise, got_rng,
                                                 ResourceLedger())
@@ -194,13 +199,19 @@ def test_randomized_gradient_reads_as_full_rows(depth, lam):
 
 
 class OneShotReader:
-    """A TargetReader that keeps nothing: each read is shifted_target's."""
+    """A TargetReader that keeps nothing: each read is a fresh reader's."""
 
-    def __init__(self, instance, target):
-        self.instance, self.target = instance, target
+    def __init__(self, instance, target, depth):
+        self.instance, self.target, self.depth = instance, target, depth
+
+    def _fresh(self):
+        return TargetReader(self.instance, self.target, self.depth)
 
     def read(self, params, kind, layer, index):
-        return shifted_target(self.instance, params, kind, layer, index, self.target)
+        return self._fresh().read(params, kind, layer, index)
+
+    def probability(self, params):
+        return self._fresh().probability(params)
 
 
 @pytest.mark.parametrize("use_exact", [True, False])
@@ -219,11 +230,44 @@ def test_amplify_reuse_equals_one_shot_reads(monkeypatch, use_exact, lam):
     assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
 
 
+@pytest.mark.parametrize("use_exact", [True, False])
+def test_amplify_reads_only_through_its_reader(small, monkeypatch, use_exact):
+    # every trace entry, like every step, is read from the run's TargetReader:
+    # no full state is evolved and no distribution is built or depolarized
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("stage 2 built a full distribution")
+
+    monkeypatch.setattr(simulator, "evolve", refuse)
+    monkeypatch.setattr(stage2, "outcome_distribution", refuse)
+    monkeypatch.setattr(stage2, "apply_depolarizing", refuse)
+    target, _ = brute_force_optimum(small)
+    params = QaoaParams((0.4, 0.7), (0.9, 1.2))
+    noise = NoiseSpec.for_circuit(0.01, small, params.depth)
+    _, trace = amplify(small, params, target, AmplifyConfig(steps=25, use_exact=use_exact),
+                       noise, seed=4)
+    assert len(trace) == 1 + math.ceil(25 / 10)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_exact_trace_is_target_probability(lam):
+    # the reader's |a|^2, depolarized unnormalized, is the full distribution's
+    # bin to rounding, at the start and at the final params
+    inst = with_optimum(assign_weights(random_regular(6, 3, seed=2), "uniform", seed=4))
+    params = QaoaParams((0.41, 0.77), (1.3, 2.6))
+    noise = NoiseSpec.for_circuit(lam, inst, params.depth) if lam else None
+    target = inst.optimum[0]
+    final, trace = amplify(inst, params, target, AmplifyConfig(steps=40, use_exact=True),
+                           noise, seed=3)
+    assert abs(trace[0] - target_probability(inst, params, target, noise)) <= 1e-15
+    assert abs(trace[-1] - target_probability(inst, final, target, noise)) <= 1e-15
+    assert trace[-1] > trace[0]
+
+
 def test_randomized_estimator_sampled_mean(small):
     params = QaoaParams((0.6,), (1.3,))
     target, _ = brute_force_optimum(small)
     exact = exact_gradient(small, params, target)
-    reader = TargetReader(small, target)
+    reader = TargetReader(small, target, params.depth)
     sums = np.zeros(2)
     hits = np.zeros(2)
     for s in range(400):
@@ -242,7 +286,7 @@ def test_randomized_estimator_sampled_reads_mean(small):
     params = QaoaParams((0.4,), (0.9,))
     target, _ = brute_force_optimum(small)
     exact = exact_gradient(small, params, target)
-    reader = TargetReader(small, target)
+    reader = TargetReader(small, target, params.depth)
     rng = np.random.default_rng(17)
     ests = [[], []]
     for _ in range(3000):
