@@ -3,7 +3,7 @@
 Both charge a constant N_fix shots per expectation evaluation and, unlike the
 mode-objective pipeline, their classical post-processing is billed per raw
 shot rather than per distinct key.  Gradients score the shifted outcome
-distributions of simulator.shift_rule_gradient, the two-point rule per gate.
+distributions of simulator.shifted_states, the two-point rule per gate.
 A sampled gate's value is the mean cut of its shots, drawn as sorted indices
 (simulator.sample_indices) from one generator per gradient, in sweep order;
 every other evaluation draws a histogram with simulator.sample.
@@ -24,7 +24,7 @@ from .resources import ResourceLedger
 from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams,
                         apply_depolarizing, child_seeds, exact_expectation,
                         gate_count, outcome_distribution, sample, sample_indices,
-                        shift_rule_gradient)
+                        shifted_states)
 
 DEFAULT_N_FIX = 1000
 
@@ -48,6 +48,8 @@ class GdConfig:
 
 
 def _split_shots(total: int, parts: int) -> list[int]:
+    if parts < 1:
+        raise ValueError(f"no generators to split {total} shots across")
     base, rem = divmod(total, parts)
     if base == 0:
         raise ValueError(f"{total} shots cannot cover {parts} generators")
@@ -100,7 +102,11 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
         ledger.record_fixed_point(part, 1 + np.count_nonzero(np.diff(idx)))
         return float(cuts[idx].mean())
 
-    return shift_rule_gradient(instance, params, value)
+    grad = np.zeros(2 * params.depth)
+    for kind, layer, index, coeff, plus, minus in shifted_states(instance, params):
+        k = layer + (params.depth if kind == "gamma" else 0)
+        grad[k] += coeff * (value(kind, index, plus) - value(kind, index, minus))
+    return grad
 
 
 def optimize_exp_bo(instance: MaxCutInstance, depth: int,
@@ -135,7 +141,8 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     shots = None if gd_cfg.exact_gradient else gd_cfg.shots_per_eval
     if shots is not None:
         # a budget too small for the gradient's split fails before any charge
-        _split_shots(shots, max(gate_count(instance, k) for k in GATE_KINDS))
+        for kind in GATE_KINDS:
+            _split_shots(shots, gate_count(instance, kind))
     ledger = ResourceLedger()
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)

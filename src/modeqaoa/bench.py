@@ -587,6 +587,8 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     with open(args.instance) as fh:
         instance = with_optimum(from_json(fh.read()))
+    if instance.total_weight <= 0:  # every method divides by it
+        raise ValueError(f"{args.instance} has no edge of positive weight")
     cfg = _build_config(args)
     ignored = _ini_grid_keys(args.config) if args.config else []
     if ignored:

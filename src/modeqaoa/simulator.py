@@ -16,7 +16,7 @@ rebuilt only where a state or distribution is returned.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -439,22 +439,6 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
             for index, p_plus, p_minus in zip(chunk, plus, minus):
                 yield (kind, layer, index, gate_coefficient(instance, kind, index),
                        p_plus, p_minus)
-
-
-def shift_rule_gradient(instance: MaxCutInstance, params: QaoaParams,
-                        value: Callable[[str, int, np.ndarray], float]) -> np.ndarray:
-    """Gradient w.r.t. theta = [betas, gammas] by the exact two-point rule per gate.
-
-    value(kind, index, probabilities) scores each shifted outcome
-    distribution, in the order of `shifted_states` and + before -; coordinate
-    k sums coeff * (value(+) - value(-)) over its gates.
-    """
-    depth = params.depth
-    grad = np.zeros(2 * depth)
-    for kind, layer, index, coeff, plus, minus in shifted_states(instance, params):
-        k = layer + (depth if kind == "gamma" else 0)
-        grad[k] += coeff * (value(kind, index, plus) - value(kind, index, minus))
-    return grad
 
 
 def distribution(state: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ is pushed up by stochastic ascent: each step picks one search coordinate and
 one gate under it uniformly at random, reads the target probability under
 the gate's two shifts, and rescales by the gate count G_k: an unbiased
 single-coordinate gradient.  Adam updates it.  Every read of a run, its trace
-included, goes through one simulator.TargetReader, with no distribution
-built.  A sampled read is a binomial draw (the histogram's marginal at that
-bin) from the run's one generator, which also picks each step's gate.
+included, and of exact_gradient goes through one simulator.TargetReader: no
+distribution is built.  A sampled read is a binomial draw (the histogram's bin
+marginal) from the run's one generator, which also picks each step's gate.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from .graph import MaxCutInstance
 from .resources import ResourceLedger
 # sample is not called here; perfbench's trace-site test still pins this import
 from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, TargetReader,  # noqa: F401
-                        apply_depolarizing, gate_coefficient, gate_count,
-                        outcome_distribution, sample, shift_rule_gradient)
+                        gate_coefficient, gate_count, outcome_distribution, sample)
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,18 @@ def target_probability(instance: MaxCutInstance, params: QaoaParams, target: int
 
 def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: int,
                    noise: NoiseSpec | None = None) -> np.ndarray:
-    """Full gradient of p_theta(z_tar), every gate enumerated, exact distributions."""
-    def value(kind: str, index: int, probs: np.ndarray) -> float:
-        return _read_target(apply_depolarizing(probs, noise), target)
-
-    return shift_rule_gradient(instance, params, value)
+    """Full gradient of p_theta(z_tar), every gate read through one TargetReader
+    (built once at these angles), each p+ - p- depolarized to (1 - L)(p+ - p-)."""
+    depth = params.depth
+    reader = TargetReader(instance, target, depth)
+    scale = 1.0 - (0.0 if noise is None else noise.effective_mixing)
+    grad = np.zeros(2 * depth)
+    for k in range(2 * depth):
+        kind, layer = GATE_KINDS[k // depth], k % depth
+        for index in range(gate_count(instance, kind)):
+            plus, minus = reader.read(params, kind, layer, index)
+            grad[k] += gate_coefficient(instance, kind, index) * scale * (plus - minus)
+    return grad
 
 
 def randomized_shift_gradient(reader: TargetReader, params: QaoaParams,

@@ -10,7 +10,7 @@ from modeqaoa.baselines import (
     optimize_exp_bo, optimize_exp_gd, parameter_shift_gradient,
 )
 from modeqaoa.bo import optimize_map_bo
-from modeqaoa.graph import assign_weights, random_regular, with_optimum
+from modeqaoa.graph import MaxCutInstance, assign_weights, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     QaoaParams, exact_expectation, outcome_distribution, shifted_states,
@@ -69,6 +69,9 @@ def test_exp_gd_refuses_small_budget_before_charging(monkeypatch):
                         lambda *args: evaluations.append(args) or evaluate(*args))
     with pytest.raises(ValueError, match="cannot cover"):
         optimize_exp_gd(inst, 2, GdConfig(shots_per_eval=10))
+    # nor can any budget be split over the edge gates of an edgeless graph
+    with pytest.raises(ValueError, match="no generators"):
+        optimize_exp_gd(MaxCutInstance.from_edges(4, []), 1, GdConfig(shots_per_eval=100))
     assert evaluations == []
     result = optimize_exp_gd(inst, 1, GdConfig(iterations=1, shots_per_eval=10,
                                                exact_gradient=True), n_final=10)
@@ -100,6 +103,8 @@ def test_split_shots():
     assert _split_shots(9, 3) == [3, 3, 3]
     with pytest.raises(ValueError):
         _split_shots(2, 3)
+    with pytest.raises(ValueError, match="no generators"):
+        _split_shots(10, 0)
 
 
 def test_exact_gradient_matches_fd():

@@ -483,6 +483,22 @@ def test_cli_run_stage2_metrics_count_stage2(tmp_path, capsys):
         assert len(payload["stage2_trace"]) >= 2
 
 
+@pytest.mark.parametrize("edges", [[], [[0, 1, 0.0], [1, 2, 0.0]]])
+@pytest.mark.parametrize("method", ["map_bo", "exp_bo", "exp_gd"])
+def test_cli_run_refuses_zero_total_weight(tmp_path, capsys, monkeypatch, edges, method):
+    # every method divides by the total weight somewhere, some only after
+    # their whole search: run refuses the instance before any method starts
+    calls = []
+    monkeypatch.setattr(bench, "run_method", lambda *args: calls.append(args))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 4, "edges": edges}))
+    rc = main(["run", "--instance", str(inst), "--method", method, "--seed", "1",
+               "--t-max", "20"])
+    assert rc == 2
+    assert "no edge of positive weight" in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("text", ['{"n": 4}', '{"n": "4", "edges": [[0, 1, 1.0]]}',
                                   "[1, 2]", '{"n": 4, "edges": [5]}'])
 def test_cli_run_malformed_instance_exits_2(tmp_path, capsys, text):

@@ -20,7 +20,7 @@ from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
     distribution, evolve, exact_expectation, gate_coefficient, gate_count, sample_indices,
-    shift_rule_gradient, shifted_states,
+    shifted_states,
 )
 from modeqaoa.stage2 import AmplifyConfig, amplify, exact_gradient
 
@@ -251,7 +251,10 @@ def test_sampled_gate_value_equals_histogram_estimate(weighted6, monkeypatch, la
     counts = [Counts(np.bincount(idx, minlength=2 ** weighted6.n)) for idx in drawn]
     assert ledger.distinct_counts == [c.distinct for c in counts]
     values = iter([expectation_estimate(weighted6, c) for c in counts])
-    want = shift_rule_gradient(weighted6, params, lambda kind, index, probs: next(values))
+    want = np.zeros(2 * params.depth)
+    for kind, layer, index, coeff, *_ in shifted_states(weighted6, params):
+        k = layer + (params.depth if kind == "gamma" else 0)
+        want[k] += coeff * (next(values) - next(values))  # + before -
     assert next(values, None) is None
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -269,12 +272,19 @@ def test_sampled_gradient_is_unbiased():
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("lam", [0.0, 0.01])
-def test_exact_target_gradient_matches_oracle(weighted6, depth, lam):
+def test_exact_target_gradient_matches_oracle(weighted6, monkeypatch, depth, lam):
     params = PARAMS[depth]
     noise = NoiseSpec.for_circuit(lam, weighted6, depth)
     target = weighted6.optimum[0]
-    got = exact_gradient(weighted6, params, target, noise)
     want = oracle_target_gradient(weighted6, params, target, noise)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("exact_gradient evolved a full state or swept full rows")
+
+    # every gate is read at the target bin through one reader
+    monkeypatch.setattr(simulator, "shifted_states", refuse)
+    monkeypatch.setattr(simulator, "evolve", refuse)
+    got = exact_gradient(weighted6, params, target, noise)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -309,10 +319,13 @@ def test_size_message_counts_peak_states(depth):
     # rounded down (numpy's ufunc buffer adds a little at n = 14)
     inst = _regular(14, "uniform")
     params = PARAMS[depth]
-    # fill the cut-table cache, which the counts leave out
-    shift_rule_gradient(inst, params, lambda *_: 0.0)
-    runs = [(2, lambda: evolve(inst, params)),
-            (depth + 2, lambda: shift_rule_gradient(inst, params, lambda *_: 0.0))]
+
+    def sweep():
+        # the exact gradient's loop holds each gate's rows as the sweep yields
+        parameter_shift_gradient(inst, params, None, None, 0, ResourceLedger())
+
+    sweep()  # fill the cut-table cache, which the counts leave out
+    runs = [(2, lambda: evolve(inst, params)), (depth + 2, sweep)]
     for count, run in runs:
         assert count <= _peak_states(run) < count + 1
     # a one-shot read keeps the forward states up to its layer and the target
@@ -351,6 +364,17 @@ def test_amplify_peaks_below_reader_bound(depth):
     cut_values_table(inst)  # the cached table, which the counts leave out
     cfg = AmplifyConfig(steps=30)
     peak = _peak_states(lambda: amplify(inst, PARAMS[depth], 5, cfg, seed=depth))
+    assert peak < depth + 2
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_exact_target_gradient_peaks_below_reader_bound(depth):
+    # one reader serves every gate: its states and rows, built once, and no
+    # shifted row or 2^n distribution on top
+    inst = _regular(14, "uniform")
+    cut_values_table(inst)  # the cached table, which the counts leave out
+    noise = NoiseSpec.for_circuit(0.01, inst, depth)
+    peak = _peak_states(lambda: exact_gradient(inst, PARAMS[depth], 5, noise))
     assert peak < depth + 2
 
 

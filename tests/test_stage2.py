@@ -239,7 +239,7 @@ def test_amplify_reads_only_through_its_reader(small, monkeypatch, use_exact):
 
     monkeypatch.setattr(simulator, "evolve", refuse)
     monkeypatch.setattr(stage2, "outcome_distribution", refuse)
-    monkeypatch.setattr(stage2, "apply_depolarizing", refuse)
+    monkeypatch.setattr(simulator, "apply_depolarizing", refuse)
     target, _ = brute_force_optimum(small)
     params = QaoaParams((0.4, 0.7), (0.9, 1.2))
     noise = NoiseSpec.for_circuit(0.01, small, params.depth)
