@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, adam_step, check_adam,
-                 finish_run, run_search, search_bounds)
+from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, _check_weight, adam_step,
+                 check_adam, finish_run, run_search, search_bounds)
 # compute_stats is called through bo.finish_run; perfbench's trace-site test
 # still lists this module among those that import it
 from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # noqa: F401
@@ -143,6 +143,7 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
         # a budget too small for the gradient's split fails before any charge
         for kind in GATE_KINDS:
             _split_shots(shots, gate_count(instance, kind))
+    _check_weight(instance)
     ledger = ResourceLedger()
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)

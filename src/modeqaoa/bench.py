@@ -35,35 +35,30 @@ from .shots import AdaptiveConfig
 from .simulator import MAX_QUBITS, NoiseSpec
 from .stage2 import AmplifyConfig, amplify
 
-# preset (n, p, lambda) grid of each named sweep
-GRIDS = {
-    "qubit_sweep": dict(n_values=(3, 4, 6, 8, 10, 12), p_values=(2,),
-                        noise_lambdas=(0.0,)),
-    "depth_sweep": dict(n_values=(10,), p_values=(1, 2, 3, 4, 5, 6),
-                        noise_lambdas=(0.0,)),
-    "noise_sweep": dict(n_values=(10,), p_values=(2,),
-                        noise_lambdas=(0.0, 0.002, 0.004, 0.006, 0.008, 0.01)),
-    "single": dict(n_values=(6,), p_values=(2,), noise_lambdas=(0.0,)),
-}
-EXPERIMENTS = tuple(GRIDS)
 METHODS = ("map_bo", "exp_bo", "exp_gd")
+# record key of each sweep axis -> the ExperimentConfig field holding its values
+_AXES = {"n": "n_values", "p": "p_values", "lambda": "noise_lambdas"}
 
 
 class _Sweep(NamedTuple):
     key: str | None        # record key of the swept axis; None sweeps nothing
-    field: str | None      # ExperimentConfig field holding the swept values
+    grid: tuple            # preset values of each _AXES field, in _AXES order
     curve_csv: str | None  # plot CSV of accuracy and shots along the axis
+
+    @property
+    def preset(self) -> dict:
+        return dict(zip(_AXES.values(), self.grid))
 
 
 # the one axis each experiment sweeps; every other axis uses its first value
 _SWEEPS = {
-    "qubit_sweep": _Sweep("n", "n_values", "qubit_curves.csv"),
-    "depth_sweep": _Sweep("p", "p_values", "depth_panels.csv"),
-    "noise_sweep": _Sweep("lambda", "noise_lambdas", "noise_panels.csv"),
-    "single": _Sweep(None, None, None),
+    "qubit_sweep": _Sweep("n", ((3, 4, 6, 8, 10, 12), (2,), (0.0,)), "qubit_curves.csv"),
+    "depth_sweep": _Sweep("p", ((10,), (1, 2, 3, 4, 5, 6), (0.0,)), "depth_panels.csv"),
+    "noise_sweep": _Sweep("lambda", ((10,), (2,), (0.0, 0.002, 0.004, 0.006, 0.008, 0.01)),
+                          "noise_panels.csv"),
+    "single": _Sweep(None, ((6,), (2,), (0.0,)), None),
 }
-# the ExperimentConfig fields of a sweep point's (n, p, lambda)
-_AXIS_FIELDS = ("n_values", "p_values", "noise_lambdas")
+EXPERIMENTS = tuple(_SWEEPS)
 
 RECORD_KEYS = [
     "method", "n", "p", "lambda", "instance_seed", "run_seed",
@@ -107,9 +102,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name in (*_AXIS_FIELDS, "methods"):
-            if not getattr(self, name):
+        # a repeated value would run the same cells twice
+        for name in (*_AXES.values(), "methods"):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -129,7 +128,8 @@ class ExperimentConfig:
     @classmethod
     def for_experiment(cls, name: str, **overrides) -> "ExperimentConfig":
         """Preset grid for each named sweep; explicit overrides win."""
-        return cls(experiment=name, **{**GRIDS.get(name, {}), **overrides})
+        preset = _SWEEPS[name].preset if name in _SWEEPS else {}
+        return cls(experiment=name, **{**preset, **overrides})
 
     @property
     def sweep(self) -> _Sweep:
@@ -137,14 +137,14 @@ class ExperimentConfig:
 
     def sweep_points(self) -> list[tuple[int, int, float]]:
         return list(itertools.product(*(
-            getattr(self, name) if name == self.sweep.field else getattr(self, name)[:1]
-            for name in _AXIS_FIELDS)))
+            getattr(self, name) if key == self.sweep.key else getattr(self, name)[:1]
+            for key, name in _AXES.items())))
 
     def sweep_key(self, n: int, p: int, lam: float) -> str:
         key = self.sweep.key
         if key is None:
             return "single"
-        value = {"n": n, "p": p, "lambda": lam}[key]
+        value = dict(zip(_AXES, (n, p, lam)))[key]
         return f"{key}={value}"
 
 
@@ -508,67 +508,62 @@ def load_records(path: str) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-def _add_search_args(parser: argparse.ArgumentParser) -> None:
-    """Flags both `run` and `bench` honour; each dest is the ExperimentConfig
-    field it overrides."""
-    parser.add_argument("--config", default=None, help="INI config file")
-    parser.add_argument("--t-max", type=int)
-    parser.add_argument("--n-fix", type=int)
-    parser.add_argument("--n-final", type=int)
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--stage2", dest="stage2_enabled", action="store_true",
-                        default=None)
-
-
-def _add_grid_args(parser: argparse.ArgumentParser) -> None:
-    """Sweep-grid flags, read only by `bench`: `run` takes one instance and
-    gets noise and depth from --noise and --depth."""
-    parser.add_argument("--experiment", choices=EXPERIMENTS, default=None)
-    parser.add_argument("--n-values", dest="n_values", type=int, nargs="+")
-    parser.add_argument("--p-values", dest="p_values", type=int, nargs="+")
-    parser.add_argument("--lambdas", dest="noise_lambdas", type=float, nargs="+")
-    parser.add_argument("--instances", dest="instances_per_point", type=int)
-    parser.add_argument("--methods", nargs="+", choices=METHODS)
-    parser.add_argument("--weights", dest="weight_scheme", choices=("unit", "uniform"))
-
-
-# [experiment] keys that shape only a `bench` sweep; `run` takes one instance
-# and gets noise and depth from --noise and --depth
-_GRID_KEYS = ("experiment", "n_values", "p_values", "noise_lambdas",
-              "instances_per_point", "degree", "methods", "weight_scheme")
-
-
-def _ini_grid_keys(path: str) -> list[str]:
-    """The _GRID_KEYS an INI file sets, in file order."""
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    if not parser.has_section("experiment"):
-        return []
-    return [key for key in parser.options("experiment") if key in _GRID_KEYS]
+# each ExperimentConfig field a flag sets -> (flag, argparse keywords, grid):
+# run and bench take the search flags, bench alone the grid ones, since run
+# takes one instance and gets noise and depth from --noise and --depth
+_FLAGS = {
+    "t_max": ("--t-max", dict(type=int), False),
+    "n_fix": ("--n-fix", dict(type=int), False),
+    "n_final": ("--n-final", dict(type=int), False),
+    "threshold": ("--threshold", dict(type=float), False),
+    "stage2_enabled": ("--stage2", dict(action="store_true", default=None), False),
+    "experiment": ("--experiment", dict(choices=EXPERIMENTS), True),
+    "n_values": ("--n-values", dict(type=int, nargs="+"), True),
+    "p_values": ("--p-values", dict(type=int, nargs="+"), True),
+    "noise_lambdas": ("--lambdas", dict(type=float, nargs="+"), True),
+    "instances_per_point": ("--instances", dict(type=int), True),
+    "methods": ("--methods", dict(nargs="+", choices=METHODS), True),
+    "weight_scheme": ("--weights", dict(choices=("unit", "uniform")), True),
+}
+# [experiment] keys that shape only a bench sweep: the grid flags' fields and
+# degree, which has no flag
+_GRID_KEYS = (*(name for name, (_, _, grid) in _FLAGS.items() if grid), "degree")
 
 
 def _build_config(args) -> ExperimentConfig:
+    """--config (read once) or the preset, then the flags; ignored INI keys warn."""
     experiment = getattr(args, "experiment", None)  # a grid flag, absent on `run`
+    grid_keys = []  # the _GRID_KEYS the INI sets, in file order
     if args.config:
         with open(args.config) as fh:
-            cfg = config_from_ini(fh.read())
+            text = fh.read()
+        cfg = config_from_ini(text)
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        if parser.has_section("experiment"):
+            grid_keys = [key for key in parser["experiment"] if key in _GRID_KEYS]
         if experiment and experiment != cfg.experiment:
-            dropped = [key for key in _ini_grid_keys(args.config)
-                       if key in GRIDS[experiment]]
+            preset = _SWEEPS[experiment].preset
+            dropped = [key for key in grid_keys if key in preset]
             if dropped:
                 print(f"warning: --experiment {experiment} replaces the [experiment] "
                       f"keys {', '.join(dropped)} in {args.config} with its preset grid",
                       file=sys.stderr)
-            cfg = replace(cfg, experiment=experiment, **GRIDS[experiment])
+            cfg = replace(cfg, experiment=experiment, **preset)
         if cfg.gd.shots_per_eval != GdConfig.shots_per_eval:
             print(f"warning: [gd] shots_per_eval = {cfg.gd.shots_per_eval} in {args.config} "
                   "is ignored; exp_gd spends n_fix shots per evaluation", file=sys.stderr)
     else:
         cfg = ExperimentConfig.for_experiment(experiment or "qubit_sweep")
-    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-                 if f.name != "experiment" and getattr(args, f.name, None) is not None}
-    return replace(cfg, **{k: tuple(v) if isinstance(v, list) else v
-                           for k, v in overrides.items()})
+    overrides = {name: getattr(args, name) for name in _FLAGS
+                 if name != "experiment" and getattr(args, name, None) is not None}
+    cfg = replace(cfg, **{k: tuple(v) if isinstance(v, list) else v
+                          for k, v in overrides.items()})
+    if args.command == "run" and grid_keys:
+        print(f"warning: run ignores the [experiment] keys {', '.join(grid_keys)} "
+              f"in {args.config}; noise comes from --noise and depth from --depth",
+              file=sys.stderr)
+    return cfg
 
 
 def _cmd_gen(args) -> int:
@@ -590,11 +585,6 @@ def _cmd_run(args) -> int:
     if instance.total_weight <= 0:  # every method divides by it
         raise ValueError(f"{args.instance} has no edge of positive weight")
     cfg = _build_config(args)
-    ignored = _ini_grid_keys(args.config) if args.config else []
-    if ignored:
-        print(f"warning: run ignores the [experiment] keys {', '.join(ignored)} "
-              f"in {args.config}; noise comes from --noise and depth from --depth",
-              file=sys.stderr)
     result, trace = run_method(cfg, instance, args.depth, args.noise, args.method,
                                args.seed, derive_seed(args.seed, "stage2"))
     payload = run_result_to_dict(result)
@@ -610,8 +600,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _build_config(args)
-    ignored = [name for name in _AXIS_FIELDS
-               if name != cfg.sweep.field and len(getattr(cfg, name)) > 1]
+    ignored = [name for key, name in _AXES.items()
+               if key != cfg.sweep.key and len(getattr(cfg, name)) > 1]
     if ignored:
         print(f"warning: bench runs only the first value of {', '.join(ignored)}, "
               f"which {cfg.experiment} does not sweep", file=sys.stderr)
@@ -662,15 +652,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, required=True)
     p_run.add_argument("--noise", type=float, default=0.0)
     p_run.add_argument("--trials-out", default=None)
-    _add_search_args(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_bench = sub.add_parser("bench", help="run a sweep and write all artifacts")
     p_bench.add_argument("--seed", type=int, required=True)
     p_bench.add_argument("--out", required=True)
-    _add_search_args(p_bench)
-    _add_grid_args(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
+    for p_cmd in (p_run, p_bench):
+        p_cmd.add_argument("--config", default=None, help="INI config file")
+        for name, (flag, kwargs, grid) in _FLAGS.items():
+            if p_cmd is p_bench or not grid:
+                p_cmd.add_argument(flag, dest=name, **kwargs)
 
     p_report = sub.add_parser("report", help="recompute aggregates from records")
     p_report.add_argument("--indir", required=True)

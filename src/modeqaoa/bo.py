@@ -170,6 +170,11 @@ def adam_step(cfg, m, v, grad, t: int):
     return cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), m, v
 
 
+def _check_weight(instance: MaxCutInstance) -> None:
+    if instance.total_weight <= 0:  # every method's statistics divide by it
+        raise ValueError("total weight must be positive")
+
+
 def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfig,
                stagnation_cfg: StagnationConfig, noise: NoiseSpec | None,
                t_max: int, seed: int, n_final: int,
@@ -181,6 +186,7 @@ def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfi
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    _check_weight(instance)
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)
     trials: list[Trial] = []

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from modeqaoa import baselines
+from modeqaoa import baselines, bo, shots
 from modeqaoa.baselines import (
     GdConfig, _split_shots, fixed_shot_expectation_eval,
     optimize_exp_bo, optimize_exp_gd, parameter_shift_gradient,
@@ -77,6 +77,24 @@ def test_exp_gd_refuses_small_budget_before_charging(monkeypatch):
                                                exact_gradient=True), n_final=10)
     assert len(evaluations) == 1
     assert result.ledger.optimization_shots == 10
+
+
+@pytest.mark.parametrize("method", ["map_bo", "exp_bo", "exp_gd"])
+def test_methods_refuse_zero_total_weight_before_any_evaluation(monkeypatch, method):
+    # every method's statistics divide by the total weight; exp_bo and exp_gd
+    # used to spend their whole budget before failing in finish_run, map_bo
+    # failed at its first point
+    built = []
+    for module in (bo, baselines, shots):
+        monkeypatch.setattr(module, "outcome_distribution",
+                            lambda *args: built.append(args) or outcome_distribution(*args))
+    inst = MaxCutInstance.from_edges(6, [(0, 1, 0.0), (2, 3, 0.0)])
+    run = {"map_bo": lambda: optimize_map_bo(inst, 2, t_max=20),
+           "exp_bo": lambda: optimize_exp_bo(inst, 2, t_max=20),
+           "exp_gd": lambda: optimize_exp_gd(inst, 2, GdConfig(iterations=5))}[method]
+    with pytest.raises(ValueError, match="total weight must be positive"):
+        run()
+    assert built == []
 
 
 def test_coordinate_gates_layout(six_reg):

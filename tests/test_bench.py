@@ -145,6 +145,14 @@ BAD_GRIDS = {
     "n_values": ["--experiment", "qubit_sweep", "--n-values", "4", "1"],
     "n_values above the cap": ["--experiment", "qubit_sweep", "--n-values", "6", "25"],
     "degree": ["--experiment", "single", "--n-values", "4", "--config", "degree.ini"],
+    # a repeated value used to run the same cells twice
+    "n_values repeated": ["--experiment", "qubit_sweep", "--n-values", "4", "4"],
+    "p_values repeated": ["--experiment", "depth_sweep", "--n-values", "4",
+                          "--p-values", "1", "2", "1"],
+    "noise_lambdas repeated": ["--experiment", "noise_sweep", "--n-values", "4",
+                               "--lambdas", "0", "0.0"],
+    "methods repeated": ["--experiment", "single", "--n-values", "4",
+                         "--methods", "exp_bo", "exp_bo"],
     # the whole map_bo cell used to run before the exp_bo cell failed on these
     **{field: ["--experiment", "single", "--n-values", "6", "--methods", "map_bo", "exp_bo",
                "--" + field.replace("_", "-"), "0"] for field in ("t_max", "n_fix", "n_final")},
@@ -203,7 +211,9 @@ def test_cli_bench_rejects_bad_adam_settings_before_any_cell(tmp_path, capsys, m
 def test_config_rejects_bad_grid_values():
     for kwargs in (dict(n_values=(1,)), dict(n_values=(4, simulator.MAX_QUBITS + 1)),
                    dict(p_values=(0,)), dict(p_values=(2, -1)), dict(degree=0),
-                   dict(t_max=0), dict(n_fix=0), dict(n_final=-1)):
+                   dict(t_max=0), dict(n_fix=0), dict(n_final=-1),
+                   dict(n_values=(4, 6, 4)), dict(p_values=(2, 2)),
+                   dict(noise_lambdas=(0.0, 0.01, 0.0)), dict(methods=("exp_bo", "exp_bo"))):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ExperimentConfig(**kwargs)
     ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,), degree=1)
@@ -671,3 +681,60 @@ def test_cli_determinism_byte_identical(tmp_path, capsys):
     a = (tmp_path / "a" / "records.jsonl").read_bytes()
     b = (tmp_path / "b" / "records.jsonl").read_bytes()
     assert a == b
+
+
+_M = ("map_bo", "exp_bo", "exp_gd")
+_E = ("qubit_sweep", "depth_sweep", "noise_sweep", "single")
+_W = ("unit", "uniform")
+_HELP = (("-h", "--help"), "help", None, 0, None, "==SUPPRESS==", False)
+# flags run and bench share: (option strings, dest, type, nargs, choices,
+# default, required)
+_SEARCH = [(("--config",), "config", None, None, None, None, False),
+           (("--t-max",), "t_max", int, None, None, None, False),
+           (("--n-fix",), "n_fix", int, None, None, None, False),
+           (("--n-final",), "n_final", int, None, None, None, False),
+           (("--threshold",), "threshold", float, None, None, None, False),
+           (("--stage2",), "stage2_enabled", None, 0, None, None, False)]
+CLI_SURFACE = {
+    "gen": [_HELP,
+            (("--n",), "n", int, None, None, None, True),
+            (("--degree",), "degree", int, None, None, 3, False),
+            (("--count",), "count", int, None, None, 10, False),
+            (("--weights",), "weights", None, None, _W, "unit", False),
+            (("--seed",), "seed", int, None, None, None, True),
+            (("--out",), "out", None, None, None, None, True)],
+    "run": [_HELP,
+            (("--instance",), "instance", None, None, None, None, True),
+            (("--method",), "method", None, None, _M, None, True),
+            (("--depth",), "depth", int, None, None, 2, False),
+            (("--seed",), "seed", int, None, None, None, True),
+            (("--noise",), "noise", float, None, None, 0.0, False),
+            (("--trials-out",), "trials_out", None, None, None, None, False),
+            *_SEARCH],
+    "bench": [_HELP,
+              (("--seed",), "seed", int, None, None, None, True),
+              (("--out",), "out", None, None, None, None, True),
+              *_SEARCH,
+              (("--experiment",), "experiment", None, None, _E, None, False),
+              (("--n-values",), "n_values", int, "+", None, None, False),
+              (("--p-values",), "p_values", int, "+", None, None, False),
+              (("--lambdas",), "noise_lambdas", float, "+", None, None, False),
+              (("--instances",), "instances_per_point", int, None, None, None, False),
+              (("--methods",), "methods", None, "+", _M, None, False),
+              (("--weights",), "weight_scheme", None, None, _W, None, False)],
+    "report": [_HELP,
+               (("--indir",), "indir", None, None, None, None, True),
+               (("--out",), "out", None, None, None, None, False)],
+}
+
+
+def test_cli_surface_is_pinned():
+    # every subcommand's flags, in help order, with everything argparse
+    # parses them by; guards the flags no other test passes
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, parser in sub.choices.items():
+        got = [(tuple(a.option_strings), a.dest, a.type, a.nargs,
+                None if a.choices is None else tuple(a.choices), a.default, a.required)
+               for a in parser._actions]
+        assert got == CLI_SURFACE[name], name
