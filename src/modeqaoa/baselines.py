@@ -72,7 +72,7 @@ def _fixed_shot_trial(instance: MaxCutInstance, t: int, params: QaoaParams,
     """Trial of a fixed-shot point: objective the sampled mean, mode from its histogram."""
     mode = mode_of(counts)
     return Trial(index=t, params=params, objective=value, shots_used=shots_used,
-                 accepted=True, mode=mode, mode_cut=float(cut_values_table(instance)[mode]))
+                 mode=mode, mode_cut=float(cut_values_table(instance)[mode]))
 
 
 def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,

@@ -80,10 +80,10 @@ TYPICAL_POINT_SHOT_BAND = (250.0, 400.0)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "qubit_sweep"
-    n_values: tuple[int, ...] = (3, 4, 6, 8, 10, 12)
-    p_values: tuple[int, ...] = (2,)
-    noise_lambdas: tuple[float, ...] = (0.0,)
+    experiment: str = "qubit_sweep"  # the grid defaults are its preset
+    n_values: tuple[int, ...] = _SWEEPS["qubit_sweep"].preset["n_values"]
+    p_values: tuple[int, ...] = _SWEEPS["qubit_sweep"].preset["p_values"]
+    noise_lambdas: tuple[float, ...] = _SWEEPS["qubit_sweep"].preset["noise_lambdas"]
     instances_per_point: int = 10
     degree: int = 3
     weight_scheme: str = "unit"

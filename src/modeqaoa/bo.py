@@ -57,10 +57,14 @@ class Trial:
     params: QaoaParams
     objective: float
     shots_used: int
-    accepted: bool
     mode: int  # basis index
     mode_cut: float
     stats: EvalStats | None = None  # adaptive evaluations only
+
+    @property
+    def accepted(self) -> bool:
+        """The adaptive gate's decision, drawn on first read; fixed-shot trials pass."""
+        return True if self.stats is None else self.stats.passed
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def suggest(history, bounds: np.ndarray, cfg: TpeConfig, seed: int) -> np.ndarra
     if len(history) < cfg.startup_trials:
         return rng.uniform(lows, highs)
     good, bad = split_good_bad(history, cfg.good_fraction)
-    good_obs = np.stack([t.params.to_vector() for t in good])
+    good_obs = np.array([t.params.betas + t.params.gammas for t in good])
     good_bw = _bandwidths(good_obs, cfg.bandwidth_floor)
     picks = rng.integers(len(good), size=cfg.candidates_per_suggest)
     cand = good_obs[picks] + rng.standard_normal((cfg.candidates_per_suggest,
@@ -133,7 +137,7 @@ def suggest(history, bounds: np.ndarray, cfg: TpeConfig, seed: int) -> np.ndarra
     cand = np.clip(cand, lows, np.nextafter(highs, lows))
     log_l = _log_kde(cand, good_obs, good_bw)
     if bad:
-        bad_obs = np.stack([t.params.to_vector() for t in bad])
+        bad_obs = np.array([t.params.betas + t.params.gammas for t in bad])
         log_g = _log_kde(cand, bad_obs, _bandwidths(bad_obs, cfg.bandwidth_floor))
     else:
         log_g = np.full(len(cand), -np.log(highs - lows).sum())
@@ -238,8 +242,8 @@ def optimize_map_bo(instance: MaxCutInstance, depth: int,
     def evaluate(t: int, params: QaoaParams, eval_seed: int) -> Trial:
         pe = evaluate_point(instance, params, noise, adaptive_cfg, eval_seed, ledger)
         return Trial(index=t, params=params, objective=pe.stats.mode_cut,
-                     shots_used=pe.shots_used, accepted=pe.accepted,
-                     mode=pe.stats.mode, mode_cut=pe.stats.mode_cut, stats=pe.stats)
+                     shots_used=pe.shots_used, mode=pe.stats.mode,
+                     mode_cut=pe.stats.mode_cut, stats=pe.stats)
 
     return run_search(instance, depth, evaluate, tpe_cfg, stagnation_cfg,
                       noise, t_max, seed, n_final, ledger)

@@ -93,9 +93,10 @@ class Counts:
 class EvalStats:
     """Summary of one point evaluation, all derived from a single histogram.
 
-    The bootstrap `confidence` is drawn from the fields below on first read and
-    cached, unless a gated `compute_stats` passed the point and so stored the
-    exact value; `passed` is that gate's decision, None without a gate.
+    Nothing is drawn until read; each bootstrap comes from `bootstrap_seed` and
+    is cached.  `passed` is the dual gate's decision at `gate` (None without
+    one): False if the variance fails, else the bootstrap floored at tau_conf,
+    which fills `confidence` when it draws every row.
     """
 
     mode: int  # basis index
@@ -106,11 +107,22 @@ class EvalStats:
     support_counts: np.ndarray = field(repr=False, compare=False)
     resamples: int = field(repr=False)
     bootstrap_seed: int = field(repr=False)
-    passed: bool | None = field(default=None, compare=False)
+    gate: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def confidence(self) -> float:
         return _bootstrap_confidence(self.support_counts, self.resamples, self.bootstrap_seed)
+
+    @cached_property
+    def passed(self) -> bool | None:
+        if self.gate is None:
+            return None
+        tau_conf, tau_var = self.gate
+        confidence = None if self.var_normalized > tau_var else _bootstrap_confidence(
+            self.support_counts, self.resamples, self.bootstrap_seed, floor=tau_conf)
+        if confidence is not None:
+            vars(self)["confidence"] = confidence  # fills the cached_property's slot
+        return dual_gate(confidence, self.var_normalized, tau_conf, tau_var)
 
 
 def _support(counts: Counts) -> tuple[np.ndarray, np.ndarray]:
@@ -213,20 +225,13 @@ def compute_stats(instance: MaxCutInstance, counts: Counts,
                   resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
                   seed: int = 0, *,
                   gate: tuple[float, float] | None = None) -> EvalStats:
-    """All gate statistics in one pass over the K distinct observed keys.
-
-    With `gate=(tau_conf, tau_var)` only the dual gate's decision is drawn:
-    the bootstrap is skipped when the variance gate fails and cut short once
-    tau_conf is out of reach.
-    """
+    """All gate statistics in one pass over the K distinct observed keys; draws nothing."""
     if resamples < 1:
         raise ValueError("need at least one resample")
     idx, vals, cuts = _observed_cuts(instance, counts)
     first, var_normalized = _cut_moments(instance, vals, cuts)
     mode_idx = int(vals.argmax())
-    confidence = None if gate is None or var_normalized > gate[1] else \
-        _bootstrap_confidence(vals, resamples, seed, floor=gate[0])
-    stats = EvalStats(
+    return EvalStats(
         mode=int(idx[mode_idx]),
         mode_cut=float(cuts[mode_idx]),
         var_normalized=var_normalized,
@@ -235,8 +240,5 @@ def compute_stats(instance: MaxCutInstance, counts: Counts,
         support_counts=vals,
         resamples=resamples,
         bootstrap_seed=seed,
-        passed=None if gate is None else dual_gate(confidence, var_normalized, *gate),
+        gate=gate,
     )
-    if confidence is not None:
-        vars(stats)["confidence"] = confidence  # fills the cached_property's slot
-    return stats

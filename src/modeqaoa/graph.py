@@ -123,6 +123,14 @@ def _cut_table(n: int, edges: tuple[Edge, ...]) -> np.ndarray:
     return cuts
 
 
+@lru_cache(maxsize=64)
+def _cut_levels(n: int, edges: tuple[Edge, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values, each index's position among them) of the table's first half."""
+    values, where = np.unique(_cut_table(n, edges)[: 2 ** (n - 1)], return_inverse=True)
+    values.flags.writeable = where.flags.writeable = False
+    return values, where
+
+
 def cut_values_table(instance: MaxCutInstance) -> np.ndarray:
     """Cut value of every basis index, shape (2**n,).  Cached per edge list."""
     return _cut_table(instance.n, instance.edges)

@@ -5,7 +5,8 @@ batches from it: a pilot batch, then geometrically growing batches capped by
 the per-point budget.  After every batch the gate statistics are recomputed on
 the merged histogram; sampling stops as soon as mode confidence and normalized
 cut variance both clear their thresholds, or the budget is exhausted.  Every
-round asks `compute_stats` for the gate's decision alone.
+round's gate decision is drawn only when it is read (see EvalStats), and the
+round that reaches the budget stops unread; `accepted` reads it on demand.
 
 With the defaults (pilot 100, growth 2.0, cap 1200) the batch sizes are
 exactly 100, 200, 400, 500.
@@ -52,8 +53,11 @@ class PointEvaluation:
     counts: Counts
     stats: EvalStats
     shots_used: int
-    accepted: bool
     rounds: int
+
+    @property
+    def accepted(self) -> bool:
+        return self.stats.passed
 
 
 def next_batch(current: int, spent: int, cfg: AdaptiveConfig) -> int:
@@ -86,11 +90,11 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
                               gate=(cfg.tau_conf, cfg.tau_var))
         # the paper's modelled B*K charge per round, not the rows actually drawn
         ledger.bootstrap_ops += cfg.bootstrap_resamples * counts.distinct
-        if stats.passed or spent >= cfg.max_shots:
+        if spent >= cfg.max_shots or stats.passed:
             break
         batch = next_batch(batch, spent, cfg)
     # merged histograms only grow, so each distinct key's cut is paid for once
     ledger.classical_cut_ops += counts.distinct
     ledger.record_point(spent, counts.distinct)
     return PointEvaluation(params=params, counts=counts, stats=stats,
-                           shots_used=spent, accepted=stats.passed, rounds=rounds)
+                           shots_used=spent, rounds=rounds)

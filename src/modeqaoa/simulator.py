@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .estimators import Counts
-from .graph import MaxCutInstance, cut_values_table
+from .graph import MaxCutInstance, _cut_levels, cut_values_table
 
 MAX_QUBITS = 24
 GATE_KINDS = ("beta", "gamma")  # search vector order: [betas, gammas]
@@ -120,7 +120,8 @@ def _check_size(n: int, states: int, holder: str = "this call") -> None:
 
     `states` is the peak memory of `holder` in complex 2^n arrays, rounded
     down: a complex half vector counts 1/2, a float one 1/4.  The cached cut
-    table (8 B per entry) and popcount table (1 B per half entry) come on top.
+    table (8 B per entry), cut level table (8 B per half entry, plus its
+    distinct values) and popcount table (1 B per half entry) come on top.
     """
     if n > MAX_QUBITS:
         per_state = 2**n * 16
@@ -177,10 +178,17 @@ def _uniform(n: int) -> np.ndarray:
     return np.full(2 ** (n - 1), 2.0 ** (-n / 2), dtype=complex)
 
 
+def _phase(levels: tuple[np.ndarray, np.ndarray], angle: complex) -> np.ndarray:
+    """exp(angle C) on the first half (a cost phase at angle -i gamma), one exp per
+    distinct cut value of `_cut_levels`: the same bits as one exp per index."""
+    values, where = levels
+    return np.exp(angle * values)[where]
+
+
 def _phases(instance: MaxCutInstance, gammas: Iterable[float]) -> Iterator[np.ndarray]:
-    """Each layer's cost phase exp(-i gamma C), computed when it is reached."""
-    cuts = cut_values_table(instance)[: 2 ** (instance.n - 1)]
-    return (np.exp(-1j * gamma * cuts) for gamma in gammas)
+    """Each layer's cost phase, computed when it is reached."""
+    levels = _cut_levels(instance.n, instance.edges)
+    return (_phase(levels, -1j * gamma) for gamma in gammas)
 
 
 def _mix(amps: np.ndarray, beta: float) -> np.ndarray:
@@ -335,7 +343,7 @@ class TargetReader:
         _check_size(n, depth + 1, "a target reader")
         self.instance, self.target, self.depth = instance, target, depth
         half = 2 ** (n - 1)
-        self._cuts = cut_values_table(instance)[:half]
+        self._levels = _cut_levels(n, instance.edges)
         t = min(target, 2**n - 1 - target)
         self._distance = _popcounts(half)[np.arange(half) ^ t]
         self._betas = self._gammas = (None,) * depth  # no angles yet: all stale
@@ -384,7 +392,7 @@ class TargetReader:
             l = len(forward)
             forward.append((2.0 ** (-self.instance.n / 2) if l == 0
                             else _mix(forward[-1], self._betas[l - 1]))
-                           * np.exp(-1j * self._gammas[l] * self._cuts))
+                           * _phase(self._levels, -1j * self._gammas[l]))
         return forward[layer]
 
     def _row(self, layer: int) -> np.ndarray:
@@ -399,7 +407,7 @@ class TargetReader:
             backward.append((one + one[::-1])[self._distance])
         while depth - len(backward) > layer:
             l = depth - len(backward)  # backward[-1] is w_l
-            backward.append(_mix(backward[-1] * np.exp(1j * self._gammas[l] * self._cuts),
+            backward.append(_mix(backward[-1] * _phase(self._levels, 1j * self._gammas[l]),
                                  -self._betas[l - 1]))
         return backward[depth - 1 - layer]
 

@@ -4,6 +4,13 @@ Each test prints a single `[acceptance] criterion N: PASS/FAIL` line with the
 measured values (visible under pytest -s or on failure) and then asserts.
 Thresholds, grids, and tolerances are pinned; seeds are fixed so every run
 measures the same thing.
+
+Criteria 6-8 rest on seeded suites, so a change to any random stream re-rolls
+them.  tests/heldout.py runs the same suites at held-out run seeds, and at its
+defaults they pass 12 of 20 (criterion 6; the mean signed gap map - exp is
+-0.046, sd 0.058), 20 of 20 (criterion 7) and 8 of 10 (criterion 8; both
+failures are its "exp > map optimization shots at every lambda" half).  A
+change that moves records reports these rates before and after.
 """
 import math
 import time
@@ -37,17 +44,94 @@ def report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def quality_suite():
-    """Ten unit-weight 3-regular instances at n=6 with both BO methods run."""
+SEED_STRIDE = 10_000  # a held-out offset k adds k * SEED_STRIDE to every run seed
+NOISE_LAMBDAS = (0.0, 0.005, 0.01)
+
+
+def quality_runs(offset=0):
+    """Criteria 6-7's suite: ten unit-weight 3-regular instances at n=6 with
+    both BO methods run.  Offset k keeps the instances and adds k * SEED_STRIDE
+    to the run seeds; offset 0 is the pinned suite."""
+    shift = offset * SEED_STRIDE
     runs = []
     for i in range(10):
         inst = with_optimum(assign_weights(random_regular(6, 3, seed=100 + i),
                                            "unit", 0))
-        m = optimize_map_bo(inst, depth=2, t_max=60, seed=1100 + i)
-        e = optimize_exp_bo(inst, depth=2, n_fix=1000, t_max=60, seed=2100 + i)
+        m = optimize_map_bo(inst, depth=2, t_max=60, seed=1100 + i + shift)
+        e = optimize_exp_bo(inst, depth=2, n_fix=1000, t_max=60, seed=2100 + i + shift)
         runs.append((inst, m, e))
     return runs
+
+
+def noise_runs(offset=0):
+    """Criterion 8's suite: five unit-weight 3-regular instances at n=10 with
+    both BO methods run at each lambda, as lambda -> (map_bo mode accuracies,
+    map_bo optimization shots, exp_bo optimization shots).  Offsets as in
+    quality_runs."""
+    shift = offset * SEED_STRIDE
+    instances = [with_optimum(assign_weights(random_regular(10, 3, seed=300 + i),
+                                             "unit", 0)) for i in range(5)]
+    by_lam = {}
+    for lam in NOISE_LAMBDAS:
+        map_acc, map_shots, exp_shots = [], [], []
+        for i, inst in enumerate(instances):
+            noise = NoiseSpec.for_circuit(lam, inst, depth=2) if lam > 0 else None
+            m = optimize_map_bo(inst, depth=2, t_max=60, seed=5000 + i + shift,
+                                noise=noise)
+            e = optimize_exp_bo(inst, depth=2, n_fix=1000, t_max=60,
+                                seed=6000 + i + shift, noise=noise)
+            map_acc.append(final_mode_accuracy(inst, m.final_eval))
+            map_shots.append(m.ledger.optimization_shots)
+            exp_shots.append(e.ledger.optimization_shots)
+        by_lam[lam] = (map_acc, map_shots, exp_shots)
+    return by_lam
+
+
+def criterion_6(runs):
+    """(pass, statistics): map_bo reaches 0.80 on 8 of 10 instances, and the
+    mean mode accuracies of the two methods differ by at most 0.05."""
+    map_accs = [final_mode_accuracy(inst, m.final_eval) for inst, m, _ in runs]
+    exp_accs = [final_mode_accuracy(inst, e.final_eval) for inst, _, e in runs]
+    stats = {"reached": sum(a >= 0.80 for a in map_accs),
+             "map_mean": float(np.mean(map_accs)), "exp_mean": float(np.mean(exp_accs))}
+    stats["gap"] = stats["map_mean"] - stats["exp_mean"]
+    return stats["reached"] >= 8 and abs(stats["gap"]) <= 0.05, stats
+
+
+def criterion_7(runs):
+    """(pass, statistics): map_bo's median shots to 0.80 is below exp_bo's,
+    and its mean shots per point lies in [100, 1200]."""
+
+    def median(vals):
+        return float(np.median([math.inf if v is None else float(v)
+                                for v in vals]))
+
+    stats = {"map_med": median([shots_to_threshold(m.trials, inst, 0.80)
+                                for inst, m, _ in runs]),
+             "exp_med": median([shots_to_threshold(e.trials, inst, 0.80)
+                                for inst, _, e in runs]),
+             "n_adp": float(np.mean([m.ledger.avg_point_shots for _, m, _ in runs]))}
+    stats["in_guard"] = 100.0 <= stats["n_adp"] <= 1200.0
+    return stats["map_med"] < stats["exp_med"] and stats["in_guard"], stats
+
+
+def criterion_8(by_lam):
+    """(pass, statistics): map_bo's mean accuracy at lambda 0.01 is within 0.15
+    of lambda 0, and exp_bo spends more optimization shots at every lambda."""
+    stats = {}
+    for lam, (map_acc, map_shots, exp_shots) in by_lam.items():
+        stats[f"acc {lam}"] = float(np.mean(map_acc))
+        stats[f"map shots {lam}"] = float(np.mean(map_shots))
+        stats[f"exp shots {lam}"] = float(np.mean(exp_shots))
+    no_collapse = stats["acc 0.01"] >= stats["acc 0.0"] - 0.15
+    shots_ok = all(stats[f"exp shots {lam}"] > stats[f"map shots {lam}"] for lam in by_lam)
+    stats.update(no_collapse=no_collapse, shots_ok=shots_ok)
+    return no_collapse and shots_ok, stats
+
+
+@pytest.fixture(scope="module")
+def quality_suite():
+    return quality_runs()
 
 
 def test_criterion_1_simulator_correctness():
@@ -213,70 +297,35 @@ def test_criterion_5_dual_gate_statistics():
 
 def test_criterion_6_end_to_end_quality(quality_suite):
     start = time.monotonic()
-    map_accs = [final_mode_accuracy(inst, m.final_eval)
-                for inst, m, _ in quality_suite]
-    exp_accs = [final_mode_accuracy(inst, e.final_eval)
-                for inst, _, e in quality_suite]
-    reached = sum(a >= 0.80 for a in map_accs)
-    gap = abs(float(np.mean(map_accs)) - float(np.mean(exp_accs)))
+    passed, s = criterion_6(quality_suite)
     elapsed = time.monotonic() - start
-    ok = reached >= 8 and gap <= 0.05 and elapsed < 600.0
-    report(6, ok, f"map_bo >= 0.80 on {reached}/10, mean map "
-                  f"{np.mean(map_accs):.3f} vs exp {np.mean(exp_accs):.3f} "
-                  f"(gap {gap:.3f}), {elapsed:.1f}s")
+    ok = passed and elapsed < 600.0
+    report(6, ok, f"map_bo >= 0.80 on {s['reached']}/10, mean map "
+                  f"{s['map_mean']:.3f} vs exp {s['exp_mean']:.3f} "
+                  f"(gap {abs(s['gap']):.3f}), {elapsed:.1f}s")
 
 
 def test_criterion_7_resource_advantage(quality_suite):
     start = time.monotonic()
-    map_thr = [shots_to_threshold(m.trials, inst, 0.80)
-               for inst, m, _ in quality_suite]
-    exp_thr = [shots_to_threshold(e.trials, inst, 0.80)
-               for inst, _, e in quality_suite]
-
-    def median(vals):
-        return float(np.median([math.inf if v is None else float(v)
-                                for v in vals]))
-
-    map_med = median(map_thr)
-    exp_med = median(exp_thr)
-    n_adp = float(np.mean([m.ledger.avg_point_shots for _, m, _ in quality_suite]))
-    in_guard = 100.0 <= n_adp <= 1200.0
-    in_typical = 250.0 <= n_adp <= 400.0  # soft band: reported, not asserted
+    passed, s = criterion_7(quality_suite)
+    in_typical = 250.0 <= s["n_adp"] <= 400.0  # soft band: reported, not asserted
     elapsed = time.monotonic() - start
-    ok = map_med < exp_med and in_guard and elapsed < 600.0
-    report(7, ok, f"median shots-to-0.80 map {map_med} < exp {exp_med}, "
-                  f"N_adp {n_adp:.1f} in [100, 1200]: {in_guard}, typical band "
+    ok = passed and elapsed < 600.0
+    report(7, ok, f"median shots-to-0.80 map {s['map_med']} < exp {s['exp_med']}, "
+                  f"N_adp {s['n_adp']:.1f} in [100, 1200]: {s['in_guard']}, typical band "
                   f"[250, 400]: {in_typical}, {elapsed:.1f}s")
 
 
 def test_criterion_8_noise_robustness():
     start = time.monotonic()
-    instances = [with_optimum(assign_weights(random_regular(10, 3, seed=300 + i),
-                                             "unit", 0)) for i in range(5)]
-    acc_by_lam = {}
-    shots_ok = True
-    detail = []
-    for lam in (0.0, 0.005, 0.01):
-        map_acc, map_shots, exp_shots = [], [], []
-        for i, inst in enumerate(instances):
-            noise = NoiseSpec.for_circuit(lam, inst, depth=2) if lam > 0 else None
-            m = optimize_map_bo(inst, depth=2, t_max=60, seed=5000 + i,
-                                noise=noise)
-            e = optimize_exp_bo(inst, depth=2, n_fix=1000, t_max=60,
-                                seed=6000 + i, noise=noise)
-            map_acc.append(final_mode_accuracy(inst, m.final_eval))
-            map_shots.append(m.ledger.optimization_shots)
-            exp_shots.append(e.ledger.optimization_shots)
-        acc_by_lam[lam] = float(np.mean(map_acc))
-        if not np.mean(exp_shots) > np.mean(map_shots):
-            shots_ok = False
-        detail.append(f"lam={lam}: acc {acc_by_lam[lam]:.3f}, opt shots map "
-                      f"{np.mean(map_shots):.0f} vs exp {np.mean(exp_shots):.0f}")
-    no_collapse = acc_by_lam[0.01] >= acc_by_lam[0.0] - 0.15
+    passed, s = criterion_8(noise_runs())
+    detail = [f"lam={lam}: acc {s[f'acc {lam}']:.3f}, opt shots map "
+              f"{s[f'map shots {lam}']:.0f} vs exp {s[f'exp shots {lam}']:.0f}"
+              for lam in NOISE_LAMBDAS]
     elapsed = time.monotonic() - start
-    ok = no_collapse and shots_ok and elapsed < 900.0
-    report(8, ok, "; ".join(detail) + f"; no collapse {no_collapse}, "
-                  f"exp > map at every lambda {shots_ok}, {elapsed:.1f}s")
+    ok = passed and elapsed < 900.0
+    report(8, ok, "; ".join(detail) + f"; no collapse {s['no_collapse']}, "
+                  f"exp > map at every lambda {s['shots_ok']}, {elapsed:.1f}s")
 
 
 def test_criterion_9_ledger_consistency(quality_suite):

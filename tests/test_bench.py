@@ -31,6 +31,10 @@ def test_config_grids():
     qubit = ExperimentConfig.for_experiment("qubit_sweep")
     assert qubit.n_values == (3, 4, 6, 8, 10, 12)
     assert qubit.p_values == (2,)
+    # the defaults are the qubit_sweep preset, so the two configs sweep one grid
+    default = ExperimentConfig()
+    assert [getattr(default, name) for name in bench._AXES.values()] == \
+        [getattr(qubit, name) for name in bench._AXES.values()]
     depth = ExperimentConfig.for_experiment("depth_sweep")
     assert depth.n_values == (10,)
     assert depth.p_values == (1, 2, 3, 4, 5, 6)

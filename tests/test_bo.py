@@ -20,8 +20,7 @@ from modeqaoa.stage2 import AmplifyConfig
 def make_trial(i, y, vec=None):
     vec = vec if vec is not None else [0.1 * i, 0.2, 1.0, 2.0]
     return Trial(index=i, params=QaoaParams.from_vector(np.array(vec)),
-                 objective=y, shots_used=100, accepted=False,
-                 mode=0, mode_cut=y)
+                 objective=y, shots_used=100, mode=0, mode_cut=y)
 
 
 def test_config_validation():

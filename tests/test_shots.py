@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modeqaoa import estimators
 from modeqaoa.estimators import compute_stats, dual_gate
 from modeqaoa.graph import MaxCutInstance, complete_graph, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
-from modeqaoa.shots import AdaptiveConfig, PointEvaluation, evaluate_point, next_batch
+from modeqaoa.shots import AdaptiveConfig, evaluate_point, next_batch
 from modeqaoa.simulator import NoiseSpec, QaoaParams, outcome_distribution, sample
 
 
@@ -153,7 +156,8 @@ def test_budget_tops_up_to_cap():
 
 
 def _evaluate_point_oracle(instance, params, noise, cfg, seed, ledger):
-    """The allocator computing the full statistics on every round."""
+    """The allocator computing the full statistics on every round; its record
+    carries the fields a PointEvaluation is compared on."""
     dist = outcome_distribution(instance, params, noise)
     ledger.circuit_evaluations += 1
     ss = np.random.SeedSequence(seed)
@@ -179,7 +183,7 @@ def _evaluate_point_oracle(instance, params, noise, cfg, seed, ledger):
         batch = next_batch(batch, spent, cfg)
     ledger.classical_cut_ops += counts.distinct
     ledger.record_point(spent, counts.distinct)
-    return PointEvaluation(params=params, counts=counts, stats=stats,
+    return SimpleNamespace(params=params, counts=counts, stats=stats,
                            shots_used=spent, accepted=accepted, rounds=rounds)
 
 
@@ -212,3 +216,29 @@ def test_gated_rounds_match_full_statistics_oracle():
                     assert got_ledger.to_dict() == want_ledger.to_dict()
                     early_accepts += got.accepted and got.shots_used < cfg.max_shots
     assert early_accepts >= 10
+
+
+def test_capped_round_draws_no_gate_decision(monkeypatch):
+    # the variance gate passes on every round and tau_conf = 1.0 is never met,
+    # so each round before the cap draws its floored bootstrap; the capped
+    # round's decision cannot change the stop and is drawn only when read
+    inst = with_optimum(random_regular(6, 3, seed=3))
+    params = QaoaParams((0.0,), (0.0,))
+    cfg = AdaptiveConfig(tau_conf=1.0, tau_var=1.0)
+    want = _evaluate_point_oracle(inst, params, None, cfg, 8, ResourceLedger())
+    floors = []
+    real = estimators._bootstrap_confidence
+
+    def counting(vals, resamples, seed, floor=None):
+        floors.append(floor)
+        return real(vals, resamples, seed, floor)
+
+    monkeypatch.setattr(estimators, "_bootstrap_confidence", counting)
+    ev = evaluate_point(inst, params, None, cfg, 8, ResourceLedger())
+    assert ev.shots_used == cfg.max_shots and ev.rounds == want.rounds == 4
+    assert floors == [cfg.tau_conf] * (ev.rounds - 1)
+    del floors[:]
+    assert ev.accepted is want.accepted is False
+    assert floors == [cfg.tau_conf]
+    assert not ev.accepted
+    assert floors == [cfg.tau_conf]  # cached: a second read draws nothing

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from modeqaoa import simulator
 from modeqaoa.estimators import Counts
 from modeqaoa.graph import (
     assign_weights, cut_values_table, random_regular, with_optimum,
@@ -294,3 +295,26 @@ def test_params_vector_roundtrip():
     back = QaoaParams.from_vector(v)
     assert back == p
     assert p.depth == 2
+
+
+PHASE_GAMMAS = (0.0, -0.0, 1e-300, *np.random.default_rng(5).uniform(-7.0, 7.0, 4))
+
+
+@pytest.mark.parametrize("weights", ["unit", "uniform"])
+@pytest.mark.parametrize("n", [4, 6, 10, 12, 16])
+def test_level_phases_equal_per_index_phases(n, weights):
+    # one exp per distinct cut value gives the per-index exp's bits, signed
+    # zeros included, in evolve's phases and in both directions of a reader
+    inst = assign_weights(random_regular(n, 3, seed=n), weights, seed=n)
+    cuts = cut_values_table(inst)[: 2 ** (n - 1)]
+    for got, gamma in zip(simulator._phases(inst, PHASE_GAMMAS), PHASE_GAMMAS):
+        assert got.tobytes() == np.exp(-1j * gamma * cuts).tobytes()
+    reader = TargetReader(inst, 3, 2)
+    for gamma in PHASE_GAMMAS:
+        params = QaoaParams((0.3, -0.8), (gamma, gamma))
+        reader.read(params, "beta", 0, 0)  # builds s_0, s_1, w_1 and w_0
+        s0, s1, w0, w1 = reader._state(0), reader._state(1), reader._row(0), reader._row(1)
+        assert s0.tobytes() == (2.0 ** (-n / 2) * np.exp(-1j * gamma * cuts)).tobytes()
+        assert s1.tobytes() == (simulator._mix(s0, 0.3)
+                                * np.exp(-1j * gamma * cuts)).tobytes()
+        assert w0.tobytes() == simulator._mix(w1 * np.exp(1j * gamma * cuts), -0.3).tobytes()
