@@ -137,13 +137,13 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     incumbent), one gradient call, one Adam update.  Cost per iteration is
     (2 * 2p + 1) * N_fix shots.
     """
+    _check_weight(instance)
     # the gradient's shots per coordinate and sign; None when it is exact
     shots = None if gd_cfg.exact_gradient else gd_cfg.shots_per_eval
     if shots is not None:
         # a budget too small for the gradient's split fails before any charge
         for kind in GATE_KINDS:
             _split_shots(shots, gate_count(instance, kind))
-    _check_weight(instance)
     ledger = ResourceLedger()
     bounds = search_bounds(depth)
     ss = np.random.SeedSequence(seed)

@@ -68,12 +68,8 @@ RECORD_KEYS = [
     "avg_point_shots", "avg_distinct", "config_hash",
 ]
 
-AGGREGATE_METRICS = [
-    "final_mode_accuracy", "final_expectation_accuracy",
-    "final_best_sample_accuracy", "total_shots", "optimization_shots",
-    "final_eval_shots", "shots_to_threshold", "trials", "avg_point_shots",
-    "avg_distinct",
-]
+# the record keys after the six that name a cell, less the two that are not numbers
+AGGREGATE_METRICS = [k for k in RECORD_KEYS[6:] if k not in ("stop_reason", "config_hash")]
 
 TYPICAL_POINT_SHOT_BAND = (250.0, 400.0)
 
@@ -430,17 +426,12 @@ def write_plot_data(records, cfg: ExperimentConfig, plot_dir: str) -> None:
         _write_pareto(os.path.join(plot_dir, "noise_pareto.csv"), records, "lambda")
 
 
-def _expected_edges(n: int, degree: int) -> int:
-    if n * degree % 2 == 1 or n <= degree:
-        return n * (n - 1) // 2
-    return n * degree // 2
-
-
 def summarize(records, cfg: ExperimentConfig) -> dict:
     """Per-sweep-point savings ratios and the adaptive shot band flags.
 
     Sum(K_i) per run is reconstructed as round(avg_distinct * trials), which is
-    exact for the BO methods (one adaptive point per trial).
+    exact for the BO methods (one adaptive point per trial).  Weights never
+    change the edge set, so the first map_bo record's graph gives its count.
     """
     groups = _group(records, cfg)
     summary: dict = {"experiment": cfg.experiment, "sweep_points": []}
@@ -460,9 +451,10 @@ def summarize(records, cfg: ExperimentConfig) -> dict:
             shots_map = sum(r["optimization_shots"] for r in map_group)
             shots_exp = sum(r["optimization_shots"] for r in exp_group)
             sum_k = sum(round(r["avg_distinct"] * r["trials"]) for r in map_group)
+            num_edges = random_regular(n, cfg.degree, map_group[0]["instance_seed"]).num_edges
             entry["s_q"], entry["s_cl"] = pooled_savings(
                 shots_exp, shots_map, t_map, sum_k / t_map,
-                _expected_edges(n, cfg.degree), cfg.adaptive.bootstrap_resamples)
+                num_edges, cfg.adaptive.bootstrap_resamples)
         summary["sweep_points"].append(entry)
     return summary
 
@@ -582,13 +574,11 @@ def _cmd_gen(args) -> int:
 def _cmd_run(args) -> int:
     with open(args.instance) as fh:
         instance = with_optimum(from_json(fh.read()))
-    if instance.total_weight <= 0:  # every method divides by it
-        raise ValueError(f"{args.instance} has no edge of positive weight")
     cfg = _build_config(args)
     result, trace = run_method(cfg, instance, args.depth, args.noise, args.method,
                                args.seed, derive_seed(args.seed, "stage2"))
     payload = run_result_to_dict(result)
-    payload["metrics"] = json.loads(build_report(instance, result, cfg.threshold).to_json())
+    payload["metrics"] = asdict(build_report(instance, result, cfg.threshold))
     if trace is not None:
         payload["stage2_trace"] = trace
     print(json.dumps(payload, indent=2))

@@ -10,8 +10,7 @@ keys for every evaluated adaptive round, not the resample rows actually drawn.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,11 +143,6 @@ class MetricsReport:
     final_best_sample_accuracy: float
     total_shots: int
     shots_to_threshold: int | None = None
-    s_q: float | None = None
-    s_cl: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def build_report(instance: MaxCutInstance, result, threshold: float) -> MetricsReport:

@@ -3,9 +3,6 @@
 The cost layer is diagonal, so one layer costs an elementwise phase over the
 2^n cut values plus n independent single-qubit X rotations.  States are
 indexed by basis index in the graph module's bit order.
-Parameter-shift gradients branch one generator row per gate off the
-unshifted evolution (see _generator_row); a TargetReader reads only the
-target's bin, projecting onto the target run backwards.
 
 Every state and generator row is unchanged when all bits flip, as cut(z) =
 cut(~z) and the mixers commute with X on all qubits (Farhi et al. 2014,
@@ -307,39 +304,28 @@ class TargetReader:
     at angles that may move between calls.
 
     A gate's read is bin `target` of its `shifted_states` rows, taken at its
-    own layer l on s, the state after the cost phase and before the mixers R.
-    There its generator P (see _generator_row) is X_q for a mixer gate, which
-    commutes with R, or for an edge gate the diagonal -Z_u Z_v, +1 where the
-    edge is cut.  With U the later layers, the shifted final states are
-    (U R s -+ i U R P s)/sqrt(2), so a_t = <t|U R s> and b'_t = <t|U R P s>,
-    the first-half sums of conj(w) s and conj(w) P s (all states are
-    flip-symmetric) with w = R^dagger U^dagger (|t> + |~t>), the target run
-    backwards (the adjoint read of Jones & Gacon 2020, arXiv:2009.02823).
-    The last layer's mixers, exp(+i beta X) on every qubit, give
-    w_z = c^(n-d) (i s)^d + c^d (i s)^(n-d) with c = cos beta, s = sin beta
-    and d = popcount(z XOR t); each earlier layer down to l follows with its
-    conjugate cost phase and its mixers at -beta.  Then
-    p+- = (|a_t|^2 + |b'_t|^2)/2 +- Im(conj(a_t) b'_t), clipped at zero like
-    the rows, and p(target) is |a_t|^2 at the last layer.  A fresh read runs
-    layers before l forwards and l to p - 2 backwards: (p - 1) n mixer passes.
-
-    The s_l and w_l of the last angles are kept.  New angles drop those that
-    depend on a moved one (s_l on gammas[:l + 1] and betas[:l], w_l on
-    betas[l:] and gammas[l + 1:]; 0.0 and -0.0 compare equal, as one
-    rotation), and a read rebuilds what it needs from the nearest kept one
-    with a fresh reader's operations, so it equals a fresh reader's to the
-    bit.  Single-coordinate steps rebuild fewer layers than a fresh read
-    (0.70 per read in perfbench's amplify_small).  At most depth states are
-    kept, a half for each s_l and w_l; the peak stays below depth + 2, as a
-    rebuild adds a mixer's 2 states (see evolve) to at most depth - 1/2 kept,
-    and a read its generator row and, for some edges, a ufunc buffer (1/2
-    each).
+    own layer l on s, the state after the cost phase and before the mixers R,
+    where its generator P (_generator_row) acts on s directly: _flip for a
+    mixer gate, _edge_parity for an edge gate.  With U the later layers, the
+    shifted final states are (U R s -+ i U R P s)/sqrt(2), so
+    a_t = <t|U R s> and b'_t = <t|U R P s>, the first-half sums of conj(w) s
+    and conj(w) P s (all states are flip-symmetric) with
+    w = R^dagger U^dagger (|t> + |~t>), the target run backwards (the adjoint
+    read of Jones & Gacon 2020, arXiv:2009.02823).  p+- follow from a_t and
+    b'_t as in _generator_row, and p(target) is |a_t|^2 at the last layer.
+    A fresh read runs layers before l forwards and l to p - 2 backwards:
+    (p - 1) n mixer passes.  The s_l and w_l of the last angles are kept (see
+    _move_to), and a read rebuilds what it needs from the nearest kept one
+    with a fresh reader's operations, so it equals a fresh reader's to the bit.
     """
 
     def __init__(self, instance: MaxCutInstance, target: int, depth: int):
         n = instance.n
         if not 0 <= target < 2**n:
             raise ValueError(f"target index {target} outside [0, {2**n})")
+        # peak below depth + 2: a rebuild's mixer (2, see evolve) on at most
+        # depth - 1/2 kept (a half per s_l and w_l), or a read's generator row
+        # and, for some edges, a ufunc buffer (1/2 each)
         _check_size(n, depth + 1, "a target reader")
         self.instance, self.target, self.depth = instance, target, depth
         half = 2 ** (n - 1)
@@ -371,7 +357,9 @@ class TargetReader:
         return max(mean + cross, 0.0), max(mean - cross, 0.0)
 
     def _move_to(self, params: QaoaParams) -> None:
-        """Take the angles of `params`, dropping what depends on a moved one."""
+        """Take the angles of `params`, dropping what depends on a moved one:
+        s_l on gammas[:l + 1] and betas[:l], w_l on betas[l:] and
+        gammas[l + 1:] (0.0 and -0.0 compare equal, as one rotation)."""
         depth = self.depth
         if params.depth != depth:
             raise ValueError(f"a target reader of depth {depth} got depth {params.depth}")
@@ -397,7 +385,10 @@ class TargetReader:
 
     def _row(self, layer: int) -> np.ndarray:
         """w_layer = R_layer^dagger U^dagger (|t> + |~t>), R_layer the layer's
-        mixers and U the later layers, as a half row."""
+        mixers and U the later layers, as a half row.  The last layer's mixers,
+        exp(+i beta X) on every qubit, give w_z = c^(n-d) (i s)^d + c^d (i s)^(n-d)
+        with c = cos beta, s = sin beta and d = popcount(z XOR t); each earlier
+        layer follows with its conjugate cost phase and its mixers at -beta."""
         backward, depth = self._backward, self.depth
         if not backward:
             n = self.instance.n

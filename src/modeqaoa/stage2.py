@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import adam_step, check_adam
+from .bo import _check_weight, adam_step, check_adam
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
 # sample is not called here; perfbench's trace-site test still pins this import
@@ -137,6 +137,7 @@ def amplify(instance: MaxCutInstance, params: QaoaParams, target: int,
     sampled-mode shot charge is exactly
     2 * steps * shots_per_shift + ceil(steps / reeval_period) * shots_per_shift.
     """
+    _check_weight(instance)
     ledger = ledger if ledger is not None else ResourceLedger()
     shots = None if cfg.use_exact else cfg.shots_per_shift
     rng = np.random.default_rng(seed)

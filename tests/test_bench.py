@@ -13,11 +13,12 @@ from modeqaoa.baselines import GdConfig
 
 from modeqaoa.bench import (
     AGGREGATE_METRICS, EXPERIMENTS, METHODS, RECORD_KEYS, ExperimentConfig,
-    _build_config, _expected_edges, aggregate_rows, build_parser, config_from_ini, config_hash, config_to_ini, derive_seed,
+    _build_config, aggregate_rows, build_parser, config_from_ini, config_hash, config_to_ini, derive_seed,
     load_records, main, make_instance, records_to_jsonl, run_cell,
     run_experiment, run_method, summarize, write_outputs, write_plot_data,
 )
 from modeqaoa.graph import assign_weights, from_json, index_to_bits, random_regular, with_optimum
+from modeqaoa.resources import pooled_savings
 from modeqaoa.stage2 import AmplifyConfig, _draw
 from modeqaoa.shots import AdaptiveConfig
 
@@ -223,19 +224,6 @@ def test_config_rejects_bad_grid_values():
     ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,), degree=1)
 
 
-def test_expected_edges_matches_random_regular():
-    # summarize's S_cl restates random_regular's K_n fallback (n * degree odd,
-    # or n <= degree) as _expected_edges; the two must give the same edge count
-    grid = [(n, d) for n in range(2, 13) for d in range(1, 5)]
-    grid += [(2, 3), (3, 5), (4, 4), (5, 7), (6, 9)]
-    fallbacks = 0
-    for n, degree in grid:
-        fallbacks += n * degree % 2 == 1 or n <= degree
-        for seed in (0, 1):
-            assert _expected_edges(n, degree) == random_regular(n, degree, seed).num_edges
-    assert fallbacks >= 10
-
-
 def test_cli_warns_on_ignored_gd_shots_per_eval(tmp_path, capsys):
     # exp_gd spends n_fix shots per evaluation; an INI [gd] shots_per_eval
     # other than the default is named on stderr and changes no shot
@@ -413,6 +401,28 @@ def test_summary_savings_and_band(tmp_path):
     assert entry["s_q"] == pytest.approx(shots["exp_bo"] / shots["map_bo"])
 
 
+def test_summary_classical_saving_counts_each_points_edges():
+    # K3 (n <= degree), K5 (n * degree odd) and a 3-regular graph: S_cl takes
+    # each point's edge count from the graph its instances were built on
+    cfg = ExperimentConfig.for_experiment(
+        "qubit_sweep", n_values=(3, 5, 6), instances_per_point=1, t_max=11,
+        methods=("map_bo", "exp_bo"), n_fix=200, n_final=300)
+    records, _ = run_experiment(cfg, master_seed=5)
+    points = summarize(records, cfg)["sweep_points"]
+    assert [p["n"] for p in points] == [3, 5, 6]
+    for point, edges in zip(points, (3, 10, 9)):
+        n = point["n"]
+        num_edges = make_instance(cfg, 5, n, 2, 0.0, 0).num_edges
+        assert num_edges == edges
+        runs = {r["method"]: r for r in records if r["n"] == n}
+        mapped = runs["map_bo"]
+        _, want = pooled_savings(
+            runs["exp_bo"]["optimization_shots"], mapped["optimization_shots"],
+            mapped["trials"], round(mapped["avg_distinct"] * mapped["trials"]) / mapped["trials"],
+            num_edges, cfg.adaptive.bootstrap_resamples)
+        assert point["s_cl"] == want
+
+
 def test_summary_guard_band_follows_adaptive_config():
     # the band is the adaptive controller's [pilot_shots, max_shots]
     cfg = replace(SMALL, adaptive=AdaptiveConfig(pilot_shots=200, max_shots=2000))
@@ -500,17 +510,20 @@ def test_cli_run_stage2_metrics_count_stage2(tmp_path, capsys):
 @pytest.mark.parametrize("edges", [[], [[0, 1, 0.0], [1, 2, 0.0]]])
 @pytest.mark.parametrize("method", ["map_bo", "exp_bo", "exp_gd"])
 def test_cli_run_refuses_zero_total_weight(tmp_path, capsys, monkeypatch, edges, method):
-    # every method divides by the total weight somewhere, some only after
-    # their whole search: run refuses the instance before any method starts
-    calls = []
-    monkeypatch.setattr(bench, "run_method", lambda *args: calls.append(args))
+    # every method divides by the total weight somewhere; each refuses the
+    # instance before it evaluates a circuit, so run exits 2 having built none
+    built = []
+    real = simulator.outcome_distribution
+    for module in (bo, baselines, shots):
+        monkeypatch.setattr(module, "outcome_distribution",
+                            lambda *args: built.append(args) or real(*args))
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"n": 4, "edges": edges}))
     rc = main(["run", "--instance", str(inst), "--method", method, "--seed", "1",
                "--t-max", "20"])
     assert rc == 2
-    assert "no edge of positive weight" in capsys.readouterr().err
-    assert calls == []
+    assert "total weight must be positive" in capsys.readouterr().err
+    assert built == []
 
 
 @pytest.mark.parametrize("text", ['{"n": 4}', '{"n": "4", "edges": [[0, 1, 1.0]]}',

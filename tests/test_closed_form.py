@@ -7,14 +7,18 @@
 where a and b are the degrees of u and v minus one and l is the number of
 triangles on the edge.  Every qubit index from 0 to n - 1 takes part, so the
 half-space kernels' high-qubit reshapes are checked at sizes the kron oracle
-cannot reach."""
+cannot reach.  The target reader's reshapes are checked there at p = 2,
+against the per-qubit oracle."""
 import numpy as np
 import pytest
 
+from conftest import oracle_evolve
 from modeqaoa.baselines import parameter_shift_gradient
 from modeqaoa.graph import MaxCutInstance, random_regular
 from modeqaoa.resources import ResourceLedger
-from modeqaoa.simulator import QaoaParams, distribution, evolve, exact_expectation
+from modeqaoa.simulator import (
+    GateShift, QaoaParams, TargetReader, distribution, evolve, exact_expectation,
+)
 
 
 def edge_terms(instance):
@@ -75,3 +79,26 @@ def test_exact_parameter_shift_gradient_matches_p1_closed_form(n):
     got = parameter_shift_gradient(inst, params, None, None, 0, ResourceLedger())
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+
+
+def test_target_reader_matches_oracle_on_high_qubits():
+    # the reader's bit reshapes (_flip, _edge_parity) on qubits 0, 14 and 15,
+    # at p = 2, against the per-qubit oracle's shifted states
+    inst, _ = _case(16)
+    params = QaoaParams((0.41, 0.77), (1.3, 2.6))
+    high = {0, 14, 15}
+    gates = [("beta", q) for q in sorted(high)]
+    gates += [("gamma", i) for i, (u, v, _) in enumerate(inst.edges) if {u, v} & high]
+    targets = (5, 2**15 + 77, 2**16 - 1 - 3000)  # the last two with bit 0 set
+    readers = [TargetReader(inst, t, 2) for t in targets]
+    want = np.abs(oracle_evolve(inst, params)) ** 2
+    for reader, t in zip(readers, targets):
+        np.testing.assert_allclose(reader.probability(params), want[t], rtol=1e-11, atol=0)
+    for layer in range(2):
+        for kind, index in gates:
+            plus, minus = (np.abs(oracle_evolve(inst, params, GateShift(kind, layer, index,
+                                                                        sign * np.pi / 2))) ** 2
+                           for sign in (1.0, -1.0))
+            for reader, t in zip(readers, targets):
+                np.testing.assert_allclose(reader.read(params, kind, layer, index),
+                                           (plus[t], minus[t]), rtol=1e-11, atol=0)

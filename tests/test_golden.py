@@ -105,29 +105,29 @@ GOLDEN = {
     "single/summary.json":
         "1b4291cd5c6db9b2e9e65bba1c80d344c252a127cc7e131a02f916ab576b0f9b",
     "map_bo/run.json":
-        "8aead3cc1ded0526f24770e27f75a702774b4f5196361623b336ba664fb7eaed",
+        "26203e05fc6fb479193fb976de1d72843d5817feb33be020e87f0f62dd24ba3d",
     "map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
     "exp_bo/run.json":
-        "fed412980247f962c4da986bfc9d403f6d7c24da7839d8f3fee2eb0168dbf53e",
+        "c5eb7ad66ace675981950f8e19665b0cd6b740af2f40b9dc4d8c50f11f5ef338",
     "exp_bo/trials.jsonl":
         "933bb307362d240dc97e1a8b2dfa258739e7f9dd6b93bb4db499e345884b964a",
     "exp_gd/run.json":
-        "b80919a1a9e0a91eb97269e4b420a5d9430bbb2bd4e6e1ff1587f5bb2f21c2ce",
+        "9667c297e9e932f563ed0e4d1dfc802b7b5087df551278df1e34405435cf3253",
     "exp_gd/trials.jsonl":
         "6c9b6a788ebcda03f4c612e40e8d737500f2e887bf114656c461863dcc5629cf",
     # n = 10 runs more than one generator row per kernel call in the sweep
     "n10_exp_gd/run.json":
-        "228d74864c02e4f6ab770223251d7507dd6efe6f8e6420bc8862f1f51dd56965",
+        "b729e0f33c474b42b930b16e4d700ea7181aba7392bd14f085ef0699dfd121d0",
     "n10_exp_gd/trials.jsonl":
         "3a8f45723de24bd02732c866a1c53dac6da81cdc81c2f3309b76742e32a7d777",
     "n10_map_bo/run.json":
-        "9ba83238eec5966e8d9a396e204b8ccd995fcc47a6031a4becd60e668dc8a280",
+        "9830e1a65317ee25e1d461be53c72ad464a9f35b5090806569199c6a0388a93c",
     "n10_map_bo/trials.jsonl":
         "29b935d80cdf1e6da856ace0d4327d46ff44dacd38745d1e285642f6d9dbea37",
     # [gd] exact_gradient and [stage2] use_exact, from one --config INI
     "exact_exp_gd/run.json":
-        "88aa2e07a24a6414f66504dc7a598caf706276432badb2df41baa44ee24196bf",
+        "2a77937195d2c3035c5033889045d8179a38877d46716aa22303b9b86cefde4d",
     "exact_exp_gd/trials.jsonl":
         "9cf8c08e9724b9d71ed398add01594a9b4d1485daac198d24ebb4118c21b2b33",
     # stage 2's exact reads are one bin each, computed from two projected
@@ -135,7 +135,7 @@ GOLDEN = {
     # by <= 1.4e-16 more when reads moved to the gate's own layer, and by
     # <= 9.8e-17 more when its entries came from the run's target reader
     "exact_map_bo/run.json":
-        "7f989303b48266536d9a7de59f49a4187d73420d047549a1bbac7d30513b4069",
+        "2f4e0dc532e48d2271633455bd2e249be1cd30128a2aba5ad699b3ff1f820881",
     "exact_map_bo/trials.jsonl":
         "667eac9f6ae49f3968aa147996b7c5bda7c9d2b4a51d1a4751e5f757bc74b959",
 }

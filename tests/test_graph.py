@@ -109,6 +109,21 @@ def test_random_regular_is_regular(n, seed):
     assert np.all(deg == 3)
 
 
+def test_random_regular_edge_count():
+    # n * degree / 2 edges, or K_n's n(n - 1)/2 where no degree-regular simple
+    # graph exists (n * degree odd, or n <= degree)
+    grid = [(n, d) for n in range(2, 13) for d in range(1, 5)]
+    grid += [(2, 3), (3, 5), (4, 4), (5, 7), (6, 9)]
+    fallbacks = 0
+    for n, degree in grid:
+        fallback = n * degree % 2 == 1 or n <= degree
+        fallbacks += fallback
+        want = n * (n - 1) // 2 if fallback else n * degree // 2
+        for seed in (0, 1):
+            assert random_regular(n, degree, seed).num_edges == want
+    assert fallbacks >= 10
+
+
 def test_random_regular_deterministic():
     a = random_regular(8, 3, seed=42)
     b = random_regular(8, 3, seed=42)

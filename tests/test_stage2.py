@@ -5,7 +5,9 @@ import pytest
 
 from conftest import oracle_evolve
 from modeqaoa import simulator, stage2
-from modeqaoa.graph import assign_weights, brute_force_optimum, random_regular, with_optimum
+from modeqaoa.graph import (
+    MaxCutInstance, assign_weights, brute_force_optimum, random_regular, with_optimum,
+)
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
@@ -327,6 +329,18 @@ def test_amplify_zero_steps(small):
                                 AmplifyConfig(steps=0), seed=0)
     assert out_params == params
     assert len(trace) == 1
+
+
+@pytest.mark.parametrize("edges", [[], [(0, 1, 0.0), (1, 2, 0.0)]])
+def test_amplify_refuses_zero_total_weight(edges):
+    # an edgeless graph has no gate to draw under gamma, and a weightless one
+    # would run every read: both are refused before the first is charged
+    ledger = ResourceLedger()
+    with pytest.raises(ValueError, match="total weight must be positive"):
+        amplify(MaxCutInstance.from_edges(4, edges), QaoaParams((0.4, 0.7), (0.9, 1.2)), 0,
+                seed=0, ledger=ledger)
+    assert ledger.circuit_evaluations == 0
+    assert ledger.stage2_shots == 0
 
 
 def test_amplify_deterministic(small):

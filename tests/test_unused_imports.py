@@ -1,5 +1,6 @@
 """No library module imports a name it never uses, apart from two pinned ones,
-and no module-level name of the library goes unloaded everywhere.
+no module-level name of the library goes unloaded everywhere, and those that
+only tests or perfbench load are listed.
 
 No linter is installed, so both checks read the sources with `ast`.  An
 imported name is used when any `Name` node (an attribute's base included)
@@ -81,3 +82,19 @@ def test_no_orphaned_module_level_names():
     orphans = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
                for name in module_names(path.read_text()) - loaded}
     assert orphans == set()
+
+
+# module-level names that no library module loads: kept for tests and
+# perfbench alone, each on purpose
+TEST_ONLY = {"estimators.mode_confidence", "estimators.normalized_cut_variance",
+             "resources.saving_ratios", "simulator.GateShift", "stage2.target_probability"}
+
+
+def test_test_only_names_are_listed():
+    # a helper a refactor leaves to the tests alone must join TEST_ONLY by hand;
+    # __init__ only re-exports, so its loads do not count
+    library = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    loaded = set().union(*(loaded_names(path.read_text()) for path in library))
+    unloaded = {f"{path.stem}.{name}" for path in library
+                for name in module_names(path.read_text()) - loaded}
+    assert unloaded == TEST_ONLY
