@@ -17,9 +17,8 @@ from .estimators import (Counts, EvalStats, compute_stats, dual_gate,
 from .graph import (MaxCutInstance, assign_weights, brute_force_optimum,
                     complete_graph, cut_values_table, index_to_bits,
                     random_regular, with_optimum)
-from .resources import (MetricsReport, ResourceLedger, aux_accuracies,
-                        build_report, final_mode_accuracy, saving_ratios,
-                        shots_to_threshold)
+from .resources import (ResourceLedger, aux_accuracies, build_report,
+                        final_mode_accuracy, saving_ratios, shots_to_threshold)
 from .shots import AdaptiveConfig, PointEvaluation, evaluate_point, next_batch
 from .simulator import (GateShift, NoiseSpec, QaoaParams, TargetReader,
                         apply_depolarizing, distribution, evolve,

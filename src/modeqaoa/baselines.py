@@ -36,15 +36,12 @@ class GdConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    shots_per_eval: int = DEFAULT_N_FIX
     exact_gradient: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         check_adam(self)
-        if self.shots_per_eval < 1:
-            raise ValueError("shots_per_eval must be >= 1")
 
 
 def _split_shots(total: int, parts: int) -> list[int]:
@@ -128,6 +125,7 @@ def optimize_exp_bo(instance: MaxCutInstance, depth: int,
 
 
 def optimize_exp_gd(instance: MaxCutInstance, depth: int,
+                    n_fix: int = DEFAULT_N_FIX,
                     gd_cfg: GdConfig = GdConfig(),
                     noise: NoiseSpec | None = None, seed: int = 0,
                     n_final: int = 5000) -> RunResult:
@@ -138,8 +136,10 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     (2 * 2p + 1) * N_fix shots.
     """
     _check_weight(instance)
+    if n_fix < 1:
+        raise ValueError("n_fix must be >= 1")
     # the gradient's shots per coordinate and sign; None when it is exact
-    shots = None if gd_cfg.exact_gradient else gd_cfg.shots_per_eval
+    shots = None if gd_cfg.exact_gradient else n_fix
     if shots is not None:
         # a budget too small for the gradient's split fails before any charge
         for kind in GATE_KINDS:
@@ -153,13 +153,12 @@ def optimize_exp_gd(instance: MaxCutInstance, depth: int,
     for t in range(1, gd_cfg.iterations + 1):
         eval_seed, grad_seed = child_seeds(ss, 2)
         params = QaoaParams.from_vector(theta)
-        value, counts = fixed_shot_expectation_eval(instance, params,
-                                                    gd_cfg.shots_per_eval, noise,
+        spent = ledger.optimization_shots
+        value, counts = fixed_shot_expectation_eval(instance, params, n_fix, noise,
                                                     eval_seed, ledger)
         grad = parameter_shift_gradient(instance, params, shots, noise, grad_seed, ledger)
-        grad_shots = 0 if shots is None else 2 * 2 * depth * shots
         trials.append(_fixed_shot_trial(instance, t, params, value, counts,
-                                        gd_cfg.shots_per_eval + grad_shots))
+                                        ledger.optimization_shots - spent))
         step, m, v = adam_step(gd_cfg, m, v, grad, t)
         theta = theta + step
     return finish_run(instance, trials, ss, noise, n_final, ledger, "budget")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .baselines import GdConfig, optimize_exp_bo, optimize_exp_gd
+from .baselines import DEFAULT_N_FIX, GdConfig, optimize_exp_bo, optimize_exp_gd
 from .bo import (RunResult, StagnationConfig, TpeConfig, optimize_map_bo,
                  run_result_to_dict, trials_to_jsonl)
 from .graph import (MaxCutInstance, assign_weights, from_json, random_regular,
@@ -86,7 +86,7 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHODS
     threshold: float = 0.80
     t_max: int = 100
-    n_fix: int = 1000
+    n_fix: int = DEFAULT_N_FIX
     n_final: int = 5000
     stage2_enabled: bool = False
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
@@ -157,35 +157,27 @@ _SECTIONS = {
     "gd": ("gd", GdConfig),
     "stage2": ("amplify_cfg", AmplifyConfig),
 }
-
-
-def _parse_value(raw: str, annotation: str):
-    """One non-boolean INI value, typed by its dataclass field's annotation string."""
-    if annotation == "int":
-        return int(raw)
-    if annotation == "float":
-        return float(raw)
-    if annotation == "str":
-        return raw.strip()
-    # tuple fields: whitespace-separated scalars
-    parts = raw.split()
-    if "int" in annotation:
-        return tuple(int(x) for x in parts)
-    if "float" in annotation:
-        return tuple(float(x) for x in parts)
-    return tuple(parts)
+# the ExperimentConfig fields that hold a section, so no [experiment] key
+_NESTED = frozenset(name for name, _ in _SECTIONS.values())
 
 
 def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dict:
-    """Typed keyword arguments of cls from one INI section; unknown keys raise."""
-    types = {f.name: f.type for f in fields(cls)}
+    """Keyword arguments of cls from one INI section, each typed as its field's
+    default; unknown keys raise."""
+    defaults = cls()
+    names = {f.name for f in fields(cls)} - _NESTED
     kwargs = {}
     for key, raw in parser.items(section):
-        if key not in types:
+        if key not in names:
             raise ValueError(f"unknown key {key!r} in section [{section}]")
-        # booleans by the stdlib's BOOLEAN_STATES, so a misspelt word raises
-        kwargs[key] = (parser.getboolean(section, key) if types[key] == "bool"
-                       else _parse_value(raw, types[key]))
+        default = getattr(defaults, key)
+        if isinstance(default, bool):
+            # the stdlib's BOOLEAN_STATES, so a misspelt word raises
+            kwargs[key] = parser.getboolean(section, key)
+        elif isinstance(default, tuple):  # whitespace-separated scalars
+            kwargs[key] = tuple(map(type(default[0]), raw.split()))
+        else:
+            kwargs[key] = type(default)(raw.strip())
     return kwargs
 
 
@@ -205,13 +197,12 @@ def config_from_ini(text: str) -> ExperimentConfig:
 def config_to_ini(cfg: ExperimentConfig) -> str:
     """Full resolved configuration, every default spelled out."""
     parser = configparser.ConfigParser()
-    nested = {name for name, _ in _SECTIONS.values()}
     sections = {"experiment": cfg,
                 **{section: getattr(cfg, name) for section, (name, _) in _SECTIONS.items()}}
     for section, obj in sections.items():
         parser.add_section(section)
         for f in fields(obj):
-            if f.name in nested:
+            if f.name in _NESTED:
                 continue
             value = getattr(obj, f.name)
             if isinstance(value, tuple):
@@ -251,8 +242,7 @@ def run_method(cfg: ExperimentConfig, instance: MaxCutInstance, p: int, lam: flo
         result = optimize_exp_bo(instance, p, cfg.n_fix, cfg.tpe, cfg.stagnation,
                                  noise, cfg.t_max, seed, cfg.n_final)
     elif method == "exp_gd":
-        gd = replace(cfg.gd, shots_per_eval=cfg.n_fix)
-        result = optimize_exp_gd(instance, p, gd, noise, seed, cfg.n_final)
+        result = optimize_exp_gd(instance, p, cfg.n_fix, cfg.gd, noise, seed, cfg.n_final)
     else:
         raise ValueError(f"unknown method {method!r}")
     trace = None
@@ -273,7 +263,6 @@ def run_cell(cfg: ExperimentConfig, master_seed: int, n: int, p: int, lam: float
     run_seed = derive_seed(master_seed, point, index, method)
     result, trace = run_method(cfg, instance, p, lam, method, run_seed,
                                derive_seed(master_seed, point, index, "stage2"))
-    report = build_report(instance, result, cfg.threshold)
     ledger = result.ledger
     record = {
         "method": method,
@@ -282,20 +271,16 @@ def run_cell(cfg: ExperimentConfig, master_seed: int, n: int, p: int, lam: float
         "lambda": lam,
         "instance_seed": instance_seed,
         "run_seed": run_seed,
-        "final_mode_accuracy": report.final_mode_accuracy,
-        "final_expectation_accuracy": report.final_expectation_accuracy,
-        "final_best_sample_accuracy": report.final_best_sample_accuracy,
-        "total_shots": ledger.total_shots,
+        **build_report(instance, result, cfg.threshold),
         "optimization_shots": ledger.optimization_shots,
         "final_eval_shots": ledger.final_eval_shots,
-        "shots_to_threshold": report.shots_to_threshold,
         "trials": len(result.trials),
         "stop_reason": result.stop_reason,
         "avg_point_shots": ledger.avg_point_shots,
         "avg_distinct": ledger.avg_distinct,
         "config_hash": config_hash(cfg),
     }
-    return record, result, trace
+    return {k: record[k] for k in RECORD_KEYS}, result, trace
 
 
 def run_experiment(cfg: ExperimentConfig, master_seed: int):
@@ -542,9 +527,6 @@ def _build_config(args) -> ExperimentConfig:
                       f"keys {', '.join(dropped)} in {args.config} with its preset grid",
                       file=sys.stderr)
             cfg = replace(cfg, experiment=experiment, **preset)
-        if cfg.gd.shots_per_eval != GdConfig.shots_per_eval:
-            print(f"warning: [gd] shots_per_eval = {cfg.gd.shots_per_eval} in {args.config} "
-                  "is ignored; exp_gd spends n_fix shots per evaluation", file=sys.stderr)
     else:
         cfg = ExperimentConfig.for_experiment(experiment or "qubit_sweep")
     overrides = {name: getattr(args, name) for name in _FLAGS
@@ -578,7 +560,7 @@ def _cmd_run(args) -> int:
     result, trace = run_method(cfg, instance, args.depth, args.noise, args.method,
                                args.seed, derive_seed(args.seed, "stage2"))
     payload = run_result_to_dict(result)
-    payload["metrics"] = asdict(build_report(instance, result, cfg.threshold))
+    payload["metrics"] = build_report(instance, result, cfg.threshold)
     if trace is not None:
         payload["stage2_trace"] = trace
     print(json.dumps(payload, indent=2))

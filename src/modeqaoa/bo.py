@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import DEFAULT_BOOTSTRAP_RESAMPLES, Counts, EvalStats, compute_stats
+from .estimators import (DEFAULT_BOOTSTRAP_RESAMPLES, Counts, EvalStats, _check_weight,
+                         compute_stats)
 from .graph import MaxCutInstance, index_to_bits
 from .resources import ResourceLedger
 from .shots import AdaptiveConfig, evaluate_point
@@ -172,11 +173,6 @@ def adam_step(cfg, m, v, grad, t: int):
     m_hat = m / (1 - cfg.adam_beta1**t)
     v_hat = v / (1 - cfg.adam_beta2**t)
     return cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), m, v
-
-
-def _check_weight(instance: MaxCutInstance) -> None:
-    if instance.total_weight <= 0:  # every method's statistics divide by it
-        raise ValueError("total weight must be positive")
 
 
 def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfig,

@@ -172,11 +172,15 @@ def _bootstrap_confidence(vals: np.ndarray, resamples: int, seed: int,
     return hits / resamples
 
 
+def _check_weight(instance: MaxCutInstance) -> None:
+    if instance.total_weight <= 0:  # every method's statistics divide by it
+        raise ValueError("total weight must be positive")
+
+
 def _cut_moments(instance: MaxCutInstance, vals: np.ndarray,
                  cuts: np.ndarray) -> tuple[float, float]:
     """(mean cut, cut variance / total weight^2) of the histogram."""
-    if instance.total_weight <= 0:
-        raise ValueError("total weight must be positive")
+    _check_weight(instance)
     total = int(vals.sum())
     first = float(vals @ cuts) / total
     second = float(vals @ (cuts * cuts)) / total

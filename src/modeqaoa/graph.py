@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class MaxCutInstance:
 
     n: int
     edges: tuple[Edge, ...]
-    total_weight: float
     optimum: tuple[int, float] | None = None  # (index, cut)
 
     def __post_init__(self):
@@ -41,16 +40,16 @@ class MaxCutInstance:
             if not (w >= 0 and np.isfinite(w)):
                 raise ValueError(f"edge ({u},{v}) has invalid weight {w}")
             seen.add((u, v))
-        total = float(sum(w for _, _, w in self.edges))
-        if abs(total - self.total_weight) > 1e-12 * max(1.0, abs(total)):
-            raise ValueError("total_weight inconsistent with edge list")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "MaxCutInstance":
-        """Normalize (u < v, sorted edge list) and compute the total weight."""
-        norm = tuple(sorted((min(u, v), max(u, v), float(w)) for u, v, w in edges))
-        total = float(sum(w for _, _, w in norm))
-        return cls(n=n, edges=norm, total_weight=total)
+        """Normalize to u < v and a sorted edge list."""
+        return cls(n=n, edges=tuple(sorted((min(u, v), max(u, v), float(w))
+                                           for u, v, w in edges)))
+
+    @cached_property
+    def total_weight(self) -> float:
+        return float(sum(w for _, _, w in self.edges))
 
     @property
     def num_edges(self) -> int:

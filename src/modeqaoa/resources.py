@@ -136,22 +136,14 @@ def saving_ratios(ledger_exp: ResourceLedger, trials_exp: int,
                           bootstrap_resamples)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    final_mode_accuracy: float
-    final_expectation_accuracy: float
-    final_best_sample_accuracy: float
-    total_shots: int
-    shots_to_threshold: int | None = None
-
-
-def build_report(instance: MaxCutInstance, result, threshold: float) -> MetricsReport:
-    """Metrics for one finished run (any method; result is a RunResult)."""
+def build_report(instance: MaxCutInstance, result, threshold: float) -> dict:
+    """Metrics for one finished run (any method; result is a RunResult), keyed
+    as in bench's records."""
     exp_acc, best_acc = aux_accuracies(instance, result.final_counts)
-    return MetricsReport(
-        final_mode_accuracy=final_mode_accuracy(instance, result.final_eval),
-        final_expectation_accuracy=exp_acc,
-        final_best_sample_accuracy=best_acc,
-        total_shots=result.ledger.total_shots,
-        shots_to_threshold=shots_to_threshold(result.trials, instance, threshold),
-    )
+    return {
+        "final_mode_accuracy": final_mode_accuracy(instance, result.final_eval),
+        "final_expectation_accuracy": exp_acc,
+        "final_best_sample_accuracy": best_acc,
+        "total_shots": result.ledger.total_shots,
+        "shots_to_threshold": shots_to_threshold(result.trials, instance, threshold),
+    }

@@ -39,8 +39,6 @@ def test_gd_config_validation():
         GdConfig(iterations=0)
     with pytest.raises(ValueError):
         GdConfig(learning_rate=-0.1)
-    with pytest.raises(ValueError):
-        GdConfig(shots_per_eval=0)
     # Adam's settings are checked with stage 2's, by bo.check_adam
     for kwargs in (dict(adam_beta1=1.0), dict(adam_beta2=1.5), dict(adam_beta1=-0.1),
                    dict(adam_eps=0.0), dict(learning_rate=float("nan"))):
@@ -68,13 +66,16 @@ def test_exp_gd_refuses_small_budget_before_charging(monkeypatch):
     monkeypatch.setattr(baselines, "fixed_shot_expectation_eval",
                         lambda *args: evaluations.append(args) or evaluate(*args))
     with pytest.raises(ValueError, match="cannot cover"):
-        optimize_exp_gd(inst, 2, GdConfig(shots_per_eval=10))
+        optimize_exp_gd(inst, 2, 10)
+    for exact in (False, True):
+        with pytest.raises(ValueError, match="n_fix must be >= 1"):
+            optimize_exp_gd(inst, 1, 0, GdConfig(exact_gradient=exact))
     # an edgeless graph is refused for its weight, as the other methods refuse it
     with pytest.raises(ValueError, match="total weight must be positive"):
-        optimize_exp_gd(MaxCutInstance.from_edges(4, []), 1, GdConfig(shots_per_eval=100))
+        optimize_exp_gd(MaxCutInstance.from_edges(4, []), 1, 100)
     assert evaluations == []
-    result = optimize_exp_gd(inst, 1, GdConfig(iterations=1, shots_per_eval=10,
-                                               exact_gradient=True), n_final=10)
+    result = optimize_exp_gd(inst, 1, 10, GdConfig(iterations=1, exact_gradient=True),
+                             n_final=10)
     assert len(evaluations) == 1
     assert result.ledger.optimization_shots == 10
 
@@ -91,7 +92,7 @@ def test_methods_refuse_zero_total_weight_before_any_evaluation(monkeypatch, met
     inst = MaxCutInstance.from_edges(6, [(0, 1, 0.0), (2, 3, 0.0)])
     run = {"map_bo": lambda: optimize_map_bo(inst, 2, t_max=20),
            "exp_bo": lambda: optimize_exp_bo(inst, 2, t_max=20),
-           "exp_gd": lambda: optimize_exp_gd(inst, 2, GdConfig(iterations=5))}[method]
+           "exp_gd": lambda: optimize_exp_gd(inst, 2, gd_cfg=GdConfig(iterations=5))}[method]
     with pytest.raises(ValueError, match="total weight must be positive"):
         run()
     assert built == []
@@ -194,8 +195,8 @@ def test_exp_bo_deterministic(six_reg):
 
 def test_exp_gd_improves_expectation():
     inst = with_optimum(random_regular(6, 3, seed=3))
-    cfg = GdConfig(iterations=30, exact_gradient=True, shots_per_eval=400)
-    res = optimize_exp_gd(inst, depth=1, gd_cfg=cfg, seed=1)
+    cfg = GdConfig(iterations=30, exact_gradient=True)
+    res = optimize_exp_gd(inst, depth=1, n_fix=400, gd_cfg=cfg, seed=1)
     first = res.trials[0].objective
     assert res.best_objective > first
     # exact-gradient mode bills only the base evaluations
@@ -206,8 +207,7 @@ def test_exp_gd_improves_expectation():
 
 def test_exp_gd_sampled_accounting():
     inst = with_optimum(random_regular(4, 3, seed=0))
-    cfg = GdConfig(iterations=3, shots_per_eval=200)
-    res = optimize_exp_gd(inst, depth=2, gd_cfg=cfg, seed=0)
+    res = optimize_exp_gd(inst, depth=2, n_fix=200, gd_cfg=GdConfig(iterations=3), seed=0)
     # per iteration: base eval 200 + gradient 2*2p*200 = 200 + 3200
     per_iter = 200 + 2 * 4 * 200
     assert res.ledger.optimization_shots == 3 * per_iter
@@ -217,8 +217,8 @@ def test_exp_gd_sampled_accounting():
 
 def test_exp_gd_deterministic():
     inst = with_optimum(random_regular(4, 3, seed=0))
-    cfg = GdConfig(iterations=4, shots_per_eval=150)
-    a = optimize_exp_gd(inst, depth=1, gd_cfg=cfg, seed=7)
-    b = optimize_exp_gd(inst, depth=1, gd_cfg=cfg, seed=7)
+    cfg = GdConfig(iterations=4)
+    a = optimize_exp_gd(inst, depth=1, n_fix=150, gd_cfg=cfg, seed=7)
+    b = optimize_exp_gd(inst, depth=1, n_fix=150, gd_cfg=cfg, seed=7)
     assert [t.objective for t in a.trials] == [t.objective for t in b.trials]
     assert a.best_params == b.best_params

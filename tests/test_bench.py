@@ -1,8 +1,9 @@
+import configparser
 import csv
 import json
 import os
 import platform
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -96,10 +97,37 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) != config_hash(c)
 
 
+# every field of every section away from its default: int, float, str, bool
+# and tuples of int, float and str
+EVERY_FIELD_SET = ExperimentConfig(
+    experiment="depth_sweep", n_values=(5, 7), p_values=(1, 3), noise_lambdas=(0.0, 0.25),
+    instances_per_point=3, degree=4, weight_scheme="uniform", methods=("exp_gd", "map_bo"),
+    threshold=0.75, t_max=44, n_fix=321, n_final=777, stage2_enabled=True,
+    adaptive=AdaptiveConfig(pilot_shots=50, growth=1.5, max_shots=800, tau_conf=0.8,
+                            tau_var=0.03, bootstrap_resamples=150),
+    tpe=bo.TpeConfig(startup_trials=7, good_fraction=0.3, candidates_per_suggest=16,
+                     bandwidth_floor=0.1),
+    stagnation=bo.StagnationConfig(patience=12, min_delta=0.001),
+    gd=GdConfig(iterations=9, learning_rate=0.1, adam_beta1=0.8, adam_beta2=0.99,
+                adam_eps=1e-6, exact_gradient=True),
+    amplify_cfg=AmplifyConfig(steps=20, shots_per_shift=64, learning_rate=0.2,
+                              adam_beta1=0.85, adam_beta2=0.995, adam_eps=1e-7,
+                              reeval_period=4, use_exact=True))
+
+
 def test_config_ini_roundtrip():
-    cfg = ExperimentConfig.for_experiment(
-        "noise_sweep", instances_per_point=3, t_max=44,
-        adaptive=AdaptiveConfig(pilot_shots=50, max_shots=800))
+    cfg = EVERY_FIELD_SET
+    default = ExperimentConfig()
+    sections = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            sections.append((value, getattr(default, f.name)))
+        else:
+            assert value != getattr(default, f.name), f.name
+    for obj, base in sections:
+        for f in fields(obj):
+            assert getattr(obj, f.name) != getattr(base, f.name), f.name
     text = config_to_ini(cfg)
     back = config_from_ini(text)
     assert back == cfg
@@ -111,6 +139,26 @@ def test_config_ini_rejects_unknown_keys():
         config_from_ini("[experiment]\nbogus_key = 1\n")
     with pytest.raises(ValueError):
         config_from_ini("[adaptive]\nbogus = 2\n")
+
+
+@pytest.mark.parametrize("name", ["adaptive", "tpe", "stagnation", "gd", "amplify_cfg"])
+def test_config_ini_refuses_nested_names_in_experiment(tmp_path, capsys, monkeypatch, name):
+    # these fields hold a section; [experiment] used to parse `adaptive = 3` into
+    # adaptive=('3',), and the run died inside its first cell
+    with pytest.raises(ValueError, match=f"unknown key '{name}' in section \\[experiment\\]"):
+        config_from_ini(f"[experiment]\n{name} = 3\n")
+    ini = tmp_path / "nested.ini"
+    ini.write_text(f"[experiment]\n{name} = 3\n")
+    cells = []
+    monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+    out = tmp_path / "out"
+    rc = main(["bench", "--seed", "1", "--out", str(out), "--experiment", "single",
+               "--n-values", "4", "--instances", "1", "--methods", "map_bo",
+               "--t-max", "3", "--config", str(ini)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: unknown key '{name}'")
+    assert cells == []
+    assert not out.exists()
 
 
 def test_config_ini_booleans_are_strict():
@@ -224,32 +272,34 @@ def test_config_rejects_bad_grid_values():
     ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,), degree=1)
 
 
-def test_cli_warns_on_ignored_gd_shots_per_eval(tmp_path, capsys):
-    # exp_gd spends n_fix shots per evaluation; an INI [gd] shots_per_eval
-    # other than the default is named on stderr and changes no shot
+def test_cli_refuses_gd_shots_per_eval(tmp_path, capsys, monkeypatch):
+    # exp_gd spends n_fix shots per evaluation; the [gd] key that once named a
+    # second budget, and was ignored, is now an unknown key, in an INI written
+    # by hand or in an older config_resolved.ini
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"n": 4, "edges": [[0, 1, 1.0], [1, 2, 1.0],
                                                   [2, 3, 1.0], [0, 3, 1.0]]}))
-    base = ["run", "--instance", str(inst), "--method", "exp_gd", "--seed", "1",
-            "--n-fix", "150", "--n-final", "200", "--config"]
-    outputs = {}
-    for per_eval in ("", f"shots_per_eval = {GdConfig.shots_per_eval}\n",
-                     "shots_per_eval = 50\n"):
-        ini = tmp_path / "gd.ini"
-        ini.write_text(f"[gd]\niterations = 2\n{per_eval}")
-        assert main(base + [str(ini)]) == 0
-        outputs[per_eval] = capsys.readouterr()
-    plain, default, fifty = outputs.values()
-    assert plain.err == default.err == ""
-    assert fifty.err.startswith("warning:") and len(fifty.err.splitlines()) == 1
-    assert "shots_per_eval = 50" in fifty.err and "n_fix" in fifty.err
-    assert plain.out == default.out == fifty.out
+    ini = tmp_path / "gd.ini"
+    ini.write_text("[gd]\niterations = 2\n")
+    argv = ["run", "--instance", str(inst), "--method", "exp_gd", "--seed", "1",
+            "--n-fix", "150", "--n-final", "200", "--config", str(ini)]
+    assert main(argv) == 0
     # 2 iterations x (1 + 2 * 2p) evaluations of n_fix = 150 shots at p = 2
-    assert json.loads(fifty.out)["ledger"]["optimization_shots"] == 2 * 9 * 150
-    ini.write_text("[experiment]\nn_values = 4\n[gd]\nshots_per_eval = 50\n")
-    _build_config(build_parser().parse_args(
-        ["bench", "--seed", "1", "--out", str(tmp_path / "x"), "--config", str(ini)]))
-    assert "shots_per_eval = 50" in capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["ledger"]["optimization_shots"] == 2 * 9 * 150
+    ini.write_text("[gd]\niterations = 2\nshots_per_eval = 50\n")
+    runs = []
+    monkeypatch.setattr(bench, "run_method", lambda *a, **k: runs.append(a))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown key 'shots_per_eval' in section [gd]\n"
+    assert runs == []
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "config_resolved.ini").write_text(config_to_ini(ExperimentConfig()).replace(
+        "adam_eps = 1e-08\n", "adam_eps = 1e-08\nshots_per_eval = 1000\n", 1))
+    (old / "records.jsonl").write_text("")
+    assert main(["report", "--indir", str(old)]) == 2
+    assert "unknown key 'shots_per_eval'" in capsys.readouterr().err
+    assert sorted(os.listdir(old)) == ["config_resolved.ini", "records.jsonl"]
 
 
 def test_derive_seed_stable():
@@ -743,6 +793,29 @@ CLI_SURFACE = {
                (("--indir",), "indir", None, None, None, None, True),
                (("--out",), "out", None, None, None, None, False)],
 }
+
+
+# every section and key of a resolved INI, in file order
+INI_SURFACE = {
+    "experiment": ["experiment", "n_values", "p_values", "noise_lambdas",
+                   "instances_per_point", "degree", "weight_scheme", "methods", "threshold",
+                   "t_max", "n_fix", "n_final", "stage2_enabled"],
+    "adaptive": ["pilot_shots", "growth", "max_shots", "tau_conf", "tau_var",
+                 "bootstrap_resamples"],
+    "tpe": ["startup_trials", "good_fraction", "candidates_per_suggest", "bandwidth_floor"],
+    "stagnation": ["patience", "min_delta"],
+    "gd": ["iterations", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
+           "exact_gradient"],
+    "stage2": ["steps", "shots_per_shift", "learning_rate", "adam_beta1", "adam_beta2",
+               "adam_eps", "reeval_period", "use_exact"],
+}
+
+
+def test_ini_surface_is_pinned():
+    # adding or removing a config knob shows here as a deliberate edit
+    parser = configparser.ConfigParser()
+    parser.read_string(config_to_ini(ExperimentConfig()))
+    assert [(s, list(parser[s])) for s in parser.sections()] == list(INI_SURFACE.items())
 
 
 def test_cli_surface_is_pinned():
