@@ -4,9 +4,9 @@ Both charge a constant N_fix shots per expectation evaluation and, unlike the
 mode-objective pipeline, their classical post-processing is billed per raw
 shot rather than per distinct key.  Gradients score the shifted outcome
 distributions of simulator.shifted_states, the two-point rule per gate.
-A sampled gate's value is the mean cut of its shots, drawn as sorted indices
-(simulator.sample_indices) from one generator per gradient, in sweep order;
-every other evaluation draws a histogram with simulator.sample.
+A sampled gate's value is the mean cut of its shots: sorted indices drawn in
+batches of half rows (simulator.sample_halves) from one generator per gradient,
+in sweep order.  Every other evaluation draws a histogram (simulator.sample).
 """
 from __future__ import annotations
 
@@ -21,10 +21,10 @@ from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, _check_weight, a
 from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # noqa: F401
 from .graph import MaxCutInstance, cut_values_table
 from .resources import ResourceLedger
-from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams,
+from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, _shift_batches,
                         apply_depolarizing, child_seeds, exact_expectation,
-                        gate_count, outcome_distribution, sample, sample_indices,
-                        shifted_states)
+                        gate_coefficient, gate_count, outcome_distribution, sample,
+                        sample_halves, shifted_states)
 
 DEFAULT_N_FIX = 1000
 
@@ -58,9 +58,8 @@ def fixed_shot_expectation_eval(instance: MaxCutInstance, params: QaoaParams,
                                 ledger: ResourceLedger) -> tuple[float, Counts]:
     """(sampled mean cut value, histogram) from a fixed shot budget."""
     dist = outcome_distribution(instance, params, noise)
-    ledger.circuit_evaluations += 1
     counts = sample(dist, shots, seed)
-    ledger.record_fixed_point(shots, counts.distinct)
+    ledger.record_fixed_points([shots], [counts.distinct])
     return expectation_estimate(instance, counts), counts
 
 
@@ -82,27 +81,26 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
     generators, for a total ledger charge of 2 * 2p * shots per call, all
     drawn from default_rng(seed).
     """
-    if shots is not None:
-        parts = {kind: _split_shots(shots, gate_count(instance, kind))
-                 for kind in GATE_KINDS}
-        cuts = cut_values_table(instance)
-        rng = np.random.default_rng(seed)
-
-    def value(kind: str, index: int, probs: np.ndarray) -> float:
-        dist = apply_depolarizing(probs, noise)
-        ledger.circuit_evaluations += 1
-        if shots is None:
-            return exact_expectation(instance, dist)
-        part = parts[kind][index]
-        # the mean of i.i.d. cut values needs the drawn indices, not a histogram
-        idx = sample_indices(dist, part, rng)
-        ledger.record_fixed_point(part, 1 + np.count_nonzero(np.diff(idx)))
-        return float(cuts[idx].mean())
-
     grad = np.zeros(2 * params.depth)
-    for kind, layer, index, coeff, plus, minus in shifted_states(instance, params):
-        k = layer + (params.depth if kind == "gamma" else 0)
-        grad[k] += coeff * (value(kind, index, plus) - value(kind, index, minus))
+    if shots is None:
+        for kind, layer, index, coeff, plus, minus in shifted_states(instance, params):
+            ledger.circuit_evaluations += 2
+            grad[layer + (params.depth if kind == "gamma" else 0)] += coeff * (
+                exact_expectation(instance, apply_depolarizing(plus, noise))
+                - exact_expectation(instance, apply_depolarizing(minus, noise)))
+        return grad
+    parts = {kind: _split_shots(shots, gate_count(instance, kind)) for kind in GATE_KINDS}
+    cuts = cut_values_table(instance)
+    rng = np.random.default_rng(seed)
+    for gates, halves in _shift_batches(instance, params):
+        counts = [parts[kind][index] for kind, _, index in gates for _ in "+-"]
+        runs = sample_halves(halves, counts, noise, rng)
+        means = np.concatenate([cuts[idx].sum(axis=1) / idx.shape[1] for idx in runs])
+        ledger.record_fixed_points(counts, np.concatenate(
+            [1 + np.count_nonzero(np.diff(idx), axis=1) for idx in runs]).tolist())
+        for (kind, layer, index), plus, minus in zip(gates, means[::2], means[1::2]):
+            grad[layer + (params.depth if kind == "gamma" else 0)] += \
+                gate_coefficient(instance, kind, index) * (plus - minus)
     return grad
 
 

@@ -38,12 +38,14 @@ class ResourceLedger:
         self.per_point_shots.append(int(shots))
         self.distinct_counts.append(int(distinct))
 
-    def record_fixed_point(self, shots: int, distinct: int) -> None:
-        """A fixed-shot point: its shots, with count and cut work billed per raw shot."""
-        self.optimization_shots += shots
-        self.classical_count_ops += shots
-        self.classical_cut_ops += shots
-        self.record_point(shots, distinct)
+    def record_fixed_points(self, shots: list[int], distinct: list[int]) -> None:
+        """Fixed-shot points, a circuit evaluation each, billed per raw shot."""
+        self.circuit_evaluations += len(shots)
+        self.optimization_shots += sum(shots)
+        self.classical_count_ops += sum(shots)
+        self.classical_cut_ops += sum(shots)
+        self.per_point_shots.extend(shots)
+        self.distinct_counts.extend(distinct)
 
     @property
     def avg_point_shots(self) -> float | None:

@@ -16,7 +16,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -25,10 +25,12 @@ from .graph import MaxCutInstance, _cut_levels, cut_values_table
 
 MAX_QUBITS = 24
 GATE_KINDS = ("beta", "gamma")  # search vector order: [betas, gammas]
-# bytes of a stack's largest array, its mirrored + and - probability rows;
+# bytes of a stack's mirrored + and - probability rows, half that as half rows;
 # bigger stacks ran slower (at n = 12, 256 KiB stacks of full-length rows took
 # about 3x as long: allocator trimming and cache misses)
 _STACK_BYTES = 128 * 2**10
+# bytes of a batch of half rows the sampled gradient draws from in one call
+_BATCH_BYTES = 512 * 2**10
 
 
 @dataclass(frozen=True)
@@ -403,21 +405,9 @@ class TargetReader:
         return backward[depth - 1 - layer]
 
 
-def shifted_states(instance: MaxCutInstance, params: QaoaParams
-                   ) -> Iterator[tuple[str, int, int, float, np.ndarray, np.ndarray]]:
-    """(kind, layer, index, gate coefficient, p+, p-) for every gate, p+- its
-    probabilities under the +-pi/2 shift.
-
-    Order: search coordinate k = [betas, gammas], then gate within k; each
-    gate's p+-[t] equal TargetReader.read's to rounding.  The unshifted evolution
-    runs once and keeps its state after each layer, and a layer's generator
-    rows run on in stacks whose probabilities take at most _STACK_BYTES.
-
-    Peaks at depth + 2.75 states: the phases of layers 1.. and the after-layer
-    states (depth - 1/2), |a|^2 (1/4), a mixer on a one-row stack (its input,
-    output and two products, 2 at n >= 14) and the previous stack's mirrored
-    probabilities, which a caller holding the last yielded row keeps alive (1).
-    """
+def _shift_stacks(instance: MaxCutInstance, params: QaoaParams
+                  ) -> Iterator[tuple[str, int, range, np.ndarray]]:
+    """shifted_states' stacks as (kind, layer, gates, p+- as half rows)."""
     n, depth = instance.n, params.depth
     _check_size(n, depth + 2)
     phases = _phases(instance, params.gammas)
@@ -431,13 +421,53 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     for kind, layer in product(GATE_KINDS, range(depth)):
         gates = range(gate_count(instance, kind))
         for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):
-            plus, minus = _mirror(_shift_probabilities(final, final_sq, _run(
+            yield kind, layer, chunk, _shift_probabilities(final, final_sq, _run(
                 np.stack([_generator_row(instance, kind, index, params.betas[layer],
                                          after[layer]) for index in chunk]),
-                iter(later[layer:]), params.betas[layer + 1:])))
-            for index, p_plus, p_minus in zip(chunk, plus, minus):
-                yield (kind, layer, index, gate_coefficient(instance, kind, index),
-                       p_plus, p_minus)
+                iter(later[layer:]), params.betas[layer + 1:]))
+
+
+def shifted_states(instance: MaxCutInstance, params: QaoaParams
+                   ) -> Iterator[tuple[str, int, int, float, np.ndarray, np.ndarray]]:
+    """(kind, layer, index, gate coefficient, p+, p-) for every gate, p+- its
+    probabilities under the +-pi/2 shift.
+
+    Order: search coordinate k = [betas, gammas], then gate within k; each
+    gate's p+-[t] equal TargetReader.read's to rounding.  The unshifted evolution
+    runs once and keeps its state after each layer, and a layer's generator
+    rows run on in stacks (_shift_stacks) mirrored into at most _STACK_BYTES.
+
+    Peaks at depth + 2.75 states: the phases of layers 1.. and the after-layer
+    states (depth - 1/2), |a|^2 (1/4), a mixer on a one-row stack (its input,
+    output and two products, 2 at n >= 14) and the previous stack's mirrored
+    probabilities, which a caller holding the last yielded row keeps alive (1).
+    The sampled gradient holds a batch of half rows instead (_shift_batches:
+    2 at n = 14, 1/2 from n = 16 on) and peaks at depth + 3.75 at n = 14.
+    """
+    for kind, layer, chunk, probs in _shift_stacks(instance, params):
+        probs = _mirror(probs)  # the half rows are freed before the next stack
+        for index, p_plus, p_minus in zip(chunk, *probs):
+            yield (kind, layer, index, gate_coefficient(instance, kind, index),
+                   p_plus, p_minus)
+
+
+def _shift_batches(instance: MaxCutInstance, params: QaoaParams
+                  ) -> Iterator[tuple[list[tuple[str, int, int]], np.ndarray]]:
+    """The sweep's half rows in batches of at most _BATCH_BYTES (a gate at
+    least), in shifted_states' order: (gates as (kind, layer, index), their
+    rows, each gate's + before its -).  The rows are one buffer, refilled."""
+    half = 2 ** (instance.n - 1)
+    batch = np.empty((2 * max(1, _BATCH_BYTES // (16 * half)), half))
+    gates: list[tuple[str, int, int]] = []
+    for kind, layer, chunk, probs in _shift_stacks(instance, params):
+        for j, index in enumerate(chunk):
+            if 2 * len(gates) == len(batch):
+                yield gates, batch
+                gates = []
+            batch[2 * len(gates):2 * len(gates) + 2] = probs[:, j]
+            gates.append((kind, layer, index))
+        del probs  # freed before the next stack runs
+    yield gates, batch[:2 * len(gates)]
 
 
 def distribution(state: np.ndarray) -> np.ndarray:
@@ -472,20 +502,35 @@ def sample(dist: np.ndarray, shots: int, seed: int) -> Counts:
     return Counts._adopt(rng.multinomial(shots, dist / dist.sum()))
 
 
-def sample_indices(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """`shots` i.i.d. basis indices from the outcome distribution, sorted.
-
-    Inverse CDF: sorted uniforms in [0, 1) scaled by the total stay below it
-    when rounded, and a bin is drawn only where the cumulative sum rises, so
-    a zero-probability bin never is.  Costs one pass over the 2^n bins plus
-    O(shots log 2^n), with no histogram.
-    """
-    if shots < 1:
+def sample_halves(halves: np.ndarray, shots: list[int], noise: NoiseSpec | None,
+                  rng: np.random.Generator) -> list[np.ndarray]:
+    """Sorted i.i.d. basis indices from flip-symmetric rows given by their
+    first halves, mixed by `noise`: `shots[r]` from row r, one (rows, shots)
+    array per run of equal shots.  `halves` is overwritten with each row's CDF
+    up to bin t, G_t = (1 - L) H_t + L (t + 1) / 2^n with H its cumulative sum.
+    Sorted uniforms in [0, 1) scaled by T = 2 G[-1] stay below it; v < T/2 is
+    the first bin where G passes v, and a larger v the mirror 2^n - 1 - t, t
+    the count of G below T - v (exact).  A bin is drawn only where the CDF
+    rises, never a zero bin.  One rng.random call: the stream of one per row."""
+    if min(shots) < 1:
         raise ValueError("shots must be >= 1")
-    cdf = np.cumsum(dist)
-    u = np.sort(rng.random(shots))
-    u *= cdf[-1]
-    return np.searchsorted(cdf, u, side="right")
+    size = 2 * halves.shape[-1]
+    cdf = np.cumsum(halves, axis=-1, out=halves)
+    if noise is not None and noise.lambda_per_gate != 0.0:
+        cdf *= 1.0 - noise.effective_mixing
+        cdf += np.arange(1, size // 2 + 1) * (noise.effective_mixing / size)
+    uniforms = rng.random(sum(shots))
+    runs, row, start = [], 0, 0
+    for count, group in groupby(shots):
+        rows = len(list(group))
+        cdfs, total = cdf[row:row + rows], 2.0 * cdf[row:row + rows, -1:]
+        v = np.sort(uniforms[start:start + rows * count].reshape(rows, count)) * total
+        upper = v >= cdfs[:, -1:]
+        queries = np.where(upper, np.nextafter(total - v, -np.inf), v)
+        hits = np.array([c.searchsorted(q, "right") for c, q in zip(cdfs, queries)])
+        runs.append(np.where(upper, size - 1 - hits, hits))
+        row, start = row + rows, start + rows * count
+    return runs
 
 
 def exact_expectation(instance: MaxCutInstance, dist: np.ndarray) -> float:

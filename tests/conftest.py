@@ -49,6 +49,20 @@ def oracle_evolve(instance, params, shift=None):
     return amps
 
 
+def sample_indices(dist, shots, rng):
+    """`shots` i.i.d. basis indices from a full outcome row, sorted: inverse CDF
+    by `cumsum` and a right-sided `searchsorted` of sorted uniforms in [0, 1)
+    scaled by the total, one rng.random call.  The reference that
+    simulator.sample_halves must reproduce on the row's mirrored, depolarized
+    full form."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    cdf = np.cumsum(dist)
+    u = np.sort(rng.random(shots))
+    u *= cdf[-1]
+    return np.searchsorted(cdf, u, side="right")
+
+
 @pytest.fixture
 def triangle():
     # K3, unit weights; optimum cut 2 at any 1-vs-2 split

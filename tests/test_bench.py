@@ -335,7 +335,7 @@ def test_run_cell_record_shape():
 def test_ledger_phases_sum_to_drawn_shots(seed, lam):
     # every shot sampled is charged to exactly one phase: the search, the
     # final evaluation (bo.finish_run) or stage 2; exp_gd's gradient draws
-    # indices with sample_indices rather than a histogram with sample, and
+    # indices with sample_halves rather than a histogram with sample, and
     # every stage-2 read of its one bin is a binomial draw in _draw
     inst = with_optimum(assign_weights(random_regular(4, 3, seed=seed % 7), "uniform",
                                        seed=seed % 5))
@@ -352,10 +352,10 @@ def test_ledger_phases_sum_to_drawn_shots(seed, lam):
                     return simulator.sample(dist, n_shots, sample_seed)
                 mp.setattr(module, "sample", counted)
 
-            def counted_indices(dist, n_shots, rng):
-                drawn["optimization"] += n_shots
-                return simulator.sample_indices(dist, n_shots, rng)
-            mp.setattr(baselines, "sample_indices", counted_indices)
+            def counted_halves(halves, n_shots, noise, rng):
+                drawn["optimization"] += sum(n_shots)
+                return simulator.sample_halves(halves, n_shots, noise, rng)
+            mp.setattr(baselines, "sample_halves", counted_halves)
 
             def counted_draw(p, n_shots, read_seed):
                 drawn["stage2"] += 0 if n_shots is None else n_shots

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_evolve
+from conftest import oracle_evolve, sample_indices
 from modeqaoa import baselines, simulator
 from modeqaoa.baselines import _split_shots, parameter_shift_gradient
 from modeqaoa.estimators import Counts, expectation_estimate
@@ -19,7 +19,7 @@ from modeqaoa.graph import (MaxCutInstance, assign_weights, cut_values_table,
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
-    distribution, evolve, exact_expectation, gate_coefficient, gate_count, sample_indices,
+    distribution, evolve, exact_expectation, gate_coefficient, gate_count, sample_halves,
     shifted_states,
 )
 from modeqaoa.stage2 import AmplifyConfig, amplify, exact_gradient
@@ -239,11 +239,12 @@ def test_sampled_gate_value_equals_histogram_estimate(weighted6, monkeypatch, la
     # histogram, and the ledger's distinct count is that histogram's
     drawn = []
 
-    def recorded(dist, shots, rng):
-        drawn.append(sample_indices(dist, shots, rng))
-        return drawn[-1]
+    def recorded(halves, shots, noise, rng):
+        runs = sample_halves(halves, shots, noise, rng)
+        drawn.extend(idx for run in runs for idx in run)
+        return runs
 
-    monkeypatch.setattr(baselines, "sample_indices", recorded)
+    monkeypatch.setattr(baselines, "sample_halves", recorded)
     params = PARAMS[2]
     ledger = ResourceLedger()
     got = parameter_shift_gradient(weighted6, params, 600,
@@ -257,6 +258,30 @@ def test_sampled_gate_value_equals_histogram_estimate(weighted6, monkeypatch, la
         want[k] += coeff * (next(values) - next(values))  # + before -
     assert next(values, None) is None
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 10])
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_sampled_gradient_does_not_depend_on_batch_size(monkeypatch, n, lam):
+    # at the default budget one batch spans several stacks and both gate
+    # kinds; a budget of one gate draws the same uniforms in the same order
+    instance, params = _regular(n, "uniform"), PARAMS[2]
+    noise = NoiseSpec.for_circuit(lam, instance, 2)
+
+    def run():
+        ledger = ResourceLedger()
+        grad = parameter_shift_gradient(instance, params, 600, noise, 3, ledger)
+        return grad.tobytes(), ledger, [gates for gates, _ in
+                                        simulator._shift_batches(instance, params)]
+
+    grad, ledger, batches = run()
+    assert len(batches) < len(list(simulator._shift_stacks(instance, params)))
+    assert {kind for kind, *_ in batches[0]} == set(GATE_KINDS)
+    monkeypatch.setattr(simulator, "_BATCH_BYTES", 8 * 2**n)  # a gate's two half rows
+    one_grad, one_ledger, one_batches = run()
+    assert [len(gates) for gates in one_batches] == [1] * sum(map(len, batches))
+    assert one_grad == grad
+    assert one_ledger == ledger
 
 
 def test_sampled_gradient_is_unbiased():
@@ -320,12 +345,15 @@ def test_size_message_counts_peak_states(depth):
     inst = _regular(14, "uniform")
     params = PARAMS[depth]
 
-    def sweep():
-        # the exact gradient's loop holds each gate's rows as the sweep yields
-        parameter_shift_gradient(inst, params, None, None, 0, ResourceLedger())
+    def sweep(shots=None):
+        # the exact gradient's loop holds each gate's rows as the sweep yields;
+        # the sampled one holds a batch of half rows instead, 4 gates (2
+        # states) at n = 14, and no mirrored stack
+        parameter_shift_gradient(inst, params, shots, None, 0, ResourceLedger())
 
     sweep()  # fill the cut-table cache, which the counts leave out
-    runs = [(2, lambda: evolve(inst, params)), (depth + 2, sweep)]
+    runs = [(2, lambda: evolve(inst, params)), (depth + 2, sweep),
+            (depth + 3, lambda: sweep(1000))]
     for count, run in runs:
         assert count <= _peak_states(run) < count + 1
     # a one-shot read keeps the forward states up to its layer and the target

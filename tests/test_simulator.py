@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from conftest import sample_indices
 from modeqaoa import simulator
 from modeqaoa.estimators import Counts
 from modeqaoa.graph import (
@@ -10,7 +11,7 @@ from modeqaoa.graph import (
 )
 from modeqaoa.simulator import (
     MAX_QUBITS, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing, distribution,
-    evolve, exact_expectation, gate_count, outcome_distribution, sample, sample_indices,
+    evolve, exact_expectation, gate_count, outcome_distribution, sample, sample_halves,
     shifted_states,
 )
 
@@ -221,44 +222,60 @@ def test_sample_frequencies_converge(six_reg):
     assert abs(freqs[k] - dist[k]) < 5 * sigma + 1e-9
 
 
-# 16 bins with zeros inside and at the last bin, where a uniform rounded up to
-# the total would land
-ZERO_BINS = (0, 5, 6, 15)
-SIXTEEN = np.array([0.0 if i in ZERO_BINS else 1.0 + (i % 3) for i in range(16)])
-SIXTEEN /= SIXTEEN.sum()
+# a flip-symmetric 16-bin row, kept as its first half: zero bins at both ends
+# of the half and inside it, so the full row's first and last bins are zero,
+# where 0 and a uniform rounded up to the total would land
+HALF_ZEROS = (0, 3, 7)
+EIGHT = np.array([0.0 if i in HALF_ZEROS else 1.0 + (i % 3) for i in range(8)])
+EIGHT /= 2 * EIGHT.sum()
+SIXTEEN = np.concatenate([EIGHT, EIGHT[::-1]])
+
+
+def _draw(halves, shots, noise, rng):
+    """sample_halves on a copy of `halves`, one index array per row."""
+    runs = sample_halves(np.array(halves, ndmin=2), shots, noise, rng)
+    return [row for run in runs for row in run]
 
 
 def test_sample_indices_chi_square_fit():
-    idx = sample_indices(SIXTEEN, 20_000, np.random.default_rng(7))
-    observed = np.bincount(idx, minlength=16)
-    assert not observed[list(ZERO_BINS)].any()
-    live = SIXTEEN > 0
-    expected = SIXTEEN[live] * idx.size
-    assert sps.chisquare(observed[live], expected).pvalue > 1e-3
+    # the half-row sampler's draws fit the mirrored row, depolarized when L > 0
+    for mixing in (0.0, 0.3):
+        (idx,) = _draw(EIGHT, [20_000], NoiseSpec(mixing, 1), np.random.default_rng(7))
+        dist = (1 - mixing) * SIXTEEN + mixing / 16
+        observed = np.bincount(idx, minlength=16)
+        assert not observed[dist == 0].any()
+        live = dist > 0
+        expected = dist[live] * idx.size
+        assert sps.chisquare(observed[live], expected).pvalue > 1e-3
 
 
 def test_sample_indices_sorted_in_range_and_repeatable():
-    idx = sample_indices(SIXTEEN, 500, np.random.default_rng(3))
-    again = sample_indices(SIXTEEN, 500, np.random.default_rng(3))
-    assert idx.size == 500 and np.array_equal(idx, again)
-    assert np.all(np.diff(idx) >= 0)
-    assert 0 <= idx[0] and idx[-1] < 16
-    for shots in (0, -1):
+    shots = [500, 500, 7, 500]
+    rows = _draw([EIGHT] * 4, shots, None, np.random.default_rng(3))
+    again = _draw([EIGHT] * 4, shots, None, np.random.default_rng(3))
+    assert [idx.size for idx in rows] == shots
+    for idx, same in zip(rows, again):
+        assert np.array_equal(idx, same)
+        assert np.all(np.diff(idx) >= 0)
+        assert 0 <= idx[0] and idx[-1] < 16
+    for bad in (0, -1):
         with pytest.raises(ValueError):
-            sample_indices(SIXTEEN, shots, np.random.default_rng(3))
+            _draw([EIGHT] * 2, [5, bad], None, np.random.default_rng(3))
 
 
 @given(st.integers(0, 2 ** 31), st.integers(1, 8), st.integers(1, 300))
 @settings(max_examples=60, deadline=None)
 def test_sample_indices_never_draw_a_zero_bin(seed, n, shots):
     rng = np.random.default_rng(seed)
-    # unnormalised weights, most bins zero; at least one bin stays positive
-    dist = rng.random(2 ** n) * (rng.random(2 ** n) < 0.3)
-    dist[rng.integers(2 ** n)] += rng.random() + 1e-300
-    idx = sample_indices(dist, shots, rng)
-    assert idx.size == shots
-    assert 0 <= idx.min() and idx.max() < 2 ** n
-    assert np.all(dist[idx] > 0)
+    # unnormalised half rows, most bins zero; at least one bin stays positive
+    halves = rng.random((2, 2 ** (n - 1))) * (rng.random((2, 2 ** (n - 1))) < 0.3)
+    halves[:, rng.integers(2 ** (n - 1))] += rng.random() + 1e-300
+    full = np.concatenate([halves, halves[:, ::-1]], axis=1)
+    rows = _draw(halves, [shots, 1 + shots // 2], None, rng)
+    for row, idx in zip(full, rows):
+        assert 0 <= idx.min() and idx.max() < 2 ** n
+        assert np.all(row[idx] > 0)
+    assert [idx.size for idx in rows] == [shots, 1 + shots // 2]
 
 
 class _EdgeUniforms:
@@ -270,10 +287,35 @@ class _EdgeUniforms:
 
 def test_sample_indices_edge_uniforms_land_on_live_bins():
     # 0 must not pick a leading zero bin, nor the largest uniform run past the
-    # last live bin, whatever the total
+    # last live bin, whatever the total; with noise every bin is live
     for total in (1.0, 3.0, 1.0 + 2.0 ** -52, 0.7):
-        idx = sample_indices(SIXTEEN * total, 4, _EdgeUniforms())
+        (idx,) = _draw(EIGHT * total, [4], None, _EdgeUniforms())
         assert list(idx) == [1, 1, 14, 14]
+        (idx,) = _draw(EIGHT * total, [4], NoiseSpec(0.01, 1), _EdgeUniforms())
+        assert list(idx) == [0, 0, 15, 15]
+
+
+@given(st.integers(0, 2 ** 31), st.integers(1, 8), st.sampled_from([0.0, 0.01]),
+       st.lists(st.integers(1, 120), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_sample_halves_equal_full_row_reference(seed, n, mixing, shots):
+    # from the same generator state, row after row, the half-row sampler
+    # draws exactly the full-row reference's indices on each mirrored,
+    # depolarized row; rows of unequal shots and zero bins included
+    rng = np.random.default_rng(seed)
+    half = 2 ** (n - 1)
+    halves = rng.random((len(shots), half)) * (rng.random((len(shots), half)) < 0.6)
+    halves[np.arange(len(shots)), rng.integers(half, size=len(shots))] += 0.5
+    halves /= 2 * halves.sum(axis=1, keepdims=True)
+    noise = NoiseSpec(mixing, 1)
+    state = rng.bit_generator.state
+    got = _draw(halves, shots, noise, rng)
+    rng.bit_generator.state = state
+    want = [sample_indices(apply_depolarizing(np.concatenate([row, row[::-1]]), noise),
+                           count, rng) for row, count in zip(halves, shots)]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert np.array_equal(got_row, want_row)
 
 
 def test_exact_expectation_half_weight_at_zero(six_reg):
