@@ -135,30 +135,6 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, half[..., ::-1]], axis=-1)
 
 
-def _apply_mixer(amps: np.ndarray, c: float, js: complex) -> np.ndarray:
-    """exp(-i beta X), c = cos beta and js = i sin beta, on the top index bit
-    of each half row (a stack of states goes through in one call), moved to
-    the bottom.
-
-    The full vector's top-bit halves are contiguous, so its first half's pairs
-    are the first quarter and the third, the reversed second quarter.  The
-    result is written interleaved, so its index bits are the input's rotated
-    left by one; n calls rotate them back, so mixers run on qubits 0..n-1.
-    """
-    quarter = amps.shape[-1] // 2
-    out = np.empty_like(amps)
-    pairs = out.reshape(*amps.shape[:-1], quarter, 2)
-    if js == 0:  # beta = 0
-        pairs[..., 0] = amps[..., :quarter]
-        pairs[..., 1] = amps[..., :quarter - 1:-1]
-        return out
-    ca = amps * c
-    ja = amps * js
-    np.subtract(ca[..., :quarter], ja[..., :quarter - 1:-1], out=pairs[..., 0])
-    np.subtract(ca[..., :quarter - 1:-1], ja[..., :quarter], out=pairs[..., 1])
-    return out
-
-
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
@@ -190,27 +166,57 @@ def _phases(instance: MaxCutInstance, gammas: Iterable[float]) -> Iterator[np.nd
     return (_phase(levels, -1j * gamma) for gamma in gammas)
 
 
-def _mix(amps: np.ndarray, beta: float) -> np.ndarray:
-    """exp(-i beta X) on every qubit: n passes of _apply_mixer."""
-    c, js = np.cos(beta), 1j * np.sin(beta)
+def _mix(amps: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(-i beta X) on every qubit of `amps` (one half state or a stack of
+    half rows), written to `out` (fresh if None) and returned.
+
+    Each of the n passes rotates the top index bit of each half row.  The full
+    vector's top-bit halves are contiguous, so the first half's pairs are its
+    first quarter and the third, the reversed second quarter.  A pass writes
+    its result interleaved, so its index bits are the input's rotated left by
+    one; n passes rotate them back, so the mixers run on qubits 0..n-1.  At
+    beta = +-0 a pass only permutes, and the n passes compose to the identity.
+
+    Buffers: the products cos(beta) x and i sin(beta) x are made once per call
+    and refilled by every pass, which reads its input x in full into them
+    before it writes `out`; so `out` may be `amps` itself.  Callers mix in
+    place the arrays they own: evolve's uniform start, the sweep's stacks and
+    after-layer states, and a reader's w_l, each a fresh product.  Only a
+    reader's s_l mixes into a fresh `out`, as its input s_{l-1} is kept.  The
+    coefficients are Python scalars, which a ufunc takes faster than numpy
+    ones, with the same bits.
+    """
+    if out is None:
+        out = np.empty_like(amps)
+    c, js = complex(np.cos(beta)), complex(1j * np.sin(beta))
+    if js == 0:
+        np.copyto(out, amps)
+        return out
+    quarter = amps.shape[-1] // 2
+    pairs = out.reshape(*amps.shape[:-1], quarter, 2)
+    top, bottom = pairs[..., 0], pairs[..., 1]
+    ca, ja = np.empty_like(amps), np.empty_like(amps)
+    ca_low, ca_high = ca[..., :quarter], ca[..., :quarter - 1:-1]
+    ja_low, ja_high = ja[..., :quarter], ja[..., :quarter - 1:-1]
     for _ in range(amps.shape[-1].bit_length()):
-        amps = _apply_mixer(amps, c, js)
-    return amps
+        np.multiply(amps, c, out=ca)
+        np.multiply(amps, js, out=ja)
+        np.subtract(ca_low, ja_high, out=top)
+        np.subtract(ca_high, ja_low, out=bottom)
+        amps = out
+    return out
 
 
 def _run(amps: np.ndarray, phases: Iterator[np.ndarray], betas: tuple[float, ...]
          ) -> np.ndarray:
-    """`amps` (one half state or a stack of half rows) through one layer per
-    beta, from before its cost phase, the next item of `phases`, to after its
-    mixers.  evolve and shifted_states run this loop; a TargetReader runs its
-    layers one _mix at a time, forwards and backwards.  The mixer loop is
-    _mix's, written out so that no layer's input outlives its first pass."""
-    n = amps.shape[-1].bit_length()
+    """`amps` (one half state or a stack of half rows, which the caller owns)
+    through one layer per beta in place, from before its cost phase, the next
+    item of `phases`, to after its mixers.  evolve and the sweep run this
+    loop; a TargetReader runs its layers one _mix at a time, forwards and
+    backwards."""
     for beta in betas:
-        amps = amps * next(phases)
-        c, js = np.cos(beta), 1j * np.sin(beta)
-        for _ in range(n):
-            amps = _apply_mixer(amps, c, js)
+        amps *= next(phases)
+        _mix(amps, beta, out=amps)
     return amps
 
 
@@ -237,10 +243,11 @@ def _edge_parity(row: np.ndarray, u: int, v: int) -> np.ndarray:
     return out
 
 
-def _generator_row(instance: MaxCutInstance, kind: str, index: int, beta: float,
-                   after: np.ndarray) -> np.ndarray:
-    """The generator row b = P' m of one gate, from m = `after`, the state
-    after the mixers of the gate's layer.
+def _generator_rows(instance: MaxCutInstance, kind: str, gates: range, beta: float,
+                    after: np.ndarray) -> np.ndarray:
+    """The generator rows b = P' m of `gates` (qubits or edge positions) of
+    one layer, as one fresh stack, from m = `after`, the state after the
+    layer's mixers.
 
     Every gate is exp(-i (phi/2) P) with P involutory, so a +-pi/2 shift of
     phi multiplies it by exp(-+i pi/4 P) = (I -+ iP)/sqrt(2) (the two-point
@@ -259,27 +266,53 @@ def _generator_row(instance: MaxCutInstance, kind: str, index: int, beta: float,
     every qubit it becomes P' = -A_u A_v, where
     A = R Z R^dagger = [[cos 2beta, i sin 2beta], [-i sin 2beta, -cos 2beta]].
     On qubit 0 (u at most, as u < v), bit 0 set is the mirrored half times the
-    row's parity: +1 for m, -1 for A_v m, as A anticommutes with X.
+    row's parity: +1 for m, -1 for A_v m, as A anticommutes with X.  Each
+    factor sign A_q is one _signed_a pass, its coefficients Python scalars.
     """
+    rows = np.empty((len(gates), after.size), dtype=complex)
     if kind == "beta":
-        return _flip(after, index)
+        for row, q in zip(rows, gates):
+            row[:] = _flip(after, q)
+        return rows
     c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
-    u, v, _ = instance.edges[index]
-    row = after
-    for q, sign in ((v, 1.0), (u, -1.0)):
-        if q == 0:
-            return sign * c * row + (sign * 1j * s) * -row[::-1]
-        halves = row.reshape(2 ** (q - 1), 2, -1)
-        out = np.empty_like(halves)
-        out[:, 0] = sign * c * halves[:, 0] + (sign * 1j * s) * halves[:, 1]
-        out[:, 1] = (-sign * 1j * s) * halves[:, 0] - sign * c * halves[:, 1]
-        row = out.reshape(-1)
-    return row
+    signed = {sign: (complex(sign * c), complex(sign * 1j * s), complex(-sign * 1j * s))
+              for sign in (1.0, -1.0)}
+    mid = np.empty_like(after)
+    for row, index in zip(rows, gates):
+        u, v, _ = instance.edges[index]
+        _signed_a(after, v, signed[1.0], row, mid)
+        _signed_a(mid, u, signed[-1.0], mid, row)
+    return rows
+
+
+def _signed_a(row: np.ndarray, q: int, coeffs: tuple[complex, complex, complex],
+              diagonal: np.ndarray, out: np.ndarray) -> None:
+    """sign A_q on a half row into `out` (see _generator_rows), coeffs
+    (d, u, l) = (sign cos 2beta, sign i sin 2beta, -sign i sin 2beta).  On
+    halves h0 and h1 of bit q the result is b0 = d h0 + u h1 and
+    b1 = l h0 - d h1; on qubit 0, d h + u (-h reversed).  The products d h
+    go to `diagonal`, which may be `row` (then spent) but not `out`, and the
+    sum is one add with d h1 negated: x - y is x + (-y) and a sum commutes,
+    so each entry has the bits of the two-term formula."""
+    diag, upper, lower = coeffs
+    if q == 0:
+        np.negative(row[::-1], out=out)
+        np.multiply(upper, out, out=out)
+        np.multiply(diag, row, out=diagonal)
+    else:
+        shape = (2 ** (q - 1), 2, -1)
+        halves, pairs = row.reshape(shape), out.reshape(shape)
+        np.multiply(upper, halves[:, 1], out=pairs[:, 0])
+        np.multiply(lower, halves[:, 0], out=pairs[:, 1])
+        np.multiply(diag, row, out=diagonal)
+        ones = diagonal.reshape(shape)[:, 1]
+        np.negative(ones, out=ones)
+    np.add(diagonal, out, out=out)
 
 
 def _shift_probabilities(final: np.ndarray, final_sq: np.ndarray,
                          rows: np.ndarray) -> np.ndarray:
-    """p+- of each final generator row (see _generator_row) as a
+    """p+- of each final generator row (see _generator_rows) as a
     (2, *rows.shape) array, + first, from the unshifted final state and its
     |.|^2.  Rounding below zero is clipped, since sampling refuses it."""
     out = np.empty((2, *rows.shape))
@@ -296,7 +329,8 @@ def _shift_probabilities(final: np.ndarray, final_sq: np.ndarray,
 
 def evolve(instance: MaxCutInstance, params: QaoaParams) -> np.ndarray:
     """Statevector after p alternating layers applied to the uniform superposition."""
-    _check_size(instance.n, 2)  # a mixer's input, output and two products
+    # 3/2: its buffer and a mixer's two products, or the half and its mirror
+    _check_size(instance.n, 1)
     return _mirror(_run(_uniform(instance.n), _phases(instance, params.gammas),
                         params.betas))
 
@@ -307,14 +341,14 @@ class TargetReader:
 
     A gate's read is bin `target` of its `shifted_states` rows, taken at its
     own layer l on s, the state after the cost phase and before the mixers R,
-    where its generator P (_generator_row) acts on s directly: _flip for a
+    where its generator P (_generator_rows) acts on s directly: _flip for a
     mixer gate, _edge_parity for an edge gate.  With U the later layers, the
     shifted final states are (U R s -+ i U R P s)/sqrt(2), so
     a_t = <t|U R s> and b'_t = <t|U R P s>, the first-half sums of conj(w) s
     and conj(w) P s (all states are flip-symmetric) with
     w = R^dagger U^dagger (|t> + |~t>), the target run backwards (the adjoint
     read of Jones & Gacon 2020, arXiv:2009.02823).  p+- follow from a_t and
-    b'_t as in _generator_row, and p(target) is |a_t|^2 at the last layer.
+    b'_t as in _generator_rows, and p(target) is |a_t|^2 at the last layer.
     A fresh read runs layers before l forwards and l to p - 2 backwards:
     (p - 1) n mixer passes.  The s_l and w_l of the last angles are kept (see
     _move_to), and a read rebuilds what it needs from the nearest kept one
@@ -325,9 +359,9 @@ class TargetReader:
         n = instance.n
         if not 0 <= target < 2**n:
             raise ValueError(f"target index {target} outside [0, {2**n})")
-        # peak below depth + 2: a rebuild's mixer (2, see evolve) on at most
-        # depth - 1/2 kept (a half per s_l and w_l), or a read's generator row
-        # and, for some edges, a ufunc buffer (1/2 each)
+        # peak below depth + 2: a rebuild's mixer (3/2: its output and two
+        # products) on at most depth - 1/2 kept (a half per s_l and w_l), or a
+        # read's generator row and, for some edges, a ufunc buffer (1/2 each)
         _check_size(n, depth + 1, "a target reader")
         self.instance, self.target, self.depth = instance, target, depth
         half = 2 ** (n - 1)
@@ -377,12 +411,15 @@ class TargetReader:
 
     def _state(self, layer: int) -> np.ndarray:
         """s_layer, the state after the layer's cost phase."""
-        forward = self._forward
+        forward, levels, gammas = self._forward, self._levels, self._gammas
         while len(forward) <= layer:
             l = len(forward)
-            forward.append((2.0 ** (-self.instance.n / 2) if l == 0
-                            else _mix(forward[-1], self._betas[l - 1]))
-                           * _phase(self._levels, -1j * self._gammas[l]))
+            if l == 0:
+                state = 2.0 ** (-self.instance.n / 2) * _phase(levels, -1j * gammas[0])
+            else:  # s_{l-1} is kept: mix into a fresh state, then its phase
+                state = _mix(forward[-1], self._betas[l - 1])
+                state *= _phase(levels, -1j * gammas[l])
+            forward.append(state)
         return forward[layer]
 
     def _row(self, layer: int) -> np.ndarray:
@@ -400,8 +437,8 @@ class TargetReader:
             backward.append((one + one[::-1])[self._distance])
         while depth - len(backward) > layer:
             l = depth - len(backward)  # backward[-1] is w_l
-            backward.append(_mix(backward[-1] * _phase(self._levels, 1j * self._gammas[l]),
-                                 -self._betas[l - 1]))
+            row = backward[-1] * _phase(self._levels, 1j * self._gammas[l])
+            backward.append(_mix(row, -self._betas[l - 1], out=row))
         return backward[depth - 1 - layer]
 
 
@@ -414,7 +451,8 @@ def _shift_stacks(instance: MaxCutInstance, params: QaoaParams
     after = [_run(_uniform(n), phases, params.betas[:1])]
     later = list(phases)  # cost phases of layers 1.., shared by every row
     for beta, phase in zip(params.betas[1:], later):
-        after.append(_run(after[-1], iter((phase,)), (beta,)))
+        state = after[-1] * phase
+        after.append(_mix(state, beta, out=state))
     final = after[-1]
     final_sq = np.abs(final) ** 2
     per_stack = max(1, _STACK_BYTES // (16 * 2**n))  # a gate: 2 rows of 2^n floats
@@ -422,8 +460,7 @@ def _shift_stacks(instance: MaxCutInstance, params: QaoaParams
         gates = range(gate_count(instance, kind))
         for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):
             yield kind, layer, chunk, _shift_probabilities(final, final_sq, _run(
-                np.stack([_generator_row(instance, kind, index, params.betas[layer],
-                                         after[layer]) for index in chunk]),
+                _generator_rows(instance, kind, chunk, params.betas[layer], after[layer]),
                 iter(later[layer:]), params.betas[layer + 1:]))
 
 
@@ -437,12 +474,13 @@ def shifted_states(instance: MaxCutInstance, params: QaoaParams
     runs once and keeps its state after each layer, and a layer's generator
     rows run on in stacks (_shift_stacks) mirrored into at most _STACK_BYTES.
 
-    Peaks at depth + 2.75 states: the phases of layers 1.. and the after-layer
-    states (depth - 1/2), |a|^2 (1/4), a mixer on a one-row stack (its input,
-    output and two products, 2 at n >= 14) and the previous stack's mirrored
-    probabilities, which a caller holding the last yielded row keeps alive (1).
+    Peaks at depth + 2.5 states: the phases of layers 1.. and the after-layer
+    states (depth - 1/2), |a|^2 (1/4), the previous stack's mirrored
+    probabilities, which a caller holding the last yielded row keeps alive (1),
+    and a one-row stack's p+- as they are made (the rows, p+- and three float
+    temporaries, 7/4 at n >= 14; the stack's in-place mixers take 3/2).
     The sampled gradient holds a batch of half rows instead (_shift_batches:
-    2 at n = 14, 1/2 from n = 16 on) and peaks at depth + 3.75 at n = 14.
+    2 at n = 14, 1/2 from n = 16 on) and peaks at depth + 3.5 at n = 14.
     """
     for kind, layer, chunk, probs in _shift_stacks(instance, params):
         probs = _mirror(probs)  # the half rows are freed before the next stack

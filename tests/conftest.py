@@ -49,6 +49,55 @@ def oracle_evolve(instance, params, shift=None):
     return amps
 
 
+def mixer_pass(amps, c, js):
+    """One pass of exp(-i beta X), c = cos beta and js = i sin beta as numpy
+    scalars, on the top index bit of each half row (or stack of half rows),
+    moved to the bottom, into a fresh array.  The reference that each of
+    simulator._mix's n passes must reproduce byte for byte."""
+    quarter = amps.shape[-1] // 2
+    out = np.empty_like(amps)
+    pairs = out.reshape(*amps.shape[:-1], quarter, 2)
+    if js == 0:  # beta = 0
+        pairs[..., 0] = amps[..., :quarter]
+        pairs[..., 1] = amps[..., :quarter - 1:-1]
+        return out
+    ca = amps * c
+    ja = amps * js
+    np.subtract(ca[..., :quarter], ja[..., :quarter - 1:-1], out=pairs[..., 0])
+    np.subtract(ca[..., :quarter - 1:-1], ja[..., :quarter], out=pairs[..., 1])
+    return out
+
+
+def mix_passes(amps, beta):
+    """exp(-i beta X) on every qubit of a half row: n reference passes."""
+    c, js = np.cos(beta), 1j * np.sin(beta)
+    for _ in range(amps.shape[-1].bit_length()):
+        amps = mixer_pass(amps, c, js)
+    return amps
+
+
+def generator_row(instance, kind, index, beta, after):
+    """One gate's generator row from the state after its layer's mixers, one
+    fresh array per factor (see simulator._generator_rows): the reference
+    that each row of a stack must reproduce byte for byte."""
+    if kind == "beta":
+        if index == 0:
+            return after[::-1]
+        return after.reshape(2 ** (index - 1), 2, -1)[:, ::-1].reshape(-1)
+    c, s = np.cos(2.0 * beta), np.sin(2.0 * beta)
+    u, v, _ = instance.edges[index]
+    row = after
+    for q, sign in ((v, 1.0), (u, -1.0)):
+        if q == 0:
+            return sign * c * row + (sign * 1j * s) * -row[::-1]
+        halves = row.reshape(2 ** (q - 1), 2, -1)
+        out = np.empty_like(halves)
+        out[:, 0] = sign * c * halves[:, 0] + (sign * 1j * s) * halves[:, 1]
+        out[:, 1] = (-sign * 1j * s) * halves[:, 0] - sign * c * halves[:, 1]
+        row = out.reshape(-1)
+    return row
+
+
 def sample_indices(dist, shots, rng):
     """`shots` i.i.d. basis indices from a full outcome row, sorted: inverse CDF
     by `cumsum` and a right-sided `searchsorted` of sorted uniforms in [0, 1)

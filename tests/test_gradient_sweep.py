@@ -318,7 +318,7 @@ def test_size_check_precedes_allocation():
     # 2^25-entry cut table or any state is built
     inst = MaxCutInstance.from_edges(25, [(0, 1, 1.0)])
     params = QaoaParams((0.1, 0.2), (0.3, 0.4))
-    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 2 of them \(1024 MiB\)"):
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 1 of them \(512 MiB\)"):
         evolve(inst, params)
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
         next(shifted_states(inst, params))
@@ -352,7 +352,7 @@ def test_size_message_counts_peak_states(depth):
         parameter_shift_gradient(inst, params, shots, None, 0, ResourceLedger())
 
     sweep()  # fill the cut-table cache, which the counts leave out
-    runs = [(2, lambda: evolve(inst, params)), (depth + 2, sweep),
+    runs = [(1, lambda: evolve(inst, params)), (depth + 2, sweep),
             (depth + 3, lambda: sweep(1000))]
     for count, run in runs:
         assert count <= _peak_states(run) < count + 1
@@ -407,20 +407,20 @@ def test_exact_target_gradient_peaks_below_reader_bound(depth):
 
 
 # measured at n = 14, by depth, then layer: (beta read, gamma read)
-ONE_SHOT_READ_PEAKS = {1: [(1, 2)], 2: [(3, 3), (2, 2)], 3: [(3, 3), (2, 3), (2, 3)]}
+ONE_SHOT_READ_PEAKS = {1: [(1, 2)], 2: [(2, 2), (2, 2)], 3: [(3, 3), (2, 3), (2, 3)]}
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_read_runs_depth_minus_one_mixer_layers(weighted6, depth, monkeypatch):
     # a fresh read of any gate runs the layers before it forwards and the rest
     # but the last backwards; a reader at unchanged angles runs none
-    passes, apply_mixer = [], simulator._apply_mixer
+    passes, mix = [], simulator._mix
 
-    def counting(amps, c, js):
-        passes.append(amps.shape)
-        return apply_mixer(amps, c, js)
+    def counting(amps, beta, out=None):
+        passes.extend([amps.shape] * amps.shape[-1].bit_length())  # one per qubit
+        return mix(amps, beta, out)
 
-    monkeypatch.setattr(simulator, "_apply_mixer", counting)
+    monkeypatch.setattr(simulator, "_mix", counting)
     params = PARAMS[depth]
     for _, kind, layer, index in _gates(weighted6, depth):
         passes.clear()

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from conftest import sample_indices
+from conftest import generator_row, mix_passes, sample_indices
 from modeqaoa import simulator
 from modeqaoa.estimators import Counts
 from modeqaoa.graph import (
-    assign_weights, cut_values_table, random_regular, with_optimum,
+    assign_weights, complete_graph, cut_values_table, random_regular, with_optimum,
 )
 from modeqaoa.simulator import (
     MAX_QUBITS, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing, distribution,
@@ -360,3 +360,57 @@ def test_level_phases_equal_per_index_phases(n, weights):
         assert s1.tobytes() == (simulator._mix(s0, 0.3)
                                 * np.exp(-1j * gamma * cuts)).tobytes()
         assert w0.tobytes() == simulator._mix(w1 * np.exp(1j * gamma * cuts), -0.3).tobytes()
+
+
+MIX_BETAS = st.one_of(st.sampled_from([0.0, -0.0, np.pi]), st.floats(-7.0, 7.0))
+
+
+def _half_rows(seed, n, rows):
+    # a half state (rows None) or a stack of half rows of n qubits
+    shape = (2 ** (n - 1),) if rows is None else (rows, 2 ** (n - 1))
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@given(st.integers(0, 2 ** 31), st.integers(2, 11), st.sampled_from([None, 1, 3]),
+       MIX_BETAS, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_mix_equals_reference_passes(seed, n, rows, beta, in_place):
+    # half rows of 2..1024 amplitudes (a graph has at least 2 vertices); in
+    # place at beta = +-0 is where a pass could read a row it already wrote
+    amps = _half_rows(seed, n, rows)
+    want = mix_passes(amps, beta)
+    out = amps if in_place else None
+    got = simulator._mix(amps, beta, out=out)
+    assert got.tobytes() == want.tobytes()
+    assert (got is amps) == in_place
+
+
+@given(st.integers(0, 2 ** 31), st.integers(2, 11), st.sampled_from([None, 1, 3]),
+       st.lists(MIX_BETAS, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_run_equals_reference_layers(seed, n, rows, betas):
+    # each layer: the cost phase, then n reference passes; _run works in place
+    amps = _half_rows(seed, n, rows)
+    rng = np.random.default_rng(seed + 1)
+    phases = [np.exp(1j * rng.uniform(-7.0, 7.0, 2 ** (n - 1))) for _ in betas]
+    want = amps
+    for beta, phase in zip(betas, phases):
+        want = mix_passes(want * phase, beta)
+    got = simulator._run(amps, iter(phases), tuple(betas))
+    assert got is amps
+    assert got.tobytes() == want.tobytes()
+
+
+@given(st.integers(0, 2 ** 31), st.integers(2, 10), st.sampled_from(["beta", "gamma"]),
+       st.one_of(st.sampled_from([0.0, -0.0, np.pi / 4, np.pi / 2]), st.floats(-7.0, 7.0)))
+@settings(max_examples=60, deadline=None)
+def test_generator_rows_equal_reference_rows(seed, n, kind, beta):
+    # a stack's rows, built in place, have the bits of one fresh row per gate;
+    # complete graphs put edges on qubit 0 and on neighbouring qubits
+    inst = complete_graph(n)
+    after = _half_rows(seed, n, None)
+    gates = range(gate_count(inst, kind))
+    got = simulator._generator_rows(inst, kind, gates, beta, after)
+    want = np.stack([generator_row(inst, kind, index, beta, after) for index in gates])
+    assert got.tobytes() == want.tobytes()
