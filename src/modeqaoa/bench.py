@@ -19,7 +19,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -122,10 +122,10 @@ class ExperimentConfig:
             raise ValueError("threshold must lie in (0, 1]")
 
     @classmethod
-    def for_experiment(cls, name: str, **overrides) -> "ExperimentConfig":
+    def for_experiment(cls, experiment: str = "qubit_sweep", **overrides) -> ExperimentConfig:
         """Preset grid for each named sweep; explicit overrides win."""
-        preset = _SWEEPS[name].preset if name in _SWEEPS else {}
-        return cls(experiment=name, **{**preset, **overrides})
+        preset = _SWEEPS[experiment].preset if experiment in _SWEEPS else {}
+        return cls(experiment=experiment, **{**preset, **overrides})
 
     @property
     def sweep(self) -> _Sweep:
@@ -181,17 +181,21 @@ def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dic
     return kwargs
 
 
-def config_from_ini(text: str) -> ExperimentConfig:
+def _ini_settings(text: str) -> dict:
+    """ExperimentConfig keywords from an INI, its [experiment] keys in file order."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
-    top: dict = {}
+    settings: dict = {}
     if parser.has_section("experiment"):
-        top = _section_kwargs(parser, "experiment", ExperimentConfig)
+        settings = _section_kwargs(parser, "experiment", ExperimentConfig)
     for section, (name, cls) in _SECTIONS.items():
         if parser.has_section(section):
-            top[name] = cls(**_section_kwargs(parser, section, cls))
-    name = top.pop("experiment", "qubit_sweep")
-    return ExperimentConfig.for_experiment(name, **top)
+            settings[name] = cls(**_section_kwargs(parser, section, cls))
+    return settings
+
+
+def config_from_ini(text: str) -> ExperimentConfig:
+    return ExperimentConfig.for_experiment(**_ini_settings(text))
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -233,8 +237,7 @@ def run_method(cfg: ExperimentConfig, instance: MaxCutInstance, p: int, lam: flo
                stage2_seed: int) -> tuple[RunResult, list[float] | None]:
     """One method on one instance, then stage 2 when enabled (map_bo only);
     returns (result, stage-2 probability trace or None)."""
-    # any nonzero lambda goes through NoiseSpec, which refuses one outside [0, 1]
-    noise = NoiseSpec.for_circuit(lam, instance, p) if lam != 0 else None
+    noise = NoiseSpec.for_circuit(lam, instance, p)  # refuses lam outside [0, 1]
     if method == "map_bo":
         result = optimize_map_bo(instance, p, cfg.adaptive, cfg.tpe, cfg.stagnation,
                                  noise, cfg.t_max, seed, cfg.n_final)
@@ -346,11 +349,8 @@ def _median_shots(group) -> float:
 
 
 def _sweep_firsts(cfg: ExperimentConfig) -> dict[str, tuple[int, int, float]]:
-    """Each sweep key, in sweep order, with the first sweep point it labels."""
-    firsts: dict[str, tuple[int, int, float]] = {}
-    for point in cfg.sweep_points():
-        firsts.setdefault(cfg.sweep_key(*point), point)
-    return firsts
+    """Each sweep key, in sweep order, with the sweep point it labels."""
+    return {cfg.sweep_key(*point): point for point in cfg.sweep_points()}
 
 
 def _write_pareto(path: str, records, axis: str) -> None:
@@ -509,30 +509,22 @@ _GRID_KEYS = (*(name for name, (_, _, grid) in _FLAGS.items() if grid), "degree"
 
 def _build_config(args) -> ExperimentConfig:
     """--config (read once) or the preset, then the flags; ignored INI keys warn."""
-    experiment = getattr(args, "experiment", None)  # a grid flag, absent on `run`
-    grid_keys = []  # the _GRID_KEYS the INI sets, in file order
+    ini: dict = {}
     if args.config:
         with open(args.config) as fh:
-            text = fh.read()
-        cfg = config_from_ini(text)
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        if parser.has_section("experiment"):
-            grid_keys = [key for key in parser["experiment"] if key in _GRID_KEYS]
-        if experiment and experiment != cfg.experiment:
-            preset = _SWEEPS[experiment].preset
-            dropped = [key for key in grid_keys if key in preset]
-            if dropped:
-                print(f"warning: --experiment {experiment} replaces the [experiment] "
-                      f"keys {', '.join(dropped)} in {args.config} with its preset grid",
-                      file=sys.stderr)
-            cfg = replace(cfg, experiment=experiment, **preset)
-    else:
-        cfg = ExperimentConfig.for_experiment(experiment or "qubit_sweep")
-    overrides = {name: getattr(args, name) for name in _FLAGS
-                 if name != "experiment" and getattr(args, name, None) is not None}
-    cfg = replace(cfg, **{k: tuple(v) if isinstance(v, list) else v
-                          for k, v in overrides.items()})
+            ini = _ini_settings(fh.read())
+    grid_keys = [key for key in ini if key in _GRID_KEYS]  # in file order
+    named = ini.pop("experiment", "qubit_sweep")
+    experiment = getattr(args, "experiment", None) or named  # a grid flag, absent on `run`
+    preset = _SWEEPS[experiment].preset if experiment != named else {}  # beats the INI
+    dropped = [key for key in grid_keys if key in preset]
+    if dropped:
+        print(f"warning: --experiment {experiment} replaces the [experiment] "
+              f"keys {', '.join(dropped)} in {args.config} with its preset grid",
+              file=sys.stderr)
+    flags = {name: tuple(value) if isinstance(value, list) else value for name in _FLAGS
+             if name != "experiment" and (value := getattr(args, name, None)) is not None}
+    cfg = ExperimentConfig.for_experiment(experiment, **{**ini, **preset, **flags})
     if args.command == "run" and grid_keys:
         print(f"warning: run ignores the [experiment] keys {', '.join(grid_keys)} "
               f"in {args.config}; noise comes from --noise and depth from --depth",

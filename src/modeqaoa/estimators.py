@@ -85,8 +85,8 @@ class Counts:
         return int(np.count_nonzero(self.by_index))
 
     def merged(self, other: "Counts") -> "Counts":
-        """Sum of two histograms; numpy raises ValueError on different lengths."""
-        return Counts(self.by_index + other.by_index)
+        """Sum of two valid histograms, unchecked; numpy refuses different lengths."""
+        return Counts._adopt(self.by_index + other.by_index)
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,6 @@ def _bootstrap_confidence(vals: np.ndarray, resamples: int, seed: int,
     """
     if resamples < 1:
         raise ValueError("need at least one resample")
-    if len(vals) == 1:
-        return 1.0
     total = int(vals.sum())
     probs = vals / total
     mode = int(vals.argmax())

@@ -513,13 +513,24 @@ def distribution(state: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def apply_depolarizing(dist: np.ndarray, noise: NoiseSpec | None) -> np.ndarray:
-    """Mix the outcome distribution with the uniform one: p' = (1-L)p + L/2^n."""
+def depolarize(noise: NoiseSpec | None, p, uniform, out: np.ndarray | None = None):
+    """The global depolarizing channel on probabilities `p`: (1 - L) p + L u,
+    L = noise.effective_mixing, u = `uniform`, the uniform law's value at p
+    (2^-n on a bin, (t + 1) 2^-n on a CDF to bin t).  No noise and a zero rate
+    are one case: `p` itself.  Else into `out` (may be `p`) if given, or by
+    plain arithmetic, so a Python float stays a Python float."""
     if noise is None or noise.lambda_per_gate == 0.0:
-        return dist
+        return p
     mixing = noise.effective_mixing
-    out = (1.0 - mixing) * dist + mixing / dist.size
-    return out / out.sum()
+    if out is None:
+        return (1.0 - mixing) * p + mixing * uniform
+    return np.add(np.multiply(p, 1.0 - mixing, out=out), mixing * uniform, out=out)
+
+
+def apply_depolarizing(dist: np.ndarray, noise: NoiseSpec | None) -> np.ndarray:
+    """The outcome distribution depolarized, renormalized if it was mixed."""
+    out = depolarize(noise, dist, 1.0 / dist.size)
+    return dist if out is dist else out / out.sum()
 
 
 def outcome_distribution(instance: MaxCutInstance, params: QaoaParams,
@@ -543,20 +554,18 @@ def sample(dist: np.ndarray, shots: int, seed: int) -> Counts:
 def sample_halves(halves: np.ndarray, shots: list[int], noise: NoiseSpec | None,
                   rng: np.random.Generator) -> list[np.ndarray]:
     """Sorted i.i.d. basis indices from flip-symmetric rows given by their
-    first halves, mixed by `noise`: `shots[r]` from row r, one (rows, shots)
-    array per run of equal shots.  `halves` is overwritten with each row's CDF
-    up to bin t, G_t = (1 - L) H_t + L (t + 1) / 2^n with H its cumulative sum.
-    Sorted uniforms in [0, 1) scaled by T = 2 G[-1] stay below it; v < T/2 is
-    the first bin where G passes v, and a larger v the mirror 2^n - 1 - t, t
-    the count of G below T - v (exact).  A bin is drawn only where the CDF
-    rises, never a zero bin.  One rng.random call: the stream of one per row."""
+    first halves, depolarized by `noise`: `shots[r]` from row r, one
+    (rows, shots) array per run of equal shots.  `halves` becomes each row's
+    depolarized CDF G.  Sorted uniforms in [0, 1) scaled by T = 2 G[-1] stay
+    below it; v < T/2 is the first bin where G passes v, and a larger v the
+    mirror 2^n - 1 - t, t the count of G below T - v (exact).  A bin is drawn
+    only where the CDF rises, never a zero bin.  One rng.random call: the
+    stream of one per row."""
     if min(shots) < 1:
         raise ValueError("shots must be >= 1")
     size = 2 * halves.shape[-1]
     cdf = np.cumsum(halves, axis=-1, out=halves)
-    if noise is not None and noise.lambda_per_gate != 0.0:
-        cdf *= 1.0 - noise.effective_mixing
-        cdf += np.arange(1, size // 2 + 1) * (noise.effective_mixing / size)
+    depolarize(noise, cdf, np.arange(1, size // 2 + 1) / size, out=cdf)
     uniforms = rng.random(sum(shots))
     runs, row, start = [], 0, 0
     for count, group in groupby(shots):

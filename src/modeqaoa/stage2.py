@@ -20,7 +20,8 @@ from .graph import MaxCutInstance
 from .resources import ResourceLedger
 # sample is not called here; perfbench's trace-site test still pins this import
 from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, TargetReader,  # noqa: F401
-                        gate_coefficient, gate_count, outcome_distribution, sample)
+                        depolarize, gate_coefficient, gate_count, outcome_distribution,
+                        sample)
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,11 @@ def _draw(p: float, shots: int | None, seed: int | np.random.Generator | None) -
 
 def _read_depolarized(p: float, noise: NoiseSpec | None, n: int, shots: int | None,
                       rng: np.random.Generator, ledger: ResourceLedger) -> float:
-    """One circuit's read of a reader's p(target), depolarized as
-    (1 - L) p + L / 2^n (unnormalized), exact or from `shots` shots, charged
-    to `ledger`."""
-    mixing = 0.0 if noise is None else noise.effective_mixing
+    """One circuit's read of a reader's p(target), depolarized, exact or from
+    `shots` shots, charged to `ledger`."""
     ledger.circuit_evaluations += 1
     ledger.stage2_shots += 0 if shots is None else shots
-    return _draw((1.0 - mixing) * p + mixing / 2**n, shots, rng)
+    return _draw(depolarize(noise, p, 2.0 ** -n), shots, rng)
 
 
 def _read_target(dist: np.ndarray, target: int, shots: int | None = None,
@@ -90,10 +89,10 @@ def target_probability(instance: MaxCutInstance, params: QaoaParams, target: int
 def exact_gradient(instance: MaxCutInstance, params: QaoaParams, target: int,
                    noise: NoiseSpec | None = None) -> np.ndarray:
     """Full gradient of p_theta(z_tar), every gate read through one TargetReader
-    (built once at these angles), each p+ - p- depolarized to (1 - L)(p+ - p-)."""
+    (built once at these angles), each p+ - p- depolarized (the channel's slope)."""
     depth = params.depth
     reader = TargetReader(instance, target, depth)
-    scale = 1.0 - (0.0 if noise is None else noise.effective_mixing)
+    scale = depolarize(noise, 1.0, 0.0)
     grad = np.zeros(2 * depth)
     for k in range(2 * depth):
         kind, layer = GATE_KINDS[k // depth], k % depth
@@ -109,9 +108,8 @@ def randomized_shift_gradient(reader: TargetReader, params: QaoaParams,
                               ) -> tuple[int, float]:
     """(coordinate, unbiased single-coordinate gradient estimate) from one
     uniformly chosen gate's two-point shift, scaled by the gate count G_k;
-    each shifted p(reader.target), depolarized as (1 - L) p + L / 2^n, is read
-    exactly (shots=None) or from `shots` shots.  `reader` keeps its states for
-    the next call."""
+    each shifted p(reader.target), depolarized, is read exactly (shots=None)
+    or from `shots` shots.  `reader` keeps its states for the next call."""
     _check_shots(shots, seed)
     instance = reader.instance
     depth = params.depth

@@ -690,6 +690,24 @@ def test_bench_config_warns_when_experiment_replaces_ini_grid(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_bench_config_without_experiment_key_takes_the_flags_preset(tmp_path, capsys):
+    # an INI that names no sweep is a qubit_sweep one, so --experiment
+    # noise_sweep replaces its grid keys with the noise preset and says so
+    ini = tmp_path / "plain.ini"
+    ini.write_text("[experiment]\nn_values = 4 6\nt_max = 0\n")
+    base = ["bench", "--seed", "1", "--out", str(tmp_path / "x"), "--config", str(ini)]
+    cfg = _build_config(build_parser().parse_args(
+        base + ["--experiment", "noise_sweep", "--t-max", "11"]))
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and len(err.splitlines()) == 1
+    assert "noise_sweep" in err and "n_values" in err and str(ini) in err
+    assert cfg == ExperimentConfig.for_experiment("noise_sweep", t_max=11)
+    # the config is validated once, after the flags: the INI's t_max = 0
+    # is refused only when no flag replaces it
+    with pytest.raises(ValueError, match="t_max"):
+        _build_config(build_parser().parse_args(base))
+
+
 @pytest.mark.parametrize("key", ["n_values", "p_values", "noise_lambdas", "methods"])
 def test_cli_bench_rejects_empty_axis(tmp_path, capsys, key):
     # an empty grid axis used to run nothing and exit 0, or fail with exit 1

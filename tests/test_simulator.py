@@ -10,9 +10,9 @@ from modeqaoa.graph import (
     assign_weights, complete_graph, cut_values_table, random_regular, with_optimum,
 )
 from modeqaoa.simulator import (
-    MAX_QUBITS, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing, distribution,
-    evolve, exact_expectation, gate_count, outcome_distribution, sample, sample_halves,
-    shifted_states,
+    MAX_QUBITS, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing, depolarize,
+    distribution, evolve, exact_expectation, gate_count, outcome_distribution, sample,
+    sample_halves, shifted_states,
 )
 
 
@@ -163,6 +163,42 @@ def test_depolarizing_mixes_toward_uniform():
     assert np.allclose(out, (1 - lam) * dist + lam / 4)
     assert out.sum() == pytest.approx(1.0)
     assert apply_depolarizing(dist, None) is dist
+
+
+@given(st.integers(0, 2 ** 31), st.integers(1, 14), st.sampled_from([0.0, 1e-12, 0.01, 1.0]),
+       st.sampled_from([0, 1, 7, 30, 96, 400]))
+@settings(max_examples=80, deadline=None)
+def test_depolarize_keeps_each_inline_forms_bits(seed, n, lam, gates):
+    # the four inline forms the channel replaced, kept as references: a pmf
+    # renormalized, a CDF in place, a Python-float read and the slope
+    rng = np.random.default_rng(seed)
+    size, noise = 2 ** n, NoiseSpec(lam, gates)
+    mixing = noise.effective_mixing
+    dist = rng.random(size)
+    dist /= dist.sum()
+    halves = np.cumsum(rng.random((3, size // 2)), axis=-1)
+    p = float(rng.random())
+    if lam == 0.0:
+        want_pmf, want_cdf, want_p, want_slope = dist, halves.copy(), p, 1.0
+    else:
+        want_pmf = (1.0 - mixing) * dist + mixing / size
+        want_pmf = want_pmf / want_pmf.sum()
+        want_cdf = halves.copy()
+        want_cdf *= 1.0 - mixing
+        want_cdf += np.arange(1, size // 2 + 1) * (mixing / size)
+        want_p, want_slope = (1.0 - mixing) * p + mixing / 2**n, 1.0 - mixing
+    assert apply_depolarizing(dist, noise).tobytes() == want_pmf.tobytes()
+    cdf = depolarize(noise, halves, np.arange(1, size // 2 + 1) / size, out=halves)
+    assert cdf is halves and cdf.tobytes() == want_cdf.tobytes()
+    got_p = depolarize(noise, p, 2.0 ** -n)
+    assert type(got_p) is float and got_p.hex() == want_p.hex()
+    slope = depolarize(noise, 1.0, 0.0)
+    assert type(slope) is float and slope.hex() == want_slope.hex()
+    # no noise and a zero rate are one case: the input object itself
+    for quiet in (None, NoiseSpec(0.0, gates)):
+        assert apply_depolarizing(dist, quiet) is dist
+        for value, out in ((dist, None), (halves, halves), (p, None)):
+            assert depolarize(quiet, value, 0.5, out=out) is value
 
 
 def test_noise_spec_for_circuit(six_reg):
