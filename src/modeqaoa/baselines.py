@@ -3,10 +3,12 @@
 Both charge a constant N_fix shots per expectation evaluation and, unlike the
 mode-objective pipeline, their classical post-processing is billed per raw
 shot rather than per distinct key.  Gradients score the shifted outcome
-distributions of simulator.shifted_states, the two-point rule per gate.
-A sampled gate's value is the mean cut of its shots: sorted indices drawn in
-batches of half rows (simulator.sample_halves) from one generator per gradient,
-in sweep order.  Every other evaluation draws a histogram (simulator.sample).
+distributions of the simulator's sweep, the two-point rule per gate, read as
+half rows (p(z) = p(~z)) by both: an exact gate's value is its half rows'
+matvec with the cut table, times the depolarizing channel's slope; a sampled
+one's is the mean cut of its shots, sorted indices drawn in batches of half
+rows (simulator.sample_halves) from one generator per gradient, in sweep
+order.  Every other evaluation draws a histogram (simulator.sample).
 """
 from __future__ import annotations
 
@@ -21,10 +23,9 @@ from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, _check_weight, a
 from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # noqa: F401
 from .graph import MaxCutInstance, cut_values_table
 from .resources import ResourceLedger
-from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, _shift_batches,
-                        apply_depolarizing, child_seeds, exact_expectation,
-                        gate_coefficient, gate_count, outcome_distribution, sample,
-                        sample_halves, shifted_states)
+from .simulator import (GATE_KINDS, NoiseSpec, QaoaParams, _shift_batches, _shift_stacks,
+                        child_seeds, depolarize, gate_coefficient, gate_count,
+                        outcome_distribution, sample, sample_halves)
 
 DEFAULT_N_FIX = 1000
 
@@ -76,21 +77,26 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
                              seed: int, ledger: ResourceLedger) -> np.ndarray:
     """Gradient of the expected cut w.r.t. theta = [betas, gammas].
 
-    shots=None evaluates shifted expectations on the exact distribution;
-    otherwise each coordinate spends 2 * shots, split evenly across its
-    generators, for a total ledger charge of 2 * 2p * shots per call, all
-    drawn from default_rng(seed).
+    shots=None evaluates shifted expectations exactly, each stack's E+- one
+    matvec of its half rows with the cut table's first half, doubled (p(z) =
+    p(~z) and cut(z) = cut(~z)).  The channel maps E to (1 - L) E + L times the
+    mean cut, so a gate adds its noiseless difference times the slope 1 - L, as
+    in stage2.exact_gradient.  Otherwise each coordinate spends 2 * shots,
+    split evenly across its generators, for a total ledger charge of
+    2 * 2p * shots per call, all drawn from default_rng(seed).
     """
     grad = np.zeros(2 * params.depth)
+    cuts = cut_values_table(instance)
     if shots is None:
-        for kind, layer, index, coeff, plus, minus in shifted_states(instance, params):
-            ledger.circuit_evaluations += 2
-            grad[layer + (params.depth if kind == "gamma" else 0)] += coeff * (
-                exact_expectation(instance, apply_depolarizing(plus, noise))
-                - exact_expectation(instance, apply_depolarizing(minus, noise)))
+        half_cuts, slope = cuts[:cuts.size // 2], depolarize(noise, 1.0, 0.0)
+        for kind, layer, chunk, probs in _shift_stacks(instance, params):
+            ledger.circuit_evaluations += 2 * len(chunk)
+            means = 2.0 * (probs @ half_cuts)  # each gate's noiseless E+, then E-
+            for index, plus, minus in zip(chunk, *means):
+                grad[layer + (params.depth if kind == "gamma" else 0)] += \
+                    gate_coefficient(instance, kind, index) * slope * (plus - minus)
         return grad
     parts = {kind: _split_shots(shots, gate_count(instance, kind)) for kind in GATE_KINDS}
-    cuts = cut_values_table(instance)
     rng = np.random.default_rng(seed)
     for gates, halves in _shift_batches(instance, params):
         counts = [parts[kind][index] for kind, _, index in gates for _ in "+-"]

@@ -61,7 +61,7 @@ class Counts:
         for k, v in histogram.items():
             if set(k) - {"0", "1"}:
                 raise ValueError(f"bad bitstring key {k!r}")
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # bool subclasses int
                 raise ValueError(f"count for {k!r} must be a positive int, got {v!r}")
             arr[int(k, 2)] = v
         return cls(arr)

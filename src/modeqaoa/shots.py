@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Counts, EvalStats, compute_stats
+from .estimators import DEFAULT_BOOTSTRAP_RESAMPLES, Counts, EvalStats, compute_stats
 from .graph import MaxCutInstance
 from .resources import ResourceLedger
 from .simulator import NoiseSpec, QaoaParams, child_seeds, outcome_distribution, sample
@@ -30,7 +30,7 @@ class AdaptiveConfig:
     max_shots: int = 1200
     tau_conf: float = 0.90
     tau_var: float = 0.02
-    bootstrap_resamples: int = 200
+    bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES
 
     def __post_init__(self):
         if self.pilot_shots < 1:
@@ -89,12 +89,12 @@ def evaluate_point(instance: MaxCutInstance, params: QaoaParams,
         stats = compute_stats(instance, counts, cfg.bootstrap_resamples, boot_seed,
                               gate=(cfg.tau_conf, cfg.tau_var))
         # the paper's modelled B*K charge per round, not the rows actually drawn
-        ledger.bootstrap_ops += cfg.bootstrap_resamples * counts.distinct
+        ledger.bootstrap_ops += cfg.bootstrap_resamples * stats.distinct
         if spent >= cfg.max_shots or stats.passed:
             break
         batch = next_batch(batch, spent, cfg)
     # merged histograms only grow, so each distinct key's cut is paid for once
-    ledger.classical_cut_ops += counts.distinct
-    ledger.record_point(spent, counts.distinct)
+    ledger.classical_cut_ops += stats.distinct
+    ledger.record_point(spent, stats.distinct)
     return PointEvaluation(params=params, counts=counts, stats=stats,
                            shots_used=spent, rounds=rounds)

@@ -25,9 +25,9 @@ from .graph import MaxCutInstance, _cut_levels, cut_values_table
 
 MAX_QUBITS = 24
 GATE_KINDS = ("beta", "gamma")  # search vector order: [betas, gammas]
-# bytes of a stack's mirrored + and - probability rows, half that as half rows;
-# bigger stacks ran slower (at n = 12, 256 KiB stacks of full-length rows took
-# about 3x as long: allocator trimming and cache misses)
+# a sweep stack holds _STACK_BYTES // (16 2^n) gates (one at least), whose p+-
+# half rows take half of it; bigger stacks ran slower (at n = 12, 256 KiB stacks
+# of full-length rows took about 3x as long: allocator trimming, cache misses)
 _STACK_BYTES = 128 * 2**10
 # bytes of a batch of half rows the sampled gradient draws from in one call
 _BATCH_BYTES = 512 * 2**10
@@ -339,7 +339,7 @@ class TargetReader:
     """p(target) and single gates' p+-(target) on one instance at one depth,
     at angles that may move between calls.
 
-    A gate's read is bin `target` of its `shifted_states` rows, taken at its
+    A gate's read is bin `target` of its sweep rows (_shift_stacks), taken at its
     own layer l on s, the state after the cost phase and before the mixers R,
     where its generator P (_generator_rows) acts on s directly: _flip for a
     mixer gate, _edge_parity for an edge gate.  With U the later layers, the
@@ -444,7 +444,23 @@ class TargetReader:
 
 def _shift_stacks(instance: MaxCutInstance, params: QaoaParams
                   ) -> Iterator[tuple[str, int, range, np.ndarray]]:
-    """shifted_states' stacks as (kind, layer, gates, p+- as half rows)."""
+    """The sweep: (kind, layer, gates, p+-) for every gate in stacks, p+- the
+    gates' probabilities under the +-pi/2 shift as half rows, shaped
+    (2, len(gates), 2^(n-1)), + first (see _generator_rows).
+
+    Order: search coordinate k = [betas, gammas], then gate within k; each
+    gate's mirrored p+-[t] equal TargetReader.read's to rounding.  The
+    unshifted evolution runs once and keeps its state after each layer, and a
+    layer's generator rows run on in stacks (see _STACK_BYTES).
+
+    Peaks at depth + 2 states: the phases of layers 1.. and the after-layer
+    states (depth - 1/2), |a|^2 (1/4), the previous stack's p+-, which a caller
+    holding them keeps alive (1/2), as the exact gradient does, and a one-row
+    stack's p+- as they are made (the rows, p+- and three float temporaries,
+    7/4 at n >= 14; the stack's in-place mixers take 3/2).  The sampled
+    gradient holds a batch of half rows instead (_shift_batches: 2 at n = 14,
+    1/2 from n = 16 on) and peaks at depth + 3.5 at n = 14.
+    """
     n, depth = instance.n, params.depth
     _check_size(n, depth + 2)
     phases = _phases(instance, params.gammas)
@@ -455,7 +471,7 @@ def _shift_stacks(instance: MaxCutInstance, params: QaoaParams
         after.append(_mix(state, beta, out=state))
     final = after[-1]
     final_sq = np.abs(final) ** 2
-    per_stack = max(1, _STACK_BYTES // (16 * 2**n))  # a gate: 2 rows of 2^n floats
+    per_stack = max(1, _STACK_BYTES // (16 * 2**n))
     for kind, layer in product(GATE_KINDS, range(depth)):
         gates = range(gate_count(instance, kind))
         for chunk in (gates[i:i + per_stack] for i in range(0, len(gates), per_stack)):
@@ -464,35 +480,10 @@ def _shift_stacks(instance: MaxCutInstance, params: QaoaParams
                 iter(later[layer:]), params.betas[layer + 1:]))
 
 
-def shifted_states(instance: MaxCutInstance, params: QaoaParams
-                   ) -> Iterator[tuple[str, int, int, float, np.ndarray, np.ndarray]]:
-    """(kind, layer, index, gate coefficient, p+, p-) for every gate, p+- its
-    probabilities under the +-pi/2 shift.
-
-    Order: search coordinate k = [betas, gammas], then gate within k; each
-    gate's p+-[t] equal TargetReader.read's to rounding.  The unshifted evolution
-    runs once and keeps its state after each layer, and a layer's generator
-    rows run on in stacks (_shift_stacks) mirrored into at most _STACK_BYTES.
-
-    Peaks at depth + 2.5 states: the phases of layers 1.. and the after-layer
-    states (depth - 1/2), |a|^2 (1/4), the previous stack's mirrored
-    probabilities, which a caller holding the last yielded row keeps alive (1),
-    and a one-row stack's p+- as they are made (the rows, p+- and three float
-    temporaries, 7/4 at n >= 14; the stack's in-place mixers take 3/2).
-    The sampled gradient holds a batch of half rows instead (_shift_batches:
-    2 at n = 14, 1/2 from n = 16 on) and peaks at depth + 3.5 at n = 14.
-    """
-    for kind, layer, chunk, probs in _shift_stacks(instance, params):
-        probs = _mirror(probs)  # the half rows are freed before the next stack
-        for index, p_plus, p_minus in zip(chunk, *probs):
-            yield (kind, layer, index, gate_coefficient(instance, kind, index),
-                   p_plus, p_minus)
-
-
 def _shift_batches(instance: MaxCutInstance, params: QaoaParams
                   ) -> Iterator[tuple[list[tuple[str, int, int]], np.ndarray]]:
     """The sweep's half rows in batches of at most _BATCH_BYTES (a gate at
-    least), in shifted_states' order: (gates as (kind, layer, index), their
+    least), in _shift_stacks' order: (gates as (kind, layer, index), their
     rows, each gate's + before its -).  The rows are one buffer, refilled."""
     half = 2 ** (instance.n - 1)
     batch = np.empty((2 * max(1, _BATCH_BYTES // (16 * half)), half))

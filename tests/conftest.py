@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modeqaoa import simulator
 from modeqaoa.graph import (
     MaxCutInstance, assign_weights, complete_graph, cut_values_table, random_regular,
     with_optimum,
@@ -96,6 +97,17 @@ def generator_row(instance, kind, index, beta, after):
         out[:, 1] = (-sign * 1j * s) * halves[:, 0] - sign * c * halves[:, 1]
         row = out.reshape(-1)
     return row
+
+
+def swept_rows(instance, params):
+    """(kind, layer, index, gate coefficient, p+, p-) for every gate in sweep
+    order, p+- its rows of simulator._shift_stacks mirrored to full length:
+    the sweep's output in the form the per-gate oracles give."""
+    for kind, layer, chunk, probs in simulator._shift_stacks(instance, params):
+        rows = np.concatenate([probs, probs[..., ::-1]], axis=-1)
+        for index, plus, minus in zip(chunk, *rows):
+            yield (kind, layer, index, simulator.gate_coefficient(instance, kind, index),
+                   plus, minus)
 
 
 def sample_indices(dist, shots, rng):

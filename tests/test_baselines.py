@@ -4,6 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
+from conftest import swept_rows
 from modeqaoa import baselines, bo, shots
 from modeqaoa.baselines import (
     GdConfig, _split_shots, fixed_shot_expectation_eval,
@@ -13,7 +14,7 @@ from modeqaoa.bo import optimize_map_bo
 from modeqaoa.graph import MaxCutInstance, assign_weights, random_regular, with_optimum
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
-    QaoaParams, exact_expectation, outcome_distribution, shifted_states,
+    QaoaParams, exact_expectation, outcome_distribution,
 )
 from modeqaoa.stage2 import amplify
 
@@ -102,7 +103,7 @@ def test_coordinate_gates_layout(six_reg):
     params = QaoaParams((0.3, 0.5), (0.7, 1.1))
     depth = params.depth
     by_coord = {}
-    for kind, layer, index, coeff, _, _ in shifted_states(six_reg, params):
+    for kind, layer, index, coeff, _, _ in swept_rows(six_reg, params):
         k = layer + (depth if kind == "gamma" else 0)
         by_coord.setdefault(k, []).append((kind, layer, index, coeff))
     beta_gates = by_coord[0]

@@ -22,8 +22,9 @@ def test_counts_validation():
         Counts.from_histogram({"0x": 1})
     with pytest.raises(ValueError):
         Counts.from_histogram({"01": 0})
-    with pytest.raises(ValueError):
-        Counts.from_histogram({"01": 2.0})
+    for count in (2.0, True, False):
+        with pytest.raises(ValueError, match="positive int"):
+            Counts.from_histogram({"01": count, "10": 2})
     c = Counts.from_histogram({"01": 2, "10": 3})
     assert c.total == 5 and c.distinct == 2
 

@@ -125,11 +125,13 @@ GOLDEN = {
         "9830e1a65317ee25e1d461be53c72ad464a9f35b5090806569199c6a0388a93c",
     "n10_map_bo/trials.jsonl":
         "29b935d80cdf1e6da856ace0d4327d46ff44dacd38745d1e285642f6d9dbea37",
-    # [gd] exact_gradient and [stage2] use_exact, from one --config INI
+    # [gd] exact_gradient and [stage2] use_exact, from one --config INI; the
+    # exact gradient's E+- are half-row matvecs scaled by the channel's slope,
+    # which moved 149 float leaves by <= 2.3e-15 and nothing else
     "exact_exp_gd/run.json":
-        "2a77937195d2c3035c5033889045d8179a38877d46716aa22303b9b86cefde4d",
+        "bd39ab46a9789727add3c8c2cc45af43813b5e855bb17c71d765eed2ef90ab33",
     "exact_exp_gd/trials.jsonl":
-        "9cf8c08e9724b9d71ed398add01594a9b4d1485daac198d24ebb4118c21b2b33",
+        "570d78a8b1eecffd87d27396da854a8d26c147ffeb92570fe9b0d4d66fc579ed",
     # stage 2's exact reads are one bin each, computed from two projected
     # amplitudes and depolarized unnormalized; the trace moved by <= 1.6e-16,
     # by <= 1.4e-16 more when reads moved to the gate's own layer, and by

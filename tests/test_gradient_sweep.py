@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_evolve, sample_indices
+from conftest import oracle_evolve, sample_indices, swept_rows
 from modeqaoa import baselines, simulator
 from modeqaoa.baselines import _split_shots, parameter_shift_gradient
 from modeqaoa.estimators import Counts, expectation_estimate
@@ -20,7 +20,6 @@ from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
     distribution, evolve, exact_expectation, gate_coefficient, gate_count, sample_halves,
-    shifted_states,
 )
 from modeqaoa.stage2 import AmplifyConfig, amplify, exact_gradient
 
@@ -54,7 +53,7 @@ def _shifts(kind, layer, index):
 
 def assert_kernel_matches_oracle(instance, params):
     assert_same_bits(evolve(instance, params), oracle_evolve(instance, params))
-    for kind, layer, index, _, plus, minus in shifted_states(instance, params):
+    for kind, layer, index, _, plus, minus in swept_rows(instance, params):
         for shift, probs in zip(_shifts(kind, layer, index), (plus, minus)):
             assert_close_to_oracle(probs, instance, params, shift)
 
@@ -111,7 +110,7 @@ def oracle_target_gradient(instance, params, target, noise):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_swept_states_equal_evolve(weighted6, depth):
     params = PARAMS[depth]
-    swept = list(shifted_states(weighted6, params))
+    swept = list(swept_rows(weighted6, params))
     want = [(kind, layer, index) for _, kind, layer, index in _gates(weighted6, depth)]
     assert [gate[:3] for gate in swept] == want
     for kind, layer, index, coeff, plus, minus in swept:
@@ -131,7 +130,7 @@ def assert_target_reads_rows(instance, params, kind, layer, index, rows):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_target_read_equals_sweep_and_oracle(weighted6, depth):
     params = PARAMS[depth]
-    for kind, layer, index, _, plus, minus in shifted_states(weighted6, params):
+    for kind, layer, index, _, plus, minus in swept_rows(weighted6, params):
         assert_target_reads_rows(weighted6, params, kind, layer, index, (plus, minus))
         oracle = [distribution(oracle_evolve(weighted6, params, shift))
                   for shift in _shifts(kind, layer, index)]
@@ -197,7 +196,7 @@ def test_half_space_is_exact(circuit):
     assert_kernel_matches_oracle(instance, params)
     state = evolve(instance, params)
     assert state.tobytes() == state[::-1].tobytes()
-    for *_, plus, minus in shifted_states(instance, params):
+    for *_, plus, minus in swept_rows(instance, params):
         for row in (plus, minus):
             assert row.tobytes() == row[::-1].tobytes()
 
@@ -211,14 +210,14 @@ def test_target_read_equals_rows(circuit):
     # first and last gate of each kind and layer are read, and edges are
     # sorted, so gamma gate 0 is a vertex-0 edge
     instance, params = circuit
-    for kind, layer, index, _, plus, minus in shifted_states(instance, params):
+    for kind, layer, index, _, plus, minus in swept_rows(instance, params):
         if index in (0, gate_count(instance, kind) - 1):
             assert_target_reads_rows(instance, params, kind, layer, index, (plus, minus))
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("shots", [None, 600])
-@pytest.mark.parametrize("lam", [0.0, 0.01])
+@pytest.mark.parametrize("lam", [0.0, 0.01, 0.3, 1.0])
 def test_parameter_shift_gradient_matches_oracle(weighted6, depth, shots, lam):
     params = PARAMS[depth]
     noise = NoiseSpec.for_circuit(lam, weighted6, depth)
@@ -227,10 +226,30 @@ def test_parameter_shift_gradient_matches_oracle(weighted6, depth, shots, lam):
     want = oracle_parameter_shift(weighted6, params, shots, noise, 11, want_ledger)
     if shots is None:
         assert np.max(np.abs(got - want)) <= 1e-13
+        if lam == 1.0:  # the channel's slope is 0: every shifted mean is the mean cut
+            assert not got.any()
     else:
         # the draws do not move under rounding-level changes of the distribution
         assert got.tobytes() == want.tobytes()
     assert got_ledger == want_ledger
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_exact_shift_gradient_reads_half_rows(weighted6, monkeypatch, depth, lam):
+    # the exact branch reads the sweep's half rows as they are: no full state
+    # and no mirrored row
+    params = PARAMS[depth]
+    noise = NoiseSpec.for_circuit(lam, weighted6, depth)
+    want = oracle_parameter_shift(weighted6, params, None, noise, 0, ResourceLedger())
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the exact gradient evolved a full state or mirrored a row")
+
+    monkeypatch.setattr(simulator, "_mirror", refuse)
+    monkeypatch.setattr(simulator, "evolve", refuse)
+    got = parameter_shift_gradient(weighted6, params, None, noise, 0, ResourceLedger())
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.01])
@@ -253,7 +272,7 @@ def test_sampled_gate_value_equals_histogram_estimate(weighted6, monkeypatch, la
     assert ledger.distinct_counts == [c.distinct for c in counts]
     values = iter([expectation_estimate(weighted6, c) for c in counts])
     want = np.zeros(2 * params.depth)
-    for kind, layer, index, coeff, *_ in shifted_states(weighted6, params):
+    for kind, layer, index, coeff, *_ in swept_rows(weighted6, params):
         k = layer + (params.depth if kind == "gamma" else 0)
         want[k] += coeff * (next(values) - next(values))  # + before -
     assert next(values, None) is None
@@ -307,7 +326,7 @@ def test_exact_target_gradient_matches_oracle(weighted6, monkeypatch, depth, lam
         raise AssertionError("exact_gradient evolved a full state or swept full rows")
 
     # every gate is read at the target bin through one reader
-    monkeypatch.setattr(simulator, "shifted_states", refuse)
+    monkeypatch.setattr(simulator, "_shift_stacks", refuse)
     monkeypatch.setattr(simulator, "evolve", refuse)
     got = exact_gradient(weighted6, params, target, noise)
     assert np.max(np.abs(got - want)) <= 1e-13
@@ -321,7 +340,7 @@ def test_size_check_precedes_allocation():
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 1 of them \(512 MiB\)"):
         evolve(inst, params)
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
-        next(shifted_states(inst, params))
+        next(simulator._shift_stacks(inst, params))
     # a target read's refusal allocates nothing: not a tenth of a 2^14 state
     assert _peak_states(lambda: pytest.raises(
         ValueError, TargetReader, inst, 2**25 - 1, params.depth)) < 0.1
@@ -346,9 +365,9 @@ def test_size_message_counts_peak_states(depth):
     params = PARAMS[depth]
 
     def sweep(shots=None):
-        # the exact gradient's loop holds each gate's rows as the sweep yields;
-        # the sampled one holds a batch of half rows instead, 4 gates (2
-        # states) at n = 14, and no mirrored stack
+        # the exact gradient's loop holds each stack's half rows of p+- as the
+        # sweep yields them, and its matvec values; the sampled one holds a
+        # batch of half rows instead, 4 gates (2 states) at n = 14
         parameter_shift_gradient(inst, params, shots, None, 0, ResourceLedger())
 
     sweep()  # fill the cut-table cache, which the counts leave out

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
-from conftest import generator_row, mix_passes, sample_indices
+from conftest import generator_row, mix_passes, sample_indices, swept_rows
 from modeqaoa import simulator
 from modeqaoa.estimators import Counts
 from modeqaoa.graph import (
@@ -12,7 +12,7 @@ from modeqaoa.graph import (
 from modeqaoa.simulator import (
     MAX_QUBITS, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing, depolarize,
     distribution, evolve, exact_expectation, gate_count, outcome_distribution, sample,
-    sample_halves, shifted_states,
+    sample_halves,
 )
 
 
@@ -96,7 +96,7 @@ def test_distribution_normalized(six_reg):
 
 def plus_row(inst, params, kind, layer, index):
     """One gate's +pi/2 shifted distribution from the shift sweep."""
-    return next(plus for k, l, i, _, plus, _ in shifted_states(inst, params)
+    return next(plus for k, l, i, _, plus, _ in swept_rows(inst, params)
                 if (k, l, i) == (kind, layer, index))
 
 

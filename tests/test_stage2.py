@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_evolve
+from conftest import oracle_evolve, swept_rows
 from modeqaoa import simulator, stage2
 from modeqaoa.graph import (
     MaxCutInstance, assign_weights, brute_force_optimum, random_regular, with_optimum,
@@ -11,7 +11,7 @@ from modeqaoa.graph import (
 from modeqaoa.resources import ResourceLedger
 from modeqaoa.simulator import (
     GATE_KINDS, GateShift, NoiseSpec, QaoaParams, TargetReader, apply_depolarizing,
-    distribution, gate_coefficient, gate_count, outcome_distribution, shifted_states,
+    distribution, gate_coefficient, gate_count, outcome_distribution,
 )
 from modeqaoa.stage2 import (
     AmplifyConfig, _read_target, amplify, exact_gradient, randomized_shift_gradient,
@@ -167,7 +167,7 @@ def full_row_estimate(instance, params, target, shots, noise, rng):
     g_k = gate_count(instance, kind)
     index = int(rng.integers(g_k))
     rows = next((plus, minus) for got_kind, got_layer, got_index, _, plus, minus
-                in shifted_states(instance, params)
+                in swept_rows(instance, params)
                 if (got_kind, got_layer, got_index) == (kind, layer, index))
     values = [_read_target(apply_depolarizing(row, noise), target, shots, rng)
               for row in rows]

@@ -87,7 +87,8 @@ def test_no_orphaned_module_level_names():
 # module-level names that no library module loads: kept for tests and
 # perfbench alone, each on purpose
 TEST_ONLY = {"estimators.mode_confidence", "estimators.normalized_cut_variance",
-             "resources.saving_ratios", "simulator.GateShift", "stage2.target_probability"}
+             "resources.saving_ratios", "simulator.GateShift", "simulator.exact_expectation",
+             "stage2.target_probability"}
 
 
 def test_test_only_names_are_listed():
