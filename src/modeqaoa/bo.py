@@ -155,24 +155,20 @@ def should_stop(history, cfg: StagnationConfig) -> bool:
     return incumbent_now - incumbent_then < cfg.min_delta
 
 
-def check_adam(cfg) -> None:
-    """Refuse settings adam_step would descend or fail on, before any shot is spent."""
-    for name, ok, bound in (("learning_rate", cfg.learning_rate >= 0, ">= 0"),
-                            ("adam_beta1", 0 <= cfg.adam_beta1 < 1, "in [0, 1)"),
-                            ("adam_beta2", 0 <= cfg.adam_beta2 < 1, "in [0, 1)"),
-                            ("adam_eps", cfg.adam_eps > 0, "> 0")):
-        if not ok:
-            raise ValueError(f"{name} must be {bound}, got {getattr(cfg, name)}")
+# Adam's published moment settings (Kingma & Ba 2014, arXiv:1412.6980)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
-def adam_step(cfg, m, v, grad, t: int):
-    """Adam (Kingma & Ba 2014) at step t >= 1: (ascent step, new m, new v).  Elementwise,
-    so arrays and scalars give the same bits; cfg holds learning_rate, adam_beta1/2/eps."""
-    m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-    v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad**2
-    m_hat = m / (1 - cfg.adam_beta1**t)
-    v_hat = v / (1 - cfg.adam_beta2**t)
-    return cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps), m, v
+def adam_step(learning_rate: float, m, v, grad, t: int):
+    """Adam at step t >= 1: (ascent step, new m, new v).  Elementwise, so
+    arrays and scalars give the same bits."""
+    beta1, beta2 = ADAM_BETAS
+    m = beta1 * m + (1 - beta1) * grad
+    v = beta2 * v + (1 - beta2) * grad**2
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    return learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfig,

@@ -175,12 +175,18 @@ def _check_weight(instance: MaxCutInstance) -> None:
         raise ValueError("total weight must be positive")
 
 
+def _mean_cut(vals: np.ndarray, cuts: np.ndarray, total: int) -> float:
+    """Mean cut, summed strictly left to right in index order (cumsum), as a
+    sequential sum does; a dot product or np.sum may round differently."""
+    return float(np.cumsum(vals * cuts)[-1]) / total
+
+
 def _cut_moments(instance: MaxCutInstance, vals: np.ndarray,
                  cuts: np.ndarray) -> tuple[float, float]:
     """(mean cut, cut variance / total weight^2) of the histogram."""
     _check_weight(instance)
     total = int(vals.sum())
-    first = float(vals @ cuts) / total
+    first = _mean_cut(vals, cuts, total)
     second = float(vals @ (cuts * cuts)) / total
     var = max(second - first * first, 0.0)
     return first, var / (instance.total_weight ** 2)
@@ -195,9 +201,7 @@ def mode_of(counts: Counts) -> int:
 
 def expectation_estimate(instance: MaxCutInstance, counts: Counts) -> float:
     _, vals, cuts = _observed_cuts(instance, counts)
-    # cumsum adds strictly left to right in index order, as the sequential
-    # sum did; a dot product or np.sum may round differently
-    return float(np.cumsum(vals * cuts)[-1]) / counts.total
+    return _mean_cut(vals, cuts, counts.total)
 
 
 def mode_confidence(counts: Counts, resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,

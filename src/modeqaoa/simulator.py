@@ -453,16 +453,16 @@ def _shift_stacks(instance: MaxCutInstance, params: QaoaParams
     unshifted evolution runs once and keeps its state after each layer, and a
     layer's generator rows run on in stacks (see _STACK_BYTES).
 
-    Peaks at depth + 2 states: the phases of layers 1.. and the after-layer
-    states (depth - 1/2), |a|^2 (1/4), the previous stack's p+-, which a caller
-    holding them keeps alive (1/2), as the exact gradient does, and a one-row
-    stack's p+- as they are made (the rows, p+- and three float temporaries,
-    7/4 at n >= 14; the stack's in-place mixers take 3/2).  The sampled
-    gradient holds a batch of half rows instead (_shift_batches: 2 at n = 14,
-    1/2 from n = 16 on) and peaks at depth + 3.5 at n = 14.
+    Peaks at depth + 1 states: the phases of layers 1.. and the after-layer
+    states (depth - 1/2), |a|^2 (1/4) and a one-row stack's p+- as they are
+    made (the rows, p+- and three float temporaries, 7/4 at n >= 14; the
+    stack's in-place mixers take 3/2), so long as no caller keeps the previous
+    stack's p+- alive; neither gradient does.  The sampled gradient holds a
+    batch of half rows besides (_shift_batches: 2 at n = 14, 1/2 from n = 16
+    on) and peaks at depth + 3.5 at n = 14.
     """
     n, depth = instance.n, params.depth
-    _check_size(n, depth + 2)
+    _check_size(n, depth + 1)
     phases = _phases(instance, params.gammas)
     after = [_run(_uniform(n), phases, params.betas[:1])]
     later = list(phases)  # cost phases of layers 1.., shared by every row

@@ -108,10 +108,8 @@ EVERY_FIELD_SET = ExperimentConfig(
     tpe=bo.TpeConfig(startup_trials=7, good_fraction=0.3, candidates_per_suggest=16,
                      bandwidth_floor=0.1),
     stagnation=bo.StagnationConfig(patience=12, min_delta=0.001),
-    gd=GdConfig(iterations=9, learning_rate=0.1, adam_beta1=0.8, adam_beta2=0.99,
-                adam_eps=1e-6, exact_gradient=True),
+    gd=GdConfig(iterations=9, learning_rate=0.1, exact_gradient=True),
     amplify_cfg=AmplifyConfig(steps=20, shots_per_shift=64, learning_rate=0.2,
-                              adam_beta1=0.85, adam_beta2=0.995, adam_eps=1e-7,
                               reeval_period=4, use_exact=True))
 
 
@@ -232,11 +230,11 @@ def test_cli_bench_rejects_bad_grid_before_any_cell(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+# Adam's one setting; its moments are constants, and an INI that sets one is
+# refused as an unknown key (test_cli_refuses_removed_adam_keys)
 BAD_ADAM = {
     "learning_rate": "[stage2]\nlearning_rate = -0.05\n",
-    "adam_beta1": "[stage2]\nadam_beta1 = 1.0\n",
-    "adam_beta2": "[gd]\nadam_beta2 = 1.0\n",
-    "adam_eps": "[gd]\nadam_eps = 0\n",
+    "learning_rate_nan": "[gd]\nlearning_rate = nan\n",
 }
 
 
@@ -256,9 +254,36 @@ def test_cli_bench_rejects_bad_adam_settings_before_any_cell(tmp_path, capsys, m
                "--experiment", "single", "--n-values", "4", "--methods", "exp_bo",
                "--t-max", "3", "--stage2", "--config", str(ini)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: " + case)
+    assert capsys.readouterr().err.startswith("error: learning_rate must be >= 0")
     assert cells == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key", [(section, key) for section in ("gd", "stage2")
+                                         for key in ("adam_beta1", "adam_beta2", "adam_eps")])
+def test_cli_refuses_removed_adam_keys(tmp_path, capsys, monkeypatch, section, key):
+    # Adam's moments are constants of bo; a key that once set one is unknown,
+    # in an INI written by hand or in an older config_resolved.ini
+    ini = tmp_path / "adam.ini"
+    ini.write_text(f"[{section}]\n{key} = 0.5\n")
+    cells = []
+    monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+    out = tmp_path / "out"
+    rc = main(["bench", "--seed", "1", "--out", str(out), "--instances", "1",
+               "--experiment", "single", "--n-values", "4", "--methods", "exp_gd",
+               "--t-max", "3", "--stage2", "--config", str(ini)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in section [{section}]\n"
+    assert cells == []
+    assert not out.exists()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "config_resolved.ini").write_text(config_to_ini(ExperimentConfig()).replace(
+        f"[{section}]\n", f"[{section}]\n{key} = 0.5\n"))
+    (old / "records.jsonl").write_text("")
+    assert main(["report", "--indir", str(old)]) == 2
+    assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+    assert sorted(os.listdir(old)) == ["config_resolved.ini", "records.jsonl"]
 
 
 def test_config_rejects_bad_grid_values():
@@ -295,7 +320,7 @@ def test_cli_refuses_gd_shots_per_eval(tmp_path, capsys, monkeypatch):
     old = tmp_path / "old"
     old.mkdir()
     (old / "config_resolved.ini").write_text(config_to_ini(ExperimentConfig()).replace(
-        "adam_eps = 1e-08\n", "adam_eps = 1e-08\nshots_per_eval = 1000\n", 1))
+        "exact_gradient = False\n", "exact_gradient = False\nshots_per_eval = 1000\n"))
     (old / "records.jsonl").write_text("")
     assert main(["report", "--indir", str(old)]) == 2
     assert "unknown key 'shots_per_eval'" in capsys.readouterr().err
@@ -822,10 +847,8 @@ INI_SURFACE = {
                  "bootstrap_resamples"],
     "tpe": ["startup_trials", "good_fraction", "candidates_per_suggest", "bandwidth_floor"],
     "stagnation": ["patience", "min_delta"],
-    "gd": ["iterations", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
-           "exact_gradient"],
-    "stage2": ["steps", "shots_per_shift", "learning_rate", "adam_beta1", "adam_beta2",
-               "adam_eps", "reeval_period", "use_exact"],
+    "gd": ["iterations", "learning_rate", "exact_gradient"],
+    "stage2": ["steps", "shots_per_shift", "learning_rate", "reeval_period", "use_exact"],
 }
 
 

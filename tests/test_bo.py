@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from modeqaoa.baselines import GdConfig
 from modeqaoa.bo import (
-    RunResult, StagnationConfig, TpeConfig, Trial, adam_step, optimize_map_bo,
-    run_result_to_dict, search_bounds, should_stop, split_good_bad, suggest,
-    trials_to_jsonl,
+    ADAM_BETAS, ADAM_EPS, RunResult, StagnationConfig, TpeConfig, Trial, adam_step,
+    optimize_map_bo, run_result_to_dict, search_bounds, should_stop, split_good_bad,
+    suggest, trials_to_jsonl,
 )
 from modeqaoa import estimators
 from modeqaoa.graph import complete_graph, index_to_bits, random_regular, with_optimum
@@ -199,24 +199,25 @@ def test_unread_confidence_is_never_drawn(monkeypatch):
     assert floors == [None] * (rejected + 1)
 
 
-@pytest.mark.parametrize("cfg", [GdConfig(), AmplifyConfig(learning_rate=0.3, adam_beta1=0.8,
-                                                           adam_beta2=0.99, adam_eps=1e-3)])
+@pytest.mark.parametrize("cfg", [GdConfig(), AmplifyConfig(learning_rate=0.3),
+                                 GdConfig(learning_rate=2.5)])
 def test_adam_step_arrays_match_scalars_bit_for_bit(cfg):
     # exp_gd updates the whole vector at once and stage 2 one coordinate at a
     # time, an np.float64 moment against a Python float gradient; sharing one
     # adam_step needs both forms to give the same bits
+    rate = cfg.learning_rate
     rng = np.random.default_rng(7)
     size = 64
     m, v = np.zeros((2, size))
     m_s, v_s = np.zeros((2, size))
     for t in range(1, 31):
         grad = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 3, size)
-        step, m, v = adam_step(cfg, m, v, grad, t)
+        step, m, v = adam_step(rate, m, v, grad, t)
         for i in range(size):
-            step_i, m_s[i], v_s[i] = adam_step(cfg, m_s[i], v_s[i], float(grad[i]), t)
+            step_i, m_s[i], v_s[i] = adam_step(rate, m_s[i], v_s[i], float(grad[i]), t)
             assert np.float64(step_i).tobytes() == step[i].tobytes()
         assert m.tobytes() == m_s.tobytes() and v.tobytes() == v_s.tobytes()
     # the first step from zero moments is learning_rate * g / (|g| + eps)
-    step, m, v = adam_step(cfg, 0.0, 0.0, -2.0, 1)
-    assert step == pytest.approx(-cfg.learning_rate * 2.0 / (2.0 + cfg.adam_eps), rel=1e-12)
-    assert m == pytest.approx(-2.0 * (1 - cfg.adam_beta1))
+    step, m, v = adam_step(rate, 0.0, 0.0, -2.0, 1)
+    assert step == pytest.approx(-rate * 2.0 / (2.0 + ADAM_EPS), rel=1e-12)
+    assert m == pytest.approx(-2.0 * (1 - ADAM_BETAS[0]))

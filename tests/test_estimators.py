@@ -120,6 +120,17 @@ def test_expectation_estimate_matches_sequential_sum(n, weights, seed, keys):
     assert expectation_estimate(inst, counts) == acc / counts.total
 
 
+def test_compute_stats_expectation_equals_expectation_estimate():
+    # one mean-cut rule: a run's final expectation and its accuracy times the
+    # optimum read the same bits; a dot product differed in the last bits
+    inst = assign_weights(random_regular(10, 3, seed=10), "uniform", seed=10)
+    for seed in range(20):
+        dist = np.random.default_rng(seed).dirichlet(np.full(2**10, 0.05))
+        counts = sample(dist, 1200, seed)
+        assert (compute_stats(inst, counts).expectation_estimate
+                == expectation_estimate(inst, counts))
+
+
 def test_confidence_single_key_is_one():
     assert mode_confidence(Counts.from_histogram({"0": 7})) == 1.0
 

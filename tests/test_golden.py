@@ -31,11 +31,14 @@ SWEEPS = {
     "single": ["--experiment", "single", "--instances", "1"],
 }
 
+# each sweep's config_resolved.ini and records.jsonl last moved when Adam's
+# moment keys left [gd] and [stage2]: six INI lines went, and in the records
+# only config_hash moved
 GOLDEN = {
     "noise_sweep/aggregates.csv":
         "f51dce24f6af0942d5554725178eb60369a3b7a5dce23658815130e2399254cd",
     "noise_sweep/config_resolved.ini":
-        "90c25bccc5e04f4f01dc9ee5e68f0d51c62b86016b73ab52a682525bb872bcda",
+        "54cf237d2d5b5ac582c6e60da73bc0bf07914d1ec0680db89b8d180caf4d6f3c",
     "noise_sweep/plots/noise_panels.csv":
         "45a18d4c9527283cdcd0908c1bd2a10ab2891f256d6d1cfc4b0963095d76ea49",
     "noise_sweep/plots/noise_pareto.csv":
@@ -47,7 +50,7 @@ GOLDEN = {
     "noise_sweep/plots/threshold_shots.csv":
         "775dd0f0534706a56c10dcf3af6fad5cde6772fc2c667eace36be5e196ffeaea",
     "noise_sweep/records.jsonl":
-        "85768f500f56f8f66ba314173cdbbf0d3da5662143124cad8f5299d06bbc73fc",
+        "145f3d37cab87d7a1f0b380646e7825cffb9486cebcb7ee36b73b6a54d2ab913",
     "noise_sweep/stage2_traces.jsonl":
         "376fc14e8ddda4d26d7c9f436ccbd125cffe4ddb262bf907caab1ea1833f7d57",
     "noise_sweep/summary.json":
@@ -55,7 +58,7 @@ GOLDEN = {
     "depth_sweep/aggregates.csv":
         "9a4a5f4f3ea32fee7d93451a8c3b7fcf19d3181c087d435d81e9f5893740d638",
     "depth_sweep/config_resolved.ini":
-        "391879d31693cd457a523a01c94d5115fa21f62e5cc99a76643f492c95303245",
+        "83294b770b97902318965f0955d8d3b7d5fb061d6129de81b5c0be7f3e18e6d0",
     "depth_sweep/plots/depth_panels.csv":
         "fcd85e684762b0d47e87a254a8bf09dc7883c1c24f0e4f08ebd8a79ec9ace2fc",
     "depth_sweep/plots/pareto.csv":
@@ -65,7 +68,7 @@ GOLDEN = {
     "depth_sweep/plots/threshold_shots.csv":
         "e62bd4297213053d987a19b0fb3d5ff755d55210b0175a9357d828691d3bd17c",
     "depth_sweep/records.jsonl":
-        "38b4296a3b380c7a4683af45d7df3b05f93a4406098e2f526b70fc2da1c7eae2",
+        "1ddccefaf454126d5cec0adabce97cfa95ffa1e265441bbc01e4bd96ff2b464f",
     "depth_sweep/stage2_traces.jsonl":
         "e023d4dbb718f4257bd73cf5590b6328f496de3ca9275725b7f635147e1164c1",
     "depth_sweep/summary.json":
@@ -73,7 +76,7 @@ GOLDEN = {
     "qubit_sweep/aggregates.csv":
         "5c8ab84ba43fd28264e2ec1a628fc108767d0125f48e363b68f4e00a4fba46f9",
     "qubit_sweep/config_resolved.ini":
-        "d14d551257847238ebe331679eca1881f611b75a988aab66c2e88e012572658b",
+        "ebd04bdcaa03567c2b86a79702bec6c3bc83cea8fb028e7d49b05fdaeecab114",
     "qubit_sweep/plots/pareto.csv":
         "0dc24be8abb1edf31d3147edeadfbba32afb2fec1adc022e651cd48841ebafa8",
     "qubit_sweep/plots/qubit_curves.csv":
@@ -83,7 +86,7 @@ GOLDEN = {
     "qubit_sweep/plots/threshold_shots.csv":
         "6b51d6e7f92f2564e7af11cb07953b6c4046f70f8ce158ed7a28b6cfd96ef802",
     "qubit_sweep/records.jsonl":
-        "9b5273482fa8a4fbbfd96bc358904ea612a80e141cff6ac10588e8416ca491a8",
+        "6a9e9993f6e5bf47190bee6f008398bbd74976e5a94501bf26540f0fdda1e5d2",
     "qubit_sweep/stage2_traces.jsonl":
         "a4ab676bc5936286edd495217d9a1654645b05728d7dc15d290b892ea4e9f316",
     "qubit_sweep/summary.json":
@@ -91,7 +94,7 @@ GOLDEN = {
     "single/aggregates.csv":
         "86a986afa9e133a7131e6297caab8ad38028511691d3192b7b26f179b9083569",
     "single/config_resolved.ini":
-        "b22ea85067c2e104ec48ff21d58bc6673e8f5e779ebcac9eeff7f98f8807d452",
+        "6563301181f006439a16e31ba1bd12f442cb1b694c3115aa7f15a1b4a387c23a",
     "single/plots/pareto.csv":
         "5e769a7990c3bfa7ae53a7010de87cb37b7d99df37808482c0c48b21103b550e",
     "single/plots/saving_rate.csv":
@@ -99,7 +102,7 @@ GOLDEN = {
     "single/plots/threshold_shots.csv":
         "9309fd2284f87c4eef622f7b1c6df4f721f9f62220e6ec677d726641de10ba8d",
     "single/records.jsonl":
-        "2f0290aea805f343370070ad0cc474984708ab83165f5b47a6cd83ea6fd49578",
+        "246b6cc8cf09a996e1456107b4a9f9babfb4180a0addd43c8887fe87031b3730",
     "single/stage2_traces.jsonl":
         "e2b7e53b80b0215eb70a436a06df27f30cd162bba61222797a5bf0b66617beaa",
     "single/summary.json":

@@ -339,7 +339,7 @@ def test_size_check_precedes_allocation():
     params = QaoaParams((0.1, 0.2), (0.3, 0.4))
     with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 1 of them \(512 MiB\)"):
         evolve(inst, params)
-    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 4 of them \(2048 MiB\)"):
+    with pytest.raises(ValueError, match=r"n=25.*512 MiB.*keeps 3 of them \(1536 MiB\)"):
         next(simulator._shift_stacks(inst, params))
     # a target read's refusal allocates nothing: not a tenth of a 2^14 state
     assert _peak_states(lambda: pytest.raises(
@@ -365,13 +365,13 @@ def test_size_message_counts_peak_states(depth):
     params = PARAMS[depth]
 
     def sweep(shots=None):
-        # the exact gradient's loop holds each stack's half rows of p+- as the
-        # sweep yields them, and its matvec values; the sampled one holds a
-        # batch of half rows instead, 4 gates (2 states) at n = 14
+        # the exact gradient's loop frees each stack's half rows of p+- after
+        # its matvec, before the next stack runs; the sampled one holds a
+        # batch of half rows besides, 4 gates (2 states) at n = 14
         parameter_shift_gradient(inst, params, shots, None, 0, ResourceLedger())
 
     sweep()  # fill the cut-table cache, which the counts leave out
-    runs = [(1, lambda: evolve(inst, params)), (depth + 2, sweep),
+    runs = [(1, lambda: evolve(inst, params)), (depth + 1, sweep),
             (depth + 3, lambda: sweep(1000))]
     for count, run in runs:
         assert count <= _peak_states(run) < count + 1
