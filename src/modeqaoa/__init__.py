@@ -9,8 +9,8 @@ and a resource-accounting benchmark harness round out the package.
 
 from .baselines import (GdConfig, fixed_shot_expectation_eval, optimize_exp_bo,
                         optimize_exp_gd, parameter_shift_gradient)
-from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, optimize_map_bo,
-                 search_bounds, should_stop, split_good_bad, suggest)
+from .bo import (RunResult, Trial, optimize_map_bo, search_bounds, should_stop,
+                 split_good_bad, suggest)
 from .estimators import (Counts, EvalStats, compute_stats, dual_gate,
                          expectation_estimate, mode_confidence, mode_of,
                          normalized_cut_variance)

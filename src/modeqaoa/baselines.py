@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bo import (RunResult, StagnationConfig, TpeConfig, Trial, _check_weight, adam_step,
-                 finish_run, run_search, search_bounds)
+from .bo import (RunResult, Trial, _check_weight, adam_step, finish_run, run_search,
+                 search_bounds)
 # compute_stats is called through bo.finish_run; perfbench's trace-site test
 # still lists this module among those that import it
 from .estimators import Counts, compute_stats, expectation_estimate, mode_of  # noqa: F401
@@ -111,8 +111,6 @@ def parameter_shift_gradient(instance: MaxCutInstance, params: QaoaParams,
 
 def optimize_exp_bo(instance: MaxCutInstance, depth: int,
                     n_fix: int = DEFAULT_N_FIX,
-                    tpe_cfg: TpeConfig = TpeConfig(),
-                    stagnation_cfg: StagnationConfig = StagnationConfig(),
                     noise: NoiseSpec | None = None, t_max: int = 100,
                     seed: int = 0, n_final: int = 5000) -> RunResult:
     """TPE search on the fixed-shot expectation objective."""
@@ -123,8 +121,7 @@ def optimize_exp_bo(instance: MaxCutInstance, depth: int,
                                                     eval_seed, ledger)
         return _fixed_shot_trial(instance, t, params, value, counts, n_fix)
 
-    return run_search(instance, depth, evaluate, tpe_cfg, stagnation_cfg,
-                      noise, t_max, seed, n_final, ledger)
+    return run_search(instance, depth, evaluate, noise, t_max, seed, n_final, ledger)
 
 
 def optimize_exp_gd(instance: MaxCutInstance, depth: int,

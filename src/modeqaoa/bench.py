@@ -26,10 +26,9 @@ import numpy as np
 
 from . import __version__
 from .baselines import DEFAULT_N_FIX, GdConfig, optimize_exp_bo, optimize_exp_gd
-from .bo import (RunResult, StagnationConfig, TpeConfig, optimize_map_bo,
-                 run_result_to_dict, trials_to_jsonl)
-from .graph import (MaxCutInstance, assign_weights, from_json, random_regular,
-                    to_json, with_optimum)
+from .bo import RunResult, optimize_map_bo, run_result_to_dict, trials_to_jsonl
+from .graph import (WEIGHT_SCHEMES, MaxCutInstance, assign_weights, from_json,
+                    random_regular, to_json, with_optimum)
 from .resources import build_report, pooled_savings
 from .shots import AdaptiveConfig
 from .simulator import MAX_QUBITS, NoiseSpec
@@ -90,8 +89,6 @@ class ExperimentConfig:
     n_final: int = 5000
     stage2_enabled: bool = False
     adaptive: AdaptiveConfig = field(default_factory=AdaptiveConfig)
-    tpe: TpeConfig = field(default_factory=TpeConfig)
-    stagnation: StagnationConfig = field(default_factory=StagnationConfig)
     gd: GdConfig = field(default_factory=GdConfig)
     amplify_cfg: AmplifyConfig = field(default_factory=AmplifyConfig)
 
@@ -115,6 +112,9 @@ class ExperimentConfig:
             raise ValueError(f"n_values must lie in [2, {MAX_QUBITS}], got {self.n_values}")
         if not all(p >= 1 for p in self.p_values):
             raise ValueError(f"p_values must be >= 1, got {self.p_values}")
+        if self.weight_scheme not in WEIGHT_SCHEMES:
+            raise ValueError(f"weight_scheme must be one of {WEIGHT_SCHEMES}, "
+                             f"got {self.weight_scheme!r}")
         for name in ("degree", "instances_per_point", "t_max", "n_fix", "n_final"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -152,8 +152,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # INI section -> (ExperimentConfig field holding it, its config class)
 _SECTIONS = {
     "adaptive": ("adaptive", AdaptiveConfig),
-    "tpe": ("tpe", TpeConfig),
-    "stagnation": ("stagnation", StagnationConfig),
     "gd": ("gd", GdConfig),
     "stage2": ("amplify_cfg", AmplifyConfig),
 }
@@ -182,15 +180,21 @@ def _section_kwargs(parser: configparser.ConfigParser, section: str, cls) -> dic
 
 
 def _ini_settings(text: str) -> dict:
-    """ExperimentConfig keywords from an INI, its [experiment] keys in file order."""
+    """ExperimentConfig keywords from an INI, its [experiment] keys in file order;
+    unknown sections and [DEFAULT] keys, which every section would inherit, raise."""
     parser = configparser.ConfigParser()
     parser.read_string(text)
+    if parser.defaults():
+        raise ValueError(f"unknown key {next(iter(parser.defaults()))!r} in section [DEFAULT]")
     settings: dict = {}
-    if parser.has_section("experiment"):
-        settings = _section_kwargs(parser, "experiment", ExperimentConfig)
-    for section, (name, cls) in _SECTIONS.items():
-        if parser.has_section(section):
+    for section in parser.sections():
+        if section == "experiment":
+            settings.update(_section_kwargs(parser, section, ExperimentConfig))
+        elif section in _SECTIONS:
+            name, cls = _SECTIONS[section]
             settings[name] = cls(**_section_kwargs(parser, section, cls))
+        else:
+            raise ValueError(f"unknown section [{section}]")
     return settings
 
 
@@ -239,11 +243,11 @@ def run_method(cfg: ExperimentConfig, instance: MaxCutInstance, p: int, lam: flo
     returns (result, stage-2 probability trace or None)."""
     noise = NoiseSpec.for_circuit(lam, instance, p)  # refuses lam outside [0, 1]
     if method == "map_bo":
-        result = optimize_map_bo(instance, p, cfg.adaptive, cfg.tpe, cfg.stagnation,
-                                 noise, cfg.t_max, seed, cfg.n_final)
+        result = optimize_map_bo(instance, p, cfg.adaptive, noise, cfg.t_max, seed,
+                                 cfg.n_final)
     elif method == "exp_bo":
-        result = optimize_exp_bo(instance, p, cfg.n_fix, cfg.tpe, cfg.stagnation,
-                                 noise, cfg.t_max, seed, cfg.n_final)
+        result = optimize_exp_bo(instance, p, cfg.n_fix, noise, cfg.t_max, seed,
+                                 cfg.n_final)
     elif method == "exp_gd":
         result = optimize_exp_gd(instance, p, cfg.n_fix, cfg.gd, noise, seed, cfg.n_final)
     else:
@@ -500,7 +504,7 @@ _FLAGS = {
     "noise_lambdas": ("--lambdas", dict(type=float, nargs="+"), True),
     "instances_per_point": ("--instances", dict(type=int), True),
     "methods": ("--methods", dict(nargs="+", choices=METHODS), True),
-    "weight_scheme": ("--weights", dict(choices=("unit", "uniform")), True),
+    "weight_scheme": ("--weights", dict(choices=WEIGHT_SCHEMES), True),
 }
 # [experiment] keys that shape only a bench sweep: the grid flags' fields and
 # degree, which has no flag
@@ -604,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--degree", type=int, default=3)
     p_gen.add_argument("--count", type=int, default=10)
-    p_gen.add_argument("--weights", choices=("unit", "uniform"), default="unit")
+    p_gen.add_argument("--weights", choices=WEIGHT_SCHEMES, default="unit")
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)

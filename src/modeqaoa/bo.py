@@ -1,10 +1,10 @@
 """Tree-structured Parzen estimator search over the layer angles.
 
-History is split into good/bad groups at the gamma quantile of the objective;
-each group gets an independent per-dimension Gaussian KDE (Scott bandwidth
-with a floor).  Candidates are drawn from the good density and the one with
-the best good/bad density ratio is suggested.  Runs stop on a fixed trial
-budget or once the incumbent stops improving.
+After STARTUP_TRIALS uniform draws, history is split into good/bad groups at
+the GOOD_FRACTION quantile of the objective, each with a per-dimension Gaussian
+KDE (Scott bandwidth, floored).  Of CANDIDATES draws from the good density, the
+one with the best good/bad density ratio is suggested.  Runs stop on a fixed
+trial budget or once the incumbent stops improving.
 """
 from __future__ import annotations
 
@@ -22,34 +22,15 @@ from .shots import AdaptiveConfig, evaluate_point
 from .simulator import NoiseSpec, QaoaParams, child_seeds, outcome_distribution, sample
 
 
-@dataclass(frozen=True)
-class TpeConfig:
-    startup_trials: int = 10
-    good_fraction: float = 0.25
-    candidates_per_suggest: int = 24
-    bandwidth_floor: float = 0.05
-
-    def __post_init__(self):
-        if self.startup_trials < 1:
-            raise ValueError("startup_trials must be >= 1")
-        if not (0.0 < self.good_fraction < 1.0):
-            raise ValueError("good_fraction must lie in (0, 1)")
-        if self.candidates_per_suggest < 1:
-            raise ValueError("candidates_per_suggest must be >= 1")
-        if self.bandwidth_floor <= 0.0:
-            raise ValueError("bandwidth_floor must be > 0")
-
-
-@dataclass(frozen=True)
-class StagnationConfig:
-    patience: int = 30
-    min_delta: float = 1e-9
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.min_delta < 0:
-            raise ValueError("min_delta must be >= 0")
+# TPE's settings (Bergstra et al. 2011, NeurIPS 24); the good fraction and
+# the candidate count are hyperopt's defaults
+STARTUP_TRIALS = 10
+GOOD_FRACTION = 0.25
+CANDIDATES = 24
+BANDWIDTH_FLOOR = 0.05
+# the stopper's window and the least gain that counts as progress
+PATIENCE = 30
+MIN_DELTA = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,36 +104,35 @@ def _logmeanexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def suggest(history, bounds: np.ndarray, cfg: TpeConfig, seed: int) -> np.ndarray:
+def suggest(history, bounds: np.ndarray, seed: int) -> np.ndarray:
     """Next parameter vector: uniform during startup, otherwise TPE."""
     rng = np.random.default_rng(seed)
     lows, highs = bounds[:, 0], bounds[:, 1]
-    if len(history) < cfg.startup_trials:
+    if len(history) < STARTUP_TRIALS:
         return rng.uniform(lows, highs)
-    good, bad = split_good_bad(history, cfg.good_fraction)
+    good, bad = split_good_bad(history, GOOD_FRACTION)
     good_obs = np.array([t.params.betas + t.params.gammas for t in good])
-    good_bw = _bandwidths(good_obs, cfg.bandwidth_floor)
-    picks = rng.integers(len(good), size=cfg.candidates_per_suggest)
-    cand = good_obs[picks] + rng.standard_normal((cfg.candidates_per_suggest,
-                                                  len(lows))) * good_bw
+    good_bw = _bandwidths(good_obs, BANDWIDTH_FLOOR)
+    picks = rng.integers(len(good), size=CANDIDATES)
+    cand = good_obs[picks] + rng.standard_normal((CANDIDATES, len(lows))) * good_bw
     cand = np.clip(cand, lows, np.nextafter(highs, lows))
     log_l = _log_kde(cand, good_obs, good_bw)
     if bad:
         bad_obs = np.array([t.params.betas + t.params.gammas for t in bad])
-        log_g = _log_kde(cand, bad_obs, _bandwidths(bad_obs, cfg.bandwidth_floor))
+        log_g = _log_kde(cand, bad_obs, _bandwidths(bad_obs, BANDWIDTH_FLOOR))
     else:
         log_g = np.full(len(cand), -np.log(highs - lows).sum())
     return cand[int(np.argmax(log_l - log_g))]
 
 
-def should_stop(history, cfg: StagnationConfig) -> bool:
-    """True once the incumbent gained less than min_delta over the last patience trials."""
-    if len(history) < cfg.patience:
+def should_stop(history) -> bool:
+    """True once the incumbent gained less than MIN_DELTA over the last PATIENCE trials."""
+    if len(history) < PATIENCE:
         return False
     objectives = [t.objective for t in history]
     incumbent_now = max(objectives)
-    incumbent_then = max(objectives[: len(objectives) - cfg.patience + 1])
-    return incumbent_now - incumbent_then < cfg.min_delta
+    incumbent_then = max(objectives[: len(objectives) - PATIENCE + 1])
+    return incumbent_now - incumbent_then < MIN_DELTA
 
 
 # Adam's published moment settings (Kingma & Ba 2014, arXiv:1412.6980)
@@ -171,10 +151,8 @@ def adam_step(learning_rate: float, m, v, grad, t: int):
     return learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
-def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfig,
-               stagnation_cfg: StagnationConfig, noise: NoiseSpec | None,
-               t_max: int, seed: int, n_final: int,
-               ledger: ResourceLedger) -> RunResult:
+def run_search(instance: MaxCutInstance, depth: int, evaluate, noise: NoiseSpec | None,
+               t_max: int, seed: int, n_final: int, ledger: ResourceLedger) -> RunResult:
     """Shared trial loop: suggest, evaluate, stop, then finish_run.
 
     evaluate(t, params, seed) -> Trial is the only thing that differs between
@@ -189,9 +167,9 @@ def run_search(instance: MaxCutInstance, depth: int, evaluate, tpe_cfg: TpeConfi
     stop_reason = "budget"
     for t in range(1, t_max + 1):
         suggest_seed, eval_seed = child_seeds(ss, 2)
-        params = QaoaParams.from_vector(suggest(trials, bounds, tpe_cfg, suggest_seed))
+        params = QaoaParams.from_vector(suggest(trials, bounds, suggest_seed))
         trials.append(evaluate(t, params, eval_seed))
-        if should_stop(trials, stagnation_cfg):
+        if should_stop(trials):
             stop_reason = "stagnation"
             break
     return finish_run(instance, trials, ss, noise, n_final, ledger, stop_reason)
@@ -224,8 +202,6 @@ def finish_run(instance: MaxCutInstance, trials: list[Trial], ss: np.random.Seed
 
 def optimize_map_bo(instance: MaxCutInstance, depth: int,
                     adaptive_cfg: AdaptiveConfig = AdaptiveConfig(),
-                    tpe_cfg: TpeConfig = TpeConfig(),
-                    stagnation_cfg: StagnationConfig = StagnationConfig(),
                     noise: NoiseSpec | None = None, t_max: int = 100,
                     seed: int = 0, n_final: int = 5000) -> RunResult:
     """Mode-objective search with adaptive shots; the proposed method."""
@@ -237,8 +213,7 @@ def optimize_map_bo(instance: MaxCutInstance, depth: int,
                      shots_used=pe.shots_used, mode=pe.stats.mode,
                      mode_cut=pe.stats.mode_cut, stats=pe.stats)
 
-    return run_search(instance, depth, evaluate, tpe_cfg, stagnation_cfg,
-                      noise, t_max, seed, n_final, ledger)
+    return run_search(instance, depth, evaluate, noise, t_max, seed, n_final, ledger)
 
 
 def trials_to_jsonl(trials) -> str:

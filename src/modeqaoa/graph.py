@@ -95,6 +95,9 @@ def complete_graph(n: int) -> MaxCutInstance:
     return MaxCutInstance.from_edges(n, edges)
 
 
+WEIGHT_SCHEMES = ("unit", "uniform")
+
+
 def assign_weights(instance: MaxCutInstance, scheme: str, seed: int) -> MaxCutInstance:
     """Reweight edges: 'unit' sets every weight to 1, 'uniform' draws i.i.d. from (0, 1]."""
     if scheme == "unit":

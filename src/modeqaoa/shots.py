@@ -35,14 +35,14 @@ class AdaptiveConfig:
     def __post_init__(self):
         if self.pilot_shots < 1:
             raise ValueError("pilot_shots must be >= 1")
-        if self.growth <= 1.0:
-            raise ValueError("growth must be > 1")
+        if not 1.0 < self.growth < np.inf:  # NaN fails too
+            raise ValueError(f"growth must be > 1 and finite, got {self.growth}")
         if self.max_shots < self.pilot_shots:
             raise ValueError("max_shots must be >= pilot_shots")
         if not (0.0 < self.tau_conf <= 1.0):
             raise ValueError("tau_conf must lie in (0, 1]")
-        if self.tau_var < 0.0:
-            raise ValueError("tau_var must be >= 0")
+        if not self.tau_var >= 0.0:  # NaN would never pass the gate
+            raise ValueError(f"tau_var must be >= 0, got {self.tau_var}")
         if self.bootstrap_resamples < 1:
             raise ValueError("bootstrap_resamples must be >= 1")
 

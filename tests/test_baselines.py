@@ -45,7 +45,7 @@ def test_gd_config_validation():
     GdConfig(learning_rate=0.0)
 
 
-@pytest.mark.parametrize("entry", [optimize_map_bo, optimize_exp_bo, optimize_exp_gd, amplify])
+@pytest.mark.parametrize("entry", [optimize_map_bo, optimize_exp_gd, amplify])
 def test_config_defaults_are_frozen(entry):
     # each config default is one instance shared by every call
     defaults = [p.default for p in inspect.signature(entry).parameters.values()

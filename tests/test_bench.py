@@ -105,9 +105,6 @@ EVERY_FIELD_SET = ExperimentConfig(
     threshold=0.75, t_max=44, n_fix=321, n_final=777, stage2_enabled=True,
     adaptive=AdaptiveConfig(pilot_shots=50, growth=1.5, max_shots=800, tau_conf=0.8,
                             tau_var=0.03, bootstrap_resamples=150),
-    tpe=bo.TpeConfig(startup_trials=7, good_fraction=0.3, candidates_per_suggest=16,
-                     bandwidth_floor=0.1),
-    stagnation=bo.StagnationConfig(patience=12, min_delta=0.001),
     gd=GdConfig(iterations=9, learning_rate=0.1, exact_gradient=True),
     amplify_cfg=AmplifyConfig(steps=20, shots_per_shift=64, learning_rate=0.2,
                               reeval_period=4, use_exact=True))
@@ -139,7 +136,7 @@ def test_config_ini_rejects_unknown_keys():
         config_from_ini("[adaptive]\nbogus = 2\n")
 
 
-@pytest.mark.parametrize("name", ["adaptive", "tpe", "stagnation", "gd", "amplify_cfg"])
+@pytest.mark.parametrize("name", ["adaptive", "gd", "amplify_cfg"])
 def test_config_ini_refuses_nested_names_in_experiment(tmp_path, capsys, monkeypatch, name):
     # these fields hold a section; [experiment] used to parse `adaptive = 3` into
     # adaptive=('3',), and the run died inside its first cell
@@ -286,12 +283,54 @@ def test_cli_refuses_removed_adam_keys(tmp_path, capsys, monkeypatch, section, k
     assert sorted(os.listdir(old)) == ["config_resolved.ini", "records.jsonl"]
 
 
+# INI blocks the parser refuses, each with its error; [tpe] and [stagnation]
+# held the search's settings, now constants of bo, and an older
+# config_resolved.ini still carries them
+REFUSED_BLOCKS = {
+    "misspelt": ("[stagnaton]\npatience = 3\n", "unknown section [stagnaton]"),
+    "tpe": ("[tpe]\nstartup_trials = 10\ngood_fraction = 0.25\n"
+            "candidates_per_suggest = 24\nbandwidth_floor = 0.05\n", "unknown section [tpe]"),
+    "stagnation": ("[stagnation]\npatience = 30\nmin_delta = 1e-09\n",
+                   "unknown section [stagnation]"),
+    # configparser copies [DEFAULT] keys into every section, so t_max would
+    # apply once an [experiment] section exists and be ignored without one
+    "default": ("[DEFAULT]\nt_max = 5\n", "unknown key 't_max' in section [DEFAULT]"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_BLOCKS))
+def test_cli_refuses_unknown_sections_and_default_keys(tmp_path, capsys, monkeypatch, case):
+    # these used to be skipped without a word, and the run went on with the defaults
+    block, message = REFUSED_BLOCKS[case]
+    ini = tmp_path / "refused.ini"
+    ini.write_text(block)
+    cells = []
+    monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+    out = tmp_path / "out"
+    rc = main(["bench", "--seed", "1", "--out", str(out), "--instances", "1",
+               "--experiment", "single", "--n-values", "4", "--methods", "map_bo",
+               "--t-max", "3", "--config", str(ini)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert cells == []
+    assert not out.exists()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "config_resolved.ini").write_text(config_to_ini(ExperimentConfig()).replace(
+        "[gd]\n", f"{block}\n[gd]\n"))
+    (old / "records.jsonl").write_text("")
+    assert main(["report", "--indir", str(old)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(os.listdir(old)) == ["config_resolved.ini", "records.jsonl"]
+
+
 def test_config_rejects_bad_grid_values():
     for kwargs in (dict(n_values=(1,)), dict(n_values=(4, simulator.MAX_QUBITS + 1)),
                    dict(p_values=(0,)), dict(p_values=(2, -1)), dict(degree=0),
                    dict(t_max=0), dict(n_fix=0), dict(n_final=-1),
                    dict(n_values=(4, 6, 4)), dict(p_values=(2, 2)),
-                   dict(noise_lambdas=(0.0, 0.01, 0.0)), dict(methods=("exp_bo", "exp_bo"))):
+                   dict(noise_lambdas=(0.0, 0.01, 0.0)), dict(methods=("exp_bo", "exp_bo")),
+                   dict(weight_scheme="bogus")):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ExperimentConfig(**kwargs)
     ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,), degree=1)
@@ -845,8 +884,6 @@ INI_SURFACE = {
                    "t_max", "n_fix", "n_final", "stage2_enabled"],
     "adaptive": ["pilot_shots", "growth", "max_shots", "tau_conf", "tau_var",
                  "bootstrap_resamples"],
-    "tpe": ["startup_trials", "good_fraction", "candidates_per_suggest", "bandwidth_floor"],
-    "stagnation": ["patience", "min_delta"],
     "gd": ["iterations", "learning_rate", "exact_gradient"],
     "stage2": ["steps", "shots_per_shift", "learning_rate", "reeval_period", "use_exact"],
 }

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from modeqaoa.baselines import GdConfig
 from modeqaoa.bo import (
-    ADAM_BETAS, ADAM_EPS, RunResult, StagnationConfig, TpeConfig, Trial, adam_step,
+    ADAM_BETAS, ADAM_EPS, PATIENCE, STARTUP_TRIALS, RunResult, Trial, adam_step,
     optimize_map_bo, run_result_to_dict, search_bounds, should_stop, split_good_bad,
     suggest, trials_to_jsonl,
 )
@@ -21,21 +21,6 @@ def make_trial(i, y, vec=None):
     vec = vec if vec is not None else [0.1 * i, 0.2, 1.0, 2.0]
     return Trial(index=i, params=QaoaParams.from_vector(np.array(vec)),
                  objective=y, shots_used=100, mode=0, mode_cut=y)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TpeConfig(startup_trials=0)
-    with pytest.raises(ValueError):
-        TpeConfig(good_fraction=1.0)
-    with pytest.raises(ValueError):
-        TpeConfig(candidates_per_suggest=0)
-    with pytest.raises(ValueError):
-        TpeConfig(bandwidth_floor=0.0)
-    with pytest.raises(ValueError):
-        StagnationConfig(patience=0)
-    with pytest.raises(ValueError):
-        StagnationConfig(min_delta=-1.0)
 
 
 def test_search_bounds():
@@ -62,24 +47,23 @@ def test_split_good_bad_sizes_and_ties():
 
 def test_suggest_startup_uniform_and_deterministic():
     bounds = search_bounds(2)
-    cfg = TpeConfig()
-    a = suggest([], bounds, cfg, seed=4)
-    b = suggest([], bounds, cfg, seed=4)
+    a = suggest([], bounds, seed=4)
+    b = suggest([], bounds, seed=4)
     assert np.array_equal(a, b)
     assert np.all(a >= bounds[:, 0]) and np.all(a < bounds[:, 1])
-    c = suggest([], bounds, cfg, seed=5)
+    c = suggest([], bounds, seed=5)
     assert not np.array_equal(a, c)
 
 
 def test_suggest_tpe_respects_bounds():
     bounds = search_bounds(2)
-    cfg = TpeConfig(startup_trials=4)
     rng = np.random.default_rng(0)
     hist = [make_trial(i, float(rng.random()),
                        vec=rng.uniform(bounds[:, 0], bounds[:, 1]))
             for i in range(1, 13)]
+    assert len(hist) > STARTUP_TRIALS  # past the uniform startup
     for seed in range(30):
-        v = suggest(hist, bounds, cfg, seed=seed)
+        v = suggest(hist, bounds, seed=seed)
         assert np.all(v >= bounds[:, 0])
         assert np.all(v < bounds[:, 1])
 
@@ -87,27 +71,27 @@ def test_suggest_tpe_respects_bounds():
 def test_suggest_tpe_tracks_good_region():
     # all good mass near one corner: suggestions should cluster there
     bounds = search_bounds(1)
-    cfg = TpeConfig(startup_trials=4)
     hist = [make_trial(i, 10.0, vec=[0.3 + 0.001 * i, 1.0]) for i in range(1, 4)]
     hist += [make_trial(i, 0.0, vec=[2.8, 5.5]) for i in range(4, 13)]
-    votes = np.array([suggest(hist, bounds, cfg, seed=s) for s in range(20)])
+    assert len(hist) > STARTUP_TRIALS
+    votes = np.array([suggest(hist, bounds, seed=s) for s in range(20)])
     assert np.median(np.abs(votes[:, 0] - 0.3)) < 0.5
 
 
 def test_should_stop_exact_semantics():
-    cfg = StagnationConfig(patience=5, min_delta=1e-9)
-    flat = [make_trial(i, 2.0) for i in range(1, 6)]
-    assert should_stop(flat, cfg)
-    assert not should_stop(flat[:4], cfg)
+    k = PATIENCE
+    flat = [make_trial(i, 2.0) for i in range(1, k + 1)]
+    assert should_stop(flat)
+    assert not should_stop(flat[:-1])
     # improvement on the last trial resets the window
-    rising = [make_trial(i, 0.0) for i in range(1, 5)] + [make_trial(5, 1.0)]
-    assert not should_stop(rising, cfg)
-    # improvement at trial 2 leaves the window at length 5, expires at length 6
+    rising = [make_trial(i, 0.0) for i in range(1, k)] + [make_trial(k, 1.0)]
+    assert not should_stop(rising)
+    # improvement at trial 2 leaves the window at length k, expires at length k + 1
     bump = [make_trial(1, 0.0), make_trial(2, 1.0)] + [
-        make_trial(i, 0.0) for i in range(3, 6)]
-    assert not should_stop(bump, cfg)
-    bump.append(make_trial(6, 0.5))
-    assert should_stop(bump, cfg)
+        make_trial(i, 0.0) for i in range(3, k + 1)]
+    assert not should_stop(bump)
+    bump.append(make_trial(k + 1, 0.5))
+    assert should_stop(bump)
 
 
 def test_map_bo_finds_square_optimum(square):
@@ -142,9 +126,7 @@ def test_map_bo_deterministic(six_reg):
 
 def test_map_bo_stagnates_on_flat_objective(triangle):
     # K3 mode cut is 2 at nearly every point, so the incumbent never moves
-    cfg = StagnationConfig(patience=6, min_delta=1e-9)
-    res = optimize_map_bo(triangle, depth=1, t_max=50, seed=0,
-                          stagnation_cfg=cfg)
+    res = optimize_map_bo(triangle, depth=1, t_max=50, seed=0)
     assert res.stop_reason == "stagnation"
     assert len(res.trials) < 50
 

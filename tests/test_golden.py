@@ -31,14 +31,14 @@ SWEEPS = {
     "single": ["--experiment", "single", "--instances", "1"],
 }
 
-# each sweep's config_resolved.ini and records.jsonl last moved when Adam's
-# moment keys left [gd] and [stage2]: six INI lines went, and in the records
-# only config_hash moved
+# each sweep's config_resolved.ini and records.jsonl last moved when the
+# search's settings became constants of bo: the [tpe] and [stagnation] blocks
+# left each INI, and in the records only config_hash moved
 GOLDEN = {
     "noise_sweep/aggregates.csv":
         "f51dce24f6af0942d5554725178eb60369a3b7a5dce23658815130e2399254cd",
     "noise_sweep/config_resolved.ini":
-        "54cf237d2d5b5ac582c6e60da73bc0bf07914d1ec0680db89b8d180caf4d6f3c",
+        "aece04f8b54b822ac2e62976b0078e7baea65764c8239eb767be1acd5ec1e8b5",
     "noise_sweep/plots/noise_panels.csv":
         "45a18d4c9527283cdcd0908c1bd2a10ab2891f256d6d1cfc4b0963095d76ea49",
     "noise_sweep/plots/noise_pareto.csv":
@@ -50,7 +50,7 @@ GOLDEN = {
     "noise_sweep/plots/threshold_shots.csv":
         "775dd0f0534706a56c10dcf3af6fad5cde6772fc2c667eace36be5e196ffeaea",
     "noise_sweep/records.jsonl":
-        "145f3d37cab87d7a1f0b380646e7825cffb9486cebcb7ee36b73b6a54d2ab913",
+        "06f38a80bf7e6f2fa38a27366526e10a4e220f2cf1f5a5562440356a1f0da6f4",
     "noise_sweep/stage2_traces.jsonl":
         "376fc14e8ddda4d26d7c9f436ccbd125cffe4ddb262bf907caab1ea1833f7d57",
     "noise_sweep/summary.json":
@@ -58,7 +58,7 @@ GOLDEN = {
     "depth_sweep/aggregates.csv":
         "9a4a5f4f3ea32fee7d93451a8c3b7fcf19d3181c087d435d81e9f5893740d638",
     "depth_sweep/config_resolved.ini":
-        "83294b770b97902318965f0955d8d3b7d5fb061d6129de81b5c0be7f3e18e6d0",
+        "de70d69f8d05e605ff671a6bc2fb606703901afc4e364a321398a44db1717ce3",
     "depth_sweep/plots/depth_panels.csv":
         "fcd85e684762b0d47e87a254a8bf09dc7883c1c24f0e4f08ebd8a79ec9ace2fc",
     "depth_sweep/plots/pareto.csv":
@@ -68,7 +68,7 @@ GOLDEN = {
     "depth_sweep/plots/threshold_shots.csv":
         "e62bd4297213053d987a19b0fb3d5ff755d55210b0175a9357d828691d3bd17c",
     "depth_sweep/records.jsonl":
-        "1ddccefaf454126d5cec0adabce97cfa95ffa1e265441bbc01e4bd96ff2b464f",
+        "b26e6eac2f3c997df42b3ab97872f73f7006cad87f6c646ea0d37fbd111e6be0",
     "depth_sweep/stage2_traces.jsonl":
         "e023d4dbb718f4257bd73cf5590b6328f496de3ca9275725b7f635147e1164c1",
     "depth_sweep/summary.json":
@@ -76,7 +76,7 @@ GOLDEN = {
     "qubit_sweep/aggregates.csv":
         "5c8ab84ba43fd28264e2ec1a628fc108767d0125f48e363b68f4e00a4fba46f9",
     "qubit_sweep/config_resolved.ini":
-        "ebd04bdcaa03567c2b86a79702bec6c3bc83cea8fb028e7d49b05fdaeecab114",
+        "30bcee4583150eee977afcf4819ff21768a4b1fd404b13bf058f3841f98d7855",
     "qubit_sweep/plots/pareto.csv":
         "0dc24be8abb1edf31d3147edeadfbba32afb2fec1adc022e651cd48841ebafa8",
     "qubit_sweep/plots/qubit_curves.csv":
@@ -86,7 +86,7 @@ GOLDEN = {
     "qubit_sweep/plots/threshold_shots.csv":
         "6b51d6e7f92f2564e7af11cb07953b6c4046f70f8ce158ed7a28b6cfd96ef802",
     "qubit_sweep/records.jsonl":
-        "6a9e9993f6e5bf47190bee6f008398bbd74976e5a94501bf26540f0fdda1e5d2",
+        "5b16c4193decf6cdfea2210fed22c5e35eee03cb9ba4ac2d119871707f288923",
     "qubit_sweep/stage2_traces.jsonl":
         "a4ab676bc5936286edd495217d9a1654645b05728d7dc15d290b892ea4e9f316",
     "qubit_sweep/summary.json":
@@ -94,7 +94,7 @@ GOLDEN = {
     "single/aggregates.csv":
         "86a986afa9e133a7131e6297caab8ad38028511691d3192b7b26f179b9083569",
     "single/config_resolved.ini":
-        "6563301181f006439a16e31ba1bd12f442cb1b694c3115aa7f15a1b4a387c23a",
+        "2f0005b1e198eda7e67be43f250daf002676c664d5152ab296de165539232b33",
     "single/plots/pareto.csv":
         "5e769a7990c3bfa7ae53a7010de87cb37b7d99df37808482c0c48b21103b550e",
     "single/plots/saving_rate.csv":
@@ -102,7 +102,7 @@ GOLDEN = {
     "single/plots/threshold_shots.csv":
         "9309fd2284f87c4eef622f7b1c6df4f721f9f62220e6ec677d726641de10ba8d",
     "single/records.jsonl":
-        "246b6cc8cf09a996e1456107b4a9f9babfb4180a0addd43c8887fe87031b3730",
+        "465b5795de110bf1b11ce304f5b6957464210f7fe35e645601a064bdcfecce89",
     "single/stage2_traces.jsonl":
         "e2b7e53b80b0215eb70a436a06df27f30cd162bba61222797a5bf0b66617beaa",
     "single/summary.json":

@@ -16,14 +16,18 @@ def test_config_validation():
     AdaptiveConfig()  # defaults are legal
     with pytest.raises(ValueError):
         AdaptiveConfig(pilot_shots=0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(growth=1.0)
+    # NaN or inf growth used to fail only inside next_batch's round
+    for growth in (1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="growth"):
+            AdaptiveConfig(growth=growth)
     with pytest.raises(ValueError):
         AdaptiveConfig(max_shots=50)  # below the pilot
     with pytest.raises(ValueError):
         AdaptiveConfig(tau_conf=0.0)
-    with pytest.raises(ValueError):
-        AdaptiveConfig(tau_var=-0.1)
+    # a NaN threshold used to be accepted, and then no point could pass the gate
+    for tau_var in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="tau_var"):
+            AdaptiveConfig(tau_var=tau_var)
     with pytest.raises(ValueError):
         AdaptiveConfig(bootstrap_resamples=0)
 
