@@ -39,8 +39,8 @@ class GdConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not self.learning_rate >= 0:  # a negative rate descends; NaN fails too
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:  # a negative rate descends; NaN fails too
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
 
 
 def _split_shots(total: int, parts: int) -> list[int]:

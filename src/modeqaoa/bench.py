@@ -35,6 +35,7 @@ from .simulator import MAX_QUBITS, NoiseSpec
 from .stage2 import AmplifyConfig, amplify
 
 METHODS = ("map_bo", "exp_bo", "exp_gd")
+DEGREE = 3  # every instance is 3-regular, as in the paper's MaxCut experiments
 # record key of each sweep axis -> the ExperimentConfig field holding its values
 _AXES = {"n": "n_values", "p": "p_values", "lambda": "noise_lambdas"}
 
@@ -80,7 +81,6 @@ class ExperimentConfig:
     p_values: tuple[int, ...] = _SWEEPS["qubit_sweep"].preset["p_values"]
     noise_lambdas: tuple[float, ...] = _SWEEPS["qubit_sweep"].preset["noise_lambdas"]
     instances_per_point: int = 10
-    degree: int = 3
     weight_scheme: str = "unit"
     methods: tuple[str, ...] = METHODS
     threshold: float = 0.80
@@ -115,7 +115,7 @@ class ExperimentConfig:
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise ValueError(f"weight_scheme must be one of {WEIGHT_SCHEMES}, "
                              f"got {self.weight_scheme!r}")
-        for name in ("degree", "instances_per_point", "t_max", "n_fix", "n_final"):
+        for name in ("instances_per_point", "t_max", "n_fix", "n_final"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 < self.threshold <= 1.0):
@@ -231,7 +231,7 @@ def derive_seed(master: int, *parts) -> int:
 def make_instance(cfg: ExperimentConfig, master_seed: int, n: int, p: int,
                   lam: float, index: int) -> MaxCutInstance:
     point = (n, p, lam)
-    inst = random_regular(n, cfg.degree, derive_seed(master_seed, point, index, "instance"))
+    inst = random_regular(n, DEGREE, derive_seed(master_seed, point, index, "instance"))
     return with_optimum(assign_weights(inst, cfg.weight_scheme,
                                        derive_seed(master_seed, point, index, "weights")))
 
@@ -440,7 +440,7 @@ def summarize(records, cfg: ExperimentConfig) -> dict:
             shots_map = sum(r["optimization_shots"] for r in map_group)
             shots_exp = sum(r["optimization_shots"] for r in exp_group)
             sum_k = sum(round(r["avg_distinct"] * r["trials"]) for r in map_group)
-            num_edges = random_regular(n, cfg.degree, map_group[0]["instance_seed"]).num_edges
+            num_edges = random_regular(n, DEGREE, map_group[0]["instance_seed"]).num_edges
             entry["s_q"], entry["s_cl"] = pooled_savings(
                 shots_exp, shots_map, t_map, sum_k / t_map,
                 num_edges, cfg.adaptive.bootstrap_resamples)
@@ -506,9 +506,8 @@ _FLAGS = {
     "methods": ("--methods", dict(nargs="+", choices=METHODS), True),
     "weight_scheme": ("--weights", dict(choices=WEIGHT_SCHEMES), True),
 }
-# [experiment] keys that shape only a bench sweep: the grid flags' fields and
-# degree, which has no flag
-_GRID_KEYS = (*(name for name, (_, _, grid) in _FLAGS.items() if grid), "degree")
+# [experiment] keys that shape only a bench sweep: the grid flags' fields
+_GRID_KEYS = tuple(name for name, (_, _, grid) in _FLAGS.items() if grid)
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -540,7 +539,7 @@ def _cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         seed = derive_seed(args.seed, "gen", args.n, i)
-        inst = assign_weights(random_regular(args.n, args.degree, seed), args.weights,
+        inst = assign_weights(random_regular(args.n, DEGREE, seed), args.weights,
                               derive_seed(args.seed, "w", args.n, i))
         path = os.path.join(args.out, f"instance_n{args.n}_{i}.json")
         with open(path, "w") as fh:
@@ -604,9 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="generate MaxCut instances as JSON files")
+    p_gen = sub.add_parser("gen", help="generate 3-regular MaxCut instances as JSON files")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--degree", type=int, default=3)
     p_gen.add_argument("--count", type=int, default=10)
     p_gen.add_argument("--weights", choices=WEIGHT_SCHEMES, default="unit")
     p_gen.add_argument("--seed", type=int, required=True)

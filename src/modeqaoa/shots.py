@@ -1,15 +1,15 @@
 """Dual-criterion adaptive shot allocation.
 
 One point evaluation computes the outcome distribution once, then draws shot
-batches from it: a pilot batch, then geometrically growing batches capped by
-the per-point budget.  After every batch the gate statistics are recomputed on
+batches from it: a pilot batch, then batches that double, capped by the
+per-point budget.  After every batch the gate statistics are recomputed on
 the merged histogram; sampling stops as soon as mode confidence and normalized
 cut variance both clear their thresholds, or the budget is exhausted.  Every
 round's gate decision is drawn only when it is read (see EvalStats), and the
 round that reaches the budget stops unread; `accepted` reads it on demand.
 
-With the defaults (pilot 100, growth 2.0, cap 1200) the batch sizes are
-exactly 100, 200, 400, 500.
+With the defaults (pilot 100, cap 1200) the batch sizes are exactly 100, 200,
+400, 500.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .simulator import NoiseSpec, QaoaParams, child_seeds, outcome_distribution,
 @dataclass(frozen=True)
 class AdaptiveConfig:
     pilot_shots: int = 100
-    growth: float = 2.0
     max_shots: int = 1200
     tau_conf: float = 0.90
     tau_var: float = 0.02
@@ -35,8 +34,6 @@ class AdaptiveConfig:
     def __post_init__(self):
         if self.pilot_shots < 1:
             raise ValueError("pilot_shots must be >= 1")
-        if not 1.0 < self.growth < np.inf:  # NaN fails too
-            raise ValueError(f"growth must be > 1 and finite, got {self.growth}")
         if self.max_shots < self.pilot_shots:
             raise ValueError("max_shots must be >= pilot_shots")
         if not (0.0 < self.tau_conf <= 1.0):
@@ -61,10 +58,10 @@ class PointEvaluation:
 
 
 def next_batch(current: int, spent: int, cfg: AdaptiveConfig) -> int:
-    """Next batch size: growth * current, round half to even, clipped to budget."""
+    """Next batch size: twice the current one, clipped to the budget."""
     if spent >= cfg.max_shots:
         raise ValueError("budget already exhausted")
-    return min(int(round(cfg.growth * current)), cfg.max_shots - spent)
+    return min(2 * current, cfg.max_shots - spent)
 
 
 def evaluate_point(instance: MaxCutInstance, params: QaoaParams,

@@ -39,8 +39,8 @@ class AmplifyConfig:
             raise ValueError("shots_per_shift must be >= 1")
         if self.reeval_period < 1:
             raise ValueError("reeval_period must be >= 1")
-        if not self.learning_rate >= 0:  # a negative rate descends; NaN fails too
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:  # a negative rate descends; NaN fails too
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
 
 
 def _check_shots(shots: int | None, seed: int | np.random.Generator | None) -> None:

@@ -242,7 +242,7 @@ def test_criterion_3_gradient_oracle():
 
 def test_criterion_4_adaptive_loop_arithmetic():
     start = time.monotonic()
-    cfg = AdaptiveConfig()  # pilot 100, growth 2.0, cap 1200
+    cfg = AdaptiveConfig()  # pilot 100, cap 1200, batches double
     seq = []
     batch, spent = cfg.pilot_shots, 0
     while spent < cfg.max_shots:

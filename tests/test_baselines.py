@@ -38,8 +38,9 @@ def test_gd_config_validation():
     GdConfig()
     with pytest.raises(ValueError):
         GdConfig(iterations=0)
-    # a negative rate descends; Adam's moments are bo's constants
-    for rate in (-0.1, float("nan")):
+    # a negative rate descends, and an infinite one used to pass and fail only
+    # at the second iteration; Adam's moments are bo's constants
+    for rate in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             GdConfig(learning_rate=rate)
     GdConfig(learning_rate=0.0)

@@ -101,10 +101,10 @@ def test_config_hash_stable_and_sensitive():
 # and tuples of int, float and str
 EVERY_FIELD_SET = ExperimentConfig(
     experiment="depth_sweep", n_values=(5, 7), p_values=(1, 3), noise_lambdas=(0.0, 0.25),
-    instances_per_point=3, degree=4, weight_scheme="uniform", methods=("exp_gd", "map_bo"),
+    instances_per_point=3, weight_scheme="uniform", methods=("exp_gd", "map_bo"),
     threshold=0.75, t_max=44, n_fix=321, n_final=777, stage2_enabled=True,
-    adaptive=AdaptiveConfig(pilot_shots=50, growth=1.5, max_shots=800, tau_conf=0.8,
-                            tau_var=0.03, bootstrap_resamples=150),
+    adaptive=AdaptiveConfig(pilot_shots=50, max_shots=800, tau_conf=0.8, tau_var=0.03,
+                            bootstrap_resamples=150),
     gd=GdConfig(iterations=9, learning_rate=0.1, exact_gradient=True),
     amplify_cfg=AmplifyConfig(steps=20, shots_per_shift=64, learning_rate=0.2,
                               reeval_period=4, use_exact=True))
@@ -192,7 +192,6 @@ BAD_GRIDS = {
     "p_values": ["--experiment", "depth_sweep", "--n-values", "4", "--p-values", "1", "0"],
     "n_values": ["--experiment", "qubit_sweep", "--n-values", "4", "1"],
     "n_values above the cap": ["--experiment", "qubit_sweep", "--n-values", "6", "25"],
-    "degree": ["--experiment", "single", "--n-values", "4", "--config", "degree.ini"],
     # a repeated value used to run the same cells twice
     "n_values repeated": ["--experiment", "qubit_sweep", "--n-values", "4", "4"],
     "p_values repeated": ["--experiment", "depth_sweep", "--n-values", "4",
@@ -211,15 +210,13 @@ BAD_GRIDS = {
 def test_cli_bench_rejects_bad_grid_before_any_cell(tmp_path, capsys, monkeypatch, case):
     # a bad value used to fail only when its cell came up, after the earlier
     # cells had run, and with nothing written
-    (tmp_path / "degree.ini").write_text("[experiment]\ndegree = 0\n")
     cells = []
     real_run_cell = bench.run_cell
     monkeypatch.setattr(bench, "run_cell",
                         lambda *a, **k: cells.append(a) or real_run_cell(*a, **k))
-    args = [str(tmp_path / x) if x.endswith(".ini") else x for x in BAD_GRIDS[case]]
     out = tmp_path / "out"
     rc = main(["bench", "--seed", "1", "--out", str(out), "--instances", "1",
-               "--methods", "exp_bo", "--t-max", "3"] + args)
+               "--methods", "exp_bo", "--t-max", "3"] + BAD_GRIDS[case])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + case.split()[0])
@@ -232,6 +229,10 @@ def test_cli_bench_rejects_bad_grid_before_any_cell(tmp_path, capsys, monkeypatc
 BAD_ADAM = {
     "learning_rate": "[stage2]\nlearning_rate = -0.05\n",
     "learning_rate_nan": "[gd]\nlearning_rate = nan\n",
+    # inf used to pass the checks and fail exp_gd's second iteration, after
+    # the first iteration's shots were charged
+    "gd_learning_rate_inf": "[gd]\nlearning_rate = inf\n",
+    "stage2_learning_rate_inf": "[stage2]\nlearning_rate = inf\n",
 }
 
 
@@ -254,6 +255,54 @@ def test_cli_bench_rejects_bad_adam_settings_before_any_cell(tmp_path, capsys, m
     assert capsys.readouterr().err.startswith("error: learning_rate must be >= 0")
     assert cells == []
     assert not out.exists()
+
+
+# keys that once set the graph degree and the batch growth; every instance
+# is 3-regular and every batch doubles, so an INI that sets one, by hand or
+# in an older config_resolved.ini, is refused as an unknown key
+@pytest.mark.parametrize("section,key,value,cls", [
+    ("experiment", "degree", "3", ExperimentConfig),
+    ("adaptive", "growth", "2.0", AdaptiveConfig)], ids=["degree", "growth"])
+def test_cli_refuses_degree_and_growth(tmp_path, capsys, monkeypatch, section, key, value,
+                                       cls):
+    with pytest.raises(TypeError, match=key):
+        cls(**{key: 3})
+    ini = tmp_path / "removed.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    cells = []
+    monkeypatch.setattr(bench, "run_cell", lambda *a, **k: cells.append(a))
+    out = tmp_path / "out"
+    rc = main(["bench", "--seed", "1", "--out", str(out), "--instances", "1",
+               "--experiment", "single", "--n-values", "4", "--methods", "map_bo",
+               "--t-max", "3", "--config", str(ini)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in section [{section}]\n"
+    assert cells == []
+    assert not out.exists()
+
+
+def test_cli_report_refuses_ini_with_degree_and_growth(tmp_path, capsys):
+    # the config_resolved.ini of a default run made while both keys were
+    # settings; report refuses it on the first and writes nothing
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "config_resolved.ini").write_text(config_to_ini(ExperimentConfig()).replace(
+        "instances_per_point = 10\n", "instances_per_point = 10\ndegree = 3\n").replace(
+        "pilot_shots = 100\n", "pilot_shots = 100\ngrowth = 2.0\n"))
+    (old / "records.jsonl").write_text("")
+    assert main(["report", "--indir", str(old)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'degree' in section [experiment]\n"
+    assert sorted(os.listdir(old)) == ["config_resolved.ini", "records.jsonl"]
+
+
+def test_cli_gen_refuses_degree(tmp_path, capsys):
+    # gen writes 3-regular instances only; --degree is no longer a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--n", "6", "--count", "1", "--seed", "1", "--out", str(tmp_path),
+              "--degree", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree 3" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("section,key", [(section, key) for section in ("gd", "stage2")
@@ -326,14 +375,14 @@ def test_cli_refuses_unknown_sections_and_default_keys(tmp_path, capsys, monkeyp
 
 def test_config_rejects_bad_grid_values():
     for kwargs in (dict(n_values=(1,)), dict(n_values=(4, simulator.MAX_QUBITS + 1)),
-                   dict(p_values=(0,)), dict(p_values=(2, -1)), dict(degree=0),
+                   dict(p_values=(0,)), dict(p_values=(2, -1)),
                    dict(t_max=0), dict(n_fix=0), dict(n_final=-1),
                    dict(n_values=(4, 6, 4)), dict(p_values=(2, 2)),
                    dict(noise_lambdas=(0.0, 0.01, 0.0)), dict(methods=("exp_bo", "exp_bo")),
                    dict(weight_scheme="bogus")):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ExperimentConfig(**kwargs)
-    ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,), degree=1)
+    ExperimentConfig(n_values=(2, simulator.MAX_QUBITS), p_values=(1,))
 
 
 def test_cli_refuses_gd_shots_per_eval(tmp_path, capsys, monkeypatch):
@@ -727,7 +776,7 @@ def test_cli_run_config_warns_on_grid_keys(tmp_path, capsys):
     assert main(base + [str(out / "config_resolved.ini")]) == 0
     err = capsys.readouterr().err
     assert "experiment, n_values, p_values, noise_lambdas, instances_per_point, " \
-           "degree, weight_scheme, methods" in err
+           "weight_scheme, methods" in err
 
 
 def test_bench_config_warns_when_experiment_replaces_ini_grid(tmp_path, capsys):
@@ -847,7 +896,6 @@ _SEARCH = [(("--config",), "config", None, None, None, None, False),
 CLI_SURFACE = {
     "gen": [_HELP,
             (("--n",), "n", int, None, None, None, True),
-            (("--degree",), "degree", int, None, None, 3, False),
             (("--count",), "count", int, None, None, 10, False),
             (("--weights",), "weights", None, None, _W, "unit", False),
             (("--seed",), "seed", int, None, None, None, True),
@@ -880,9 +928,9 @@ CLI_SURFACE = {
 # every section and key of a resolved INI, in file order
 INI_SURFACE = {
     "experiment": ["experiment", "n_values", "p_values", "noise_lambdas",
-                   "instances_per_point", "degree", "weight_scheme", "methods", "threshold",
+                   "instances_per_point", "weight_scheme", "methods", "threshold",
                    "t_max", "n_fix", "n_final", "stage2_enabled"],
-    "adaptive": ["pilot_shots", "growth", "max_shots", "tau_conf", "tau_var",
+    "adaptive": ["pilot_shots", "max_shots", "tau_conf", "tau_var",
                  "bootstrap_resamples"],
     "gd": ["iterations", "learning_rate", "exact_gradient"],
     "stage2": ["steps", "shots_per_shift", "learning_rate", "reeval_period", "use_exact"],

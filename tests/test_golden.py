@@ -32,13 +32,13 @@ SWEEPS = {
 }
 
 # each sweep's config_resolved.ini and records.jsonl last moved when the
-# search's settings became constants of bo: the [tpe] and [stagnation] blocks
-# left each INI, and in the records only config_hash moved
+# graph degree and the batch growth became constants: each INI lost its
+# degree = 3 and growth = 2.0 lines, and in the records only config_hash moved
 GOLDEN = {
     "noise_sweep/aggregates.csv":
         "f51dce24f6af0942d5554725178eb60369a3b7a5dce23658815130e2399254cd",
     "noise_sweep/config_resolved.ini":
-        "aece04f8b54b822ac2e62976b0078e7baea65764c8239eb767be1acd5ec1e8b5",
+        "880455e717647b7fd078b682c29005bd25c2087bb57cbf887562b3b4b98a382c",
     "noise_sweep/plots/noise_panels.csv":
         "45a18d4c9527283cdcd0908c1bd2a10ab2891f256d6d1cfc4b0963095d76ea49",
     "noise_sweep/plots/noise_pareto.csv":
@@ -50,7 +50,7 @@ GOLDEN = {
     "noise_sweep/plots/threshold_shots.csv":
         "775dd0f0534706a56c10dcf3af6fad5cde6772fc2c667eace36be5e196ffeaea",
     "noise_sweep/records.jsonl":
-        "06f38a80bf7e6f2fa38a27366526e10a4e220f2cf1f5a5562440356a1f0da6f4",
+        "ea883cc043b5c7c15816d343b9d1d4d6b0ece49d5c2069821d9a19f2ab0d65ed",
     "noise_sweep/stage2_traces.jsonl":
         "376fc14e8ddda4d26d7c9f436ccbd125cffe4ddb262bf907caab1ea1833f7d57",
     "noise_sweep/summary.json":
@@ -58,7 +58,7 @@ GOLDEN = {
     "depth_sweep/aggregates.csv":
         "9a4a5f4f3ea32fee7d93451a8c3b7fcf19d3181c087d435d81e9f5893740d638",
     "depth_sweep/config_resolved.ini":
-        "de70d69f8d05e605ff671a6bc2fb606703901afc4e364a321398a44db1717ce3",
+        "438bd09d14d242b378f5bb980557b6330a8be25b59b5696c49046dcd5deee131",
     "depth_sweep/plots/depth_panels.csv":
         "fcd85e684762b0d47e87a254a8bf09dc7883c1c24f0e4f08ebd8a79ec9ace2fc",
     "depth_sweep/plots/pareto.csv":
@@ -68,7 +68,7 @@ GOLDEN = {
     "depth_sweep/plots/threshold_shots.csv":
         "e62bd4297213053d987a19b0fb3d5ff755d55210b0175a9357d828691d3bd17c",
     "depth_sweep/records.jsonl":
-        "b26e6eac2f3c997df42b3ab97872f73f7006cad87f6c646ea0d37fbd111e6be0",
+        "eb17e44e591cecb27c7cab77b40e24a4bd62bcbf28dc729f4e6d0a46592e9005",
     "depth_sweep/stage2_traces.jsonl":
         "e023d4dbb718f4257bd73cf5590b6328f496de3ca9275725b7f635147e1164c1",
     "depth_sweep/summary.json":
@@ -76,7 +76,7 @@ GOLDEN = {
     "qubit_sweep/aggregates.csv":
         "5c8ab84ba43fd28264e2ec1a628fc108767d0125f48e363b68f4e00a4fba46f9",
     "qubit_sweep/config_resolved.ini":
-        "30bcee4583150eee977afcf4819ff21768a4b1fd404b13bf058f3841f98d7855",
+        "1f1fa3895937685c9f1c8f6e95b1655c0a232bd5b24873c1b8c2affc2cbdc393",
     "qubit_sweep/plots/pareto.csv":
         "0dc24be8abb1edf31d3147edeadfbba32afb2fec1adc022e651cd48841ebafa8",
     "qubit_sweep/plots/qubit_curves.csv":
@@ -86,7 +86,7 @@ GOLDEN = {
     "qubit_sweep/plots/threshold_shots.csv":
         "6b51d6e7f92f2564e7af11cb07953b6c4046f70f8ce158ed7a28b6cfd96ef802",
     "qubit_sweep/records.jsonl":
-        "5b16c4193decf6cdfea2210fed22c5e35eee03cb9ba4ac2d119871707f288923",
+        "e787edfca158d442a3bb97f053f3c7aaefa9bf823d725c75aaa5de8d6bb00605",
     "qubit_sweep/stage2_traces.jsonl":
         "a4ab676bc5936286edd495217d9a1654645b05728d7dc15d290b892ea4e9f316",
     "qubit_sweep/summary.json":
@@ -94,7 +94,7 @@ GOLDEN = {
     "single/aggregates.csv":
         "86a986afa9e133a7131e6297caab8ad38028511691d3192b7b26f179b9083569",
     "single/config_resolved.ini":
-        "2f0005b1e198eda7e67be43f250daf002676c664d5152ab296de165539232b33",
+        "4d29d86c173c9d49db44541145fb757d3c1da245d5debb1ef675bc71dc5a4fde",
     "single/plots/pareto.csv":
         "5e769a7990c3bfa7ae53a7010de87cb37b7d99df37808482c0c48b21103b550e",
     "single/plots/saving_rate.csv":
@@ -102,7 +102,7 @@ GOLDEN = {
     "single/plots/threshold_shots.csv":
         "9309fd2284f87c4eef622f7b1c6df4f721f9f62220e6ec677d726641de10ba8d",
     "single/records.jsonl":
-        "465b5795de110bf1b11ce304f5b6957464210f7fe35e645601a064bdcfecce89",
+        "ff0410de09f8cba8960bab78b44be28b48140f7e2e819adb744cecb3a6270c04",
     "single/stage2_traces.jsonl":
         "e2b7e53b80b0215eb70a436a06df27f30cd162bba61222797a5bf0b66617beaa",
     "single/summary.json":

@@ -16,10 +16,6 @@ def test_config_validation():
     AdaptiveConfig()  # defaults are legal
     with pytest.raises(ValueError):
         AdaptiveConfig(pilot_shots=0)
-    # NaN or inf growth used to fail only inside next_batch's round
-    for growth in (1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="growth"):
-            AdaptiveConfig(growth=growth)
     with pytest.raises(ValueError):
         AdaptiveConfig(max_shots=50)  # below the pilot
     with pytest.raises(ValueError):
@@ -52,24 +48,14 @@ def test_next_batch_exhausted_raises():
         next_batch(500, 1200, cfg)
 
 
-def test_next_batch_round_half_even():
-    cfg = AdaptiveConfig(pilot_shots=5, growth=1.5, max_shots=10_000)
-    # 1.5 * 5 = 7.5 rounds to 8 (half to even)
-    assert next_batch(5, 5, cfg) == 8
-    cfg2 = AdaptiveConfig(pilot_shots=3, growth=2.5, max_shots=10_000)
-    # 2.5 * 3 = 7.5 -> 8; 2.5 * 1 = 2.5 -> 2
-    assert next_batch(1, 1, cfg2) == 2
-
-
 @given(st.integers(1, 500), st.integers(0, 1199))
 @settings(max_examples=80, deadline=None)
 def test_next_batch_never_exceeds_budget(current, spent):
     cfg = AdaptiveConfig()
     b = next_batch(current, spent, cfg)
-    assert 0 <= spent + b <= cfg.max_shots or b == int(round(cfg.growth * current))
-    assert spent + b <= cfg.max_shots or b <= 0
-    # the clip is exact: either the geometric size fits, or we top up to the cap
-    assert b == min(int(round(cfg.growth * current)), cfg.max_shots - spent)
+    assert 0 < b and spent + b <= cfg.max_shots
+    # the clip is exact: either the doubled batch fits, or we top up to the cap
+    assert b == min(2 * current, cfg.max_shots - spent)
 
 
 def test_point_mass_accepts_at_pilot():
@@ -148,14 +134,14 @@ def test_evaluate_point_deterministic():
 
 
 def test_budget_tops_up_to_cap():
-    # growth that overshoots still lands exactly on max_shots
+    # doubling that overshoots still lands exactly on max_shots: 7, 14, 28, 51
     inst = with_optimum(complete_graph(4))
     params = QaoaParams((0.0,), (0.0,))  # uniform, never accepts
-    cfg = AdaptiveConfig(pilot_shots=7, growth=3.0, max_shots=100,
-                         tau_conf=1.0, tau_var=0.0)
+    cfg = AdaptiveConfig(pilot_shots=7, max_shots=100, tau_conf=1.0, tau_var=0.0)
     ledger = ResourceLedger()
     ev = evaluate_point(inst, params, None, cfg, seed=0, ledger=ledger)
     assert ev.shots_used == 100
+    assert ev.rounds == 4
     assert not ev.accepted
 
 
@@ -194,8 +180,8 @@ def _evaluate_point_oracle(instance, params, noise, cfg, seed, ledger):
 def test_gated_rounds_match_full_statistics_oracle():
     # loose thresholds so that points are accepted on intermediate rounds too
     configs = [AdaptiveConfig(tau_conf=0.5, tau_var=0.1),
-               AdaptiveConfig(pilot_shots=20, growth=1.5, max_shots=500,
-                              tau_conf=0.3, tau_var=0.2, bootstrap_resamples=77),
+               AdaptiveConfig(pilot_shots=20, max_shots=500, tau_conf=0.3, tau_var=0.2,
+                              bootstrap_resamples=77),
                AdaptiveConfig(tau_conf=0.7, tau_var=0.06)]
     rng = np.random.default_rng(0)
     early_accepts = 0

@@ -32,9 +32,9 @@ def test_config_validation():
         AmplifyConfig(shots_per_shift=0)
     with pytest.raises(ValueError):
         AmplifyConfig(reeval_period=0)
-    # a negative rate descends and a NaN one would poison every angle; Adam's
-    # moments are bo's constants
-    for rate in (-0.05, float("nan")):
+    # a negative rate descends and a NaN or infinite one would poison every
+    # angle; Adam's moments are bo's constants
+    for rate in (-0.05, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             AmplifyConfig(learning_rate=rate)
 
